@@ -54,6 +54,7 @@ from .errors import (
     FamilyMismatch,
     GraphMismatch,
     GraphStructureError,
+    InternalError,
     InvalidPoint,
     LabelError,
     NoAlternateArm,

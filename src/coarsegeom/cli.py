@@ -6,7 +6,8 @@ stdout, so reruns with identical inputs are byte-identical.
 
 Exit codes: 0 success or accepted; 1 verification rejected (the emitted
 document carries the witness); 2 malformed input or configuration;
-3 precondition failure (depth, constants, tree-ness, ...).
+3 precondition failure (depth, constants, tree-ness, ...); 4 internal
+error (a defect in coarsegeom, reported in one line).
 """
 
 from __future__ import annotations
@@ -53,7 +54,13 @@ from .documents import (
     rational_str,
     separation_report_doc,
 )
-from .errors import CoarseGeomError, InvalidPoint, NotATree, SchemaError
+from .errors import (
+    CoarseGeomError,
+    InternalError,
+    InvalidPoint,
+    NotATree,
+    SchemaError,
+)
 from .gamma_spaces import (
     build_collapse_map,
     build_gamma0,
@@ -455,9 +462,17 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
     except CoarseGeomError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # exit 1 means "verification rejected", so a defect must not
+        # leave through Python's default exit status
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -108,3 +108,7 @@ class ArmCollision(CoarseGeomError):
 
 class UnknownElement(CoarseGeomError):
     """A claimed transversal mentions an element outside the family."""
+
+
+class InternalError(CoarseGeomError):
+    """A computation broke its own guarantee: a defect, not bad input."""

@@ -11,6 +11,7 @@ finite depth and all lengths are 1.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .errors import (
     EmptyFamily,
     EmptyMemberSet,
     FamilyMismatch,
+    InternalError,
     NoAlternateArm,
     NotAGeodesic,
 )
@@ -86,6 +88,66 @@ class SetFamily:
             if element in s.elements:
                 return i
         raise KeyError(element)
+
+
+class _ArmMetric:
+    """Closed-form vertex distances of a star of unit-length arms.
+
+    Vertex 0 is the base and vertex ``1 + arm*depth + (level-1)`` sits on
+    an arm at a level in 1..depth.  Arms of one member set are joined at
+    every level and between adjacent levels (the doubled-edge graph's
+    elements); arms of different sets meet only at the base.  For arm
+    vertices (a, n) and (b, m) the distance is
+      - n from the base to (a, n);
+      - |n - m| when a and b lie in one set and n != m;
+      - 1 when a and b are different arms of one set and n == m;
+      - n + m when a and b lie in different sets.
+    ``arm_sets`` gives each arm's set index; the quotient tree is the case
+    of one arm per set.  The formula holds only for the graphs that
+    build_gamma0 and build_gamma1 return, so only they may attach it; BFS
+    stays the engine of every other graph and the reference in tests.
+    """
+
+    def __init__(self, arm_sets, depth):
+        self.arm_sets = tuple(arm_sets)
+        self.depth = depth
+        self.n_vertices = 1 + len(self.arm_sets) * depth
+        # rows are cut from these two with memcpy-speed slices: _vee[k] is
+        # |k - depth|, so one slice gives a level's distances along its arm
+        self._asc = array("i", range(2 * depth + 1))
+        self._vee = array("i", (abs(k - depth) for k in range(2 * depth + 1)))
+
+    def distance(self, u, v):
+        if u == v:
+            return 0
+        depth = self.depth
+        if u == 0 or v == 0:
+            return (max(u, v) - 1) % depth + 1
+        a, n = divmod(u - 1, depth)
+        b, m = divmod(v - 1, depth)
+        if self.arm_sets[a] != self.arm_sets[b]:
+            return n + m + 2
+        return abs(n - m) or 1
+
+    def row(self, src):
+        """Distances from src to every vertex, indexed by vertex id; a
+        fresh array on every call, since rows are too cheap to cache."""
+        if not 0 <= src < self.n_vertices:
+            raise KeyError(src)
+        depth, asc = self.depth, self._asc
+        if src == 0:
+            return array("i", (0,)) + asc[1:depth + 1] * len(self.arm_sets)
+        a, rem = divmod(src - 1, depth)
+        n = rem + 1
+        own = self._vee[depth + 1 - n:2 * depth + 1 - n]
+        sibling = own[:]
+        sibling[n - 1] = 1
+        far = asc[n + 1:n + depth + 1]
+        home = self.arm_sets[a]
+        row = array("i", (n,))
+        for b, s in enumerate(self.arm_sets):
+            row += own if b == a else sibling if s == home else far
+        return row
 
 
 class GammaZeroGraph:
@@ -157,6 +219,9 @@ def build_gamma0(family: SetFamily, depth: int) -> GammaZeroGraph:
                     for y in members:
                         doubled(vid[x][n], vid[y][n + 1])
     graph = LabeledMetricGraph(vertices, edges, basepoint=0)
+    graph._closed_form = _ArmMetric(
+        (si for si, s in enumerate(family.sets) for _ in s.elements), depth
+    )
     return GammaZeroGraph(graph, family, depth)
 
 
@@ -188,7 +253,9 @@ def build_gamma1(family: SetFamily, depth: int) -> LabeledMetricGraph:
                 gamma1_vertex_id(depth, si, n),
                 one,
             ))
-    return LabeledMetricGraph(vertices, sorted(edges), basepoint=0)
+    graph = LabeledMetricGraph(vertices, sorted(edges), basepoint=0)
+    graph._closed_form = _ArmMetric(range(len(family.sets)), depth)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -295,7 +362,7 @@ def find_far_witness(g0: GammaZeroGraph, x: GraphPoint, y: GraphPoint, bound) ->
         and level0 > big_l
         and is_separated(g0.graph, x, z, y, 4)
     ):
-        raise RuntimeError("witness construction violated its own contract")
+        raise InternalError("witness construction violated its own contract")
     return z.id
 
 

@@ -165,6 +165,9 @@ class LabeledMetricGraph:
         ]
         self._irows = {}
         self._frows = {}
+        # closed-form distances, attached by the builders of graphs whose
+        # metric has one (ids 0..V-1, so vertex ids index its rows)
+        self._closed_form = None
         self._sig = None
 
     # -- basic accessors -------------------------------------------------
@@ -221,6 +224,8 @@ class LabeledMetricGraph:
     # -- vertex distance engine ------------------------------------------
 
     def _bfs_row(self, src):
+        if self._closed_form is not None:
+            return self._closed_form.row(src)
         row = self._irows.get(src)
         if row is None:
             n = len(self._ids)
@@ -266,6 +271,8 @@ class LabeledMetricGraph:
             raise InvalidPoint("unknown vertex id")
         if u == v:
             return ZERO
+        if self._closed_form is not None:
+            return Fraction(self._closed_form.distance(u, v))
         if self._unit:
             d = self._bfs_row(u)[self._index[v]]
             if d < 0:
@@ -477,7 +484,9 @@ def enumerate_geodesics(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint, cap
     dq = _distance_to_point_fn(g, q)
     terminal_vertex = isinstance(q, Vertex)
 
-    def extend(vid, cost, vseq, eseq):
+    def visit(vid, cost, vseq, eseq):
+        """Emit at this state if a geodesic ends here, then yield the
+        states one geodesic hop on, in edge order."""
         if _emit_checks(g, q, vid, cost, total):
             emit(vseq, eseq)
             if terminal_vertex:
@@ -485,14 +494,25 @@ def enumerate_geodesics(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint, cap
         for w, edge in g.edges_at(vid):
             nc = cost + edge.length
             if nc <= total and nc + dq(w) == total:
-                vseq.append(w)
-                eseq.append(edge.id)
-                extend(w, nc, vseq, eseq)
-                vseq.pop()
-                eseq.pop()
+                yield w, nc, edge.id
 
+    # depth-first with an explicit stack, one successor iterator per hop,
+    # so geodesics of any length come out in lexicographic order
     for vid, c in _start_states(g, p, q, total, dq):
-        extend(vid, c, [vid], [])
+        vseq, eseq = [vid], []
+        stack = [visit(vid, c, vseq, eseq)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if stack:
+                    vseq.pop()
+                    eseq.pop()
+                continue
+            w, nc, eid = step
+            vseq.append(w)
+            eseq.append(eid)
+            stack.append(visit(w, nc, vseq, eseq))
     return out
 
 

@@ -138,6 +138,17 @@ def test_extraction_seeded_section(pipe2):
     assert cert.verified
 
 
+def test_extraction_caches_no_rows():
+    """Both pipeline graphs compute their rows in closed form, so a cold
+    extraction leaves no per-source row behind and memory stays O(V)."""
+    fam = SetFamily.of_lists([["a"], ["b"]])
+    g0 = build_gamma0(fam, 944)
+    g1 = build_gamma1(fam, 944)
+    m = section_map(g0, mode="seeded", seed=5, g1=g1)
+    assert extract_choice(m, g0, 4).verified
+    assert g0.graph._irows == {} and g1._irows == {}
+
+
 def test_constant_too_small(pipe2):
     g0, g1 = pipe2
     m = section_map(g0, mode="first", g1=g1)

@@ -25,6 +25,7 @@ from coarsegeom import (
     tree_median,
     verify_bottleneck,
 )
+from coarsegeom import cli, gamma_spaces
 from coarsegeom.cli import main
 from coarsegeom.documents import (
     bottleneck_report_doc,
@@ -190,6 +191,20 @@ def test_profile(capsys, tmp_path, fam_file):
     assert code == 2
 
 
+def test_profile_deep_pair(capsys, tmp_path):
+    fp = tmp_path / "fam.json"
+    fp.write_text(canonical_dumps(
+        {"sets": [{"name": "X0", "elements": ["a"]},
+                  {"name": "X1", "elements": ["b"]}]}
+    ))
+    g0p = str(tmp_path / "g0.json")
+    main(["gamma0", "--family", str(fp), "--depth", "2400", "--out", g0p])
+    y = json.dumps({"vertex": 2400})  # a@2400
+    code, _, err = run(capsys, "profile", "--gamma0", g0p,
+                       "--x", '{"vertex": 0}', "--y", y, "--cap", "1")
+    assert code == 3 and "CapExceeded" in err
+
+
 def test_witness_frozen(capsys, tmp_path):
     fam = {"sets": [{"name": "X0", "elements": ["a"]},
                     {"name": "X1", "elements": ["c"]}]}
@@ -335,6 +350,27 @@ def test_verify_transversal_cli(capsys, tmp_path, fam_file):
     code, _, err = run(capsys, "verify-transversal", "--family", fam_file,
                        "--elements", elems_file(["a", "z"], "t5.json"))
     assert code == 3 and "UnknownElement" in err
+
+
+def test_internal_errors_exit_4(capsys, monkeypatch, tmp_path, fam_file):
+    g0p = str(tmp_path / "g0.json")
+    main(["gamma0", "--family", fam_file, "--depth", "30", "--out", g0p])
+
+    def boom(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_gamma0", boom)
+    code, doc, err = run(capsys, "gamma0", "--family", fam_file, "--depth", "2")
+    assert code == 4 and doc is None
+    assert err == "error: internal: KeyError: 'lost'\n"
+
+    # a far witness that fails its own check is a defect, not a rejection
+    monkeypatch.setattr(gamma_spaces, "is_separated", lambda *a: False)
+    code, _, err = run(capsys, "witness", "--gamma0", g0p,
+                       "--x", '{"vertex": 5}', "--y", '{"vertex": 2}',
+                       "--bound", "3/1")
+    assert code == 4
+    assert err.startswith("error: internal: witness construction")
 
 
 def test_missing_file_and_bad_subcommand(capsys, tmp_path):

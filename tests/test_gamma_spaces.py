@@ -12,6 +12,7 @@ from coarsegeom import (
     EmptyMemberSet,
     FamilyMismatch,
     Interior,
+    LabeledMetricGraph,
     LevelProfile,
     NoAlternateArm,
     NotAGeodesic,
@@ -31,6 +32,16 @@ from coarsegeom import (
     level_of,
     level_profile,
     minimal_qi_constant,
+    prune_k,
+    scale_metric,
+)
+from coarsegeom.documents import (
+    gamma0_doc,
+    gamma1_doc,
+    graph_doc,
+    parse_gamma0,
+    parse_gamma1,
+    parse_graph,
 )
 
 H = Fraction(1, 2)
@@ -134,6 +145,48 @@ def test_levels_and_classification(g0_d3):
     assert level_of(g0, Interior(cross.id, H)) == 1
     c = classify_point(g0, Interior(cross.id, H))
     assert c.kind == "arm" and c.arm == g0.family.sets[0].name
+
+
+# -- closed-form distances ----------------------------------------------------
+
+
+def _without_closed_form(g):
+    """The same graph built again from its parts, so BFS computes its rows."""
+    return LabeledMetricGraph(
+        list(g.vertex_labels.items()), g.edges, basepoint=g.basepoint
+    )
+
+
+@pytest.mark.parametrize(
+    "lists",
+    [[["a"]], [["a"], ["b"]], [["a", "b"], ["c"]], [["a", "b"], ["c"], ["d", "e", "f"]]],
+)
+def test_closed_form_matches_bfs(lists):
+    fam = SetFamily.of_lists(lists)
+    for depth in range(1, 7):
+        for g in (build_gamma0(fam, depth).graph, build_gamma1(fam, depth)):
+            ref = _without_closed_form(g)
+            assert g._closed_form is not None and ref._closed_form is None
+            ids = g.vertex_ids()
+            for u in ids:
+                assert g._bfs_row(u) == ref._bfs_row(u), (lists, depth, u)
+                row = ref._bfs_row(u)
+                for v in ids:
+                    assert g._closed_form.distance(u, v) == row[ref._index[v]]
+                    assert g.vertex_distance(u, v) == ref.vertex_distance(u, v)
+
+
+def test_closed_form_only_on_builder_graphs(fam2):
+    g0 = build_gamma0(fam2, 3)
+    g1 = build_gamma1(fam2, 3)
+    assert parse_gamma0(gamma0_doc(g0)).graph._closed_form is not None
+    assert parse_gamma1(gamma1_doc(g1, fam2, 3))[0]._closed_form is not None
+    for g in (g0.graph, g1):
+        assert parse_graph(graph_doc(g))._closed_form is None
+        assert scale_metric(g, 1)._closed_form is None
+        assert prune_k(g, 1)[0]._closed_form is None
+    with pytest.raises(KeyError):
+        g0.graph.vertex_row(g0.graph.n_vertices)
 
 
 # -- geodesic level profiles --------------------------------------------------

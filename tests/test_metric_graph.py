@@ -14,7 +14,9 @@ from coarsegeom import (
     LabeledMetricGraph,
     NonPositiveScale,
     NotAGeodesic,
+    SetFamily,
     Vertex,
+    build_gamma0,
     ball_complement_components,
     canonical_geodesic,
     check_geodesic,
@@ -248,6 +250,24 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded) as ei:
         enumerate_geodesics(g, Vertex(0), Vertex(1), cap=1)
     assert len(ei.value.geodesics) == 1
+
+
+def test_enumeration_cap_on_deep_pair():
+    # 2400 hops is far past the interpreter's recursion limit
+    depth = 2400
+    g0 = build_gamma0(SetFamily.of_lists([["a"], ["b"]]), depth)
+    end = Vertex(g0.vertex_of("a", depth))
+    with pytest.raises(CapExceeded) as ei:
+        enumerate_geodesics(g0.graph, Vertex(0), end, cap=3)
+    geos = ei.value.geodesics
+    assert len(geos) == 3
+    assert [(geo.vertices, geo.edges) for geo in geos] == sorted(
+        (geo.vertices, geo.edges) for geo in geos
+    )
+    for geo in geos:
+        assert len(geo.vertices) == depth + 1 and len(geo.edges) == depth
+        assert geo.length == depth
+        check_geodesic(g0.graph, geo)
 
 
 def test_check_geodesic_rejects_detour():
