@@ -30,7 +30,7 @@ from .gamma_spaces import (
     classify_point,
     gamma1_vertex_id,
 )
-from .metric_graph import HALF, Interior, Vertex, point_to_vertex_distance
+from .metric_graph import HALF, Interior, Vertex, distance
 from .tree_ops import assert_tree, prune_k
 
 
@@ -113,17 +113,16 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     if pruned.n_vertices == 0:
         raise DepthError(f"{k} pruning rounds emptied the domain tree")
     r = restrict_map(m, pruned)
-    brow = g0.base_row()
-
+    base = Vertex(0)
     near = set()
     for w, img in r.assignments:
-        if point_to_vertex_distance(g0.graph, img, brow) <= n:
+        if distance(g0.graph, img, base) <= n:
             near.update(_half_vertex_candidates(pruned, w))
     if not near:
         raise DepthError("no surviving domain point maps within the constant "
                          "of the base")
     root = min(near)
-    if point_to_vertex_distance(g0.graph, r.image_of(Vertex(root)), brow) > 3 * n:
+    if distance(g0.graph, r.image_of(Vertex(root)), base) > 3 * n:
         raise NotQuasiIsometry(
             "root image strays beyond three constants from the base, which "
             f"an accepted constant-{n} certificate rules out"

@@ -31,7 +31,6 @@ from .metric_graph import (
     geodesic_segments,
     half_net,
     is_separated,
-    multi_source_vertex_distances,
     point_along,
     surviving_vertex_path,
 )
@@ -59,15 +58,16 @@ class DeltaReport:
 
 def _carrier(g, a, b):
     """Vertices and whole edges lying on some geodesic from a to b."""
-    row_a = g.vertex_row(a)
-    row_b = g.vertex_row(b)
-    dab = row_a[b]
-    verts = tuple(w for w in g.vertex_ids() if row_a[w] + row_b[w] == dab)
+    ix, ilen = g._index, g._ilen
+    row_a = g._row(a)
+    row_b = g._row(b)
+    dab = row_a[ix[b]]
+    verts = tuple(w for w in g.vertex_ids() if row_a[ix[w]] + row_b[ix[w]] == dab)
     edges = tuple(
         e
         for e in g.edges
-        if row_a[e.u] + e.length + row_b[e.v] == dab
-        or row_a[e.v] + e.length + row_b[e.u] == dab
+        if row_a[ix[e.u]] + ilen[e.id] + row_b[ix[e.v]] == dab
+        or row_a[ix[e.v]] + ilen[e.id] + row_b[ix[e.u]] == dab
     )
     return verts, edges
 
@@ -84,19 +84,26 @@ def _side_sup(g, probe, union):
     pverts, pedges = probe
     uverts, uedges = union
     ueids = {e.id for e in uedges}
-    du = multi_source_vertex_distances(g, ((v, ZERO) for v in uverts))
-    best, bp = ZERO, None
+    ix = g._index
+    du = g._search([(0, ix[v]) for v in uverts])
+    # doubled units of 1/L, so half an edge is whole
+    best, bp = 0, None
     for w in pverts:
-        d = du[w]
+        d = 2 * du[ix[w]]
         if d > best:
             best, bp = d, Vertex(w)
     for e in pedges:
         if e.id in ueids:
             continue
-        val = e.length / 2 + min(du[e.u], du[e.v])
+        val = g._ilen[e.id] + 2 * min(du[ix[e.u]], du[ix[e.v]])
         if val > best:
             best, bp = val, Interior(e.id, HALF)
-    return best, bp
+    return Fraction(best, 2 * g._scale), bp
+
+
+def _check_count(count):
+    if count is not None and count < 0:
+        raise ValueError("sample count must be >= 0")
 
 
 def _triple_roles(a, b, c):
@@ -119,6 +126,7 @@ def slim_triangle_delta(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (seed is None or count is None):
         raise ValueError("sampled mode needs a seed and a count")
+    _check_count(count)
     if not g.is_connected():
         raise DisconnectedGraph("slim-triangle slack needs a connected graph")
     ids = list(g.vertex_ids())
@@ -202,7 +210,7 @@ def _pair_stream(g, mode, seed, count):
         for i in range(len(pool)):
             for j in range(i + 1, len(pool)):
                 yield pool[i], pool[j]
-    else:
+    elif len(pool) >= 2:
         rng = random.Random(seed)
         for _ in range(count):
             i, j = rng.sample(range(len(pool)), 2)
@@ -232,6 +240,7 @@ def verify_bottleneck(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (seed is None or count is None):
         raise ValueError("sampled mode needs a seed and a count")
+    _check_count(count)
     if not g.is_connected():
         raise DisconnectedGraph("bottleneck check needs a connected graph")
     checked = 0
@@ -270,6 +279,7 @@ def certify_two_hyperbolic_gamma0(g0, seed, count) -> SeparationReport:
     """
     if seed is None or count is None:
         raise ValueError("a seed and a count are required")
+    _check_count(count)
     g = g0.graph
     pool = half_net(g)
     rng = random.Random(seed)

@@ -4,7 +4,9 @@ A QuasiMap assigns a target point to every point of a declared net of the
 source (the net must at minimum contain all source vertices).  Verification
 checks the two-sided distance bound with constant N together with coarse
 surjectivity: every point of the target half-net must lie within N of the
-image.  All comparisons are exact.
+image.  All comparisons are exact: one kernel scans every pair on rows
+of integer distances at a scale common to both graphs, and exhaustive
+verification and the minimal constant share it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -23,14 +26,14 @@ from .errors import (
 )
 from .metric_graph import (
     HALF,
-    ZERO,
     GraphPoint,
     Interior,
     LabeledMetricGraph,
     Vertex,
+    _point_scale,
+    _scaled_distance,
+    _scaled_point,
     distance,
-    half_net,
-    multi_source_vertex_distances,
     point_key,
     validate_point,
 )
@@ -128,70 +131,98 @@ def surjectivity_radius(m: QuasiMap):
     """Exact max over the target half-net of the distance to the image,
     together with the witness point attaining it."""
     tgt = m.target
+    images = [q for _, q in m.assignments]
+    # distances in units of 1/(k*L), k even so edge midpoints are whole
+    k = 2 * _point_scale(tgt, images)
     seeds = []
-    interior_on = {}
-    for _, q in m.assignments:
-        if isinstance(q, Vertex):
-            seeds.append((q.id, ZERO))
-        else:
-            e = tgt.edge(q.edge)
-            seeds.append((e.u, q.offset * e.length))
-            seeds.append((e.v, (1 - q.offset) * e.length))
-            interior_on.setdefault(q.edge, []).append(q.offset)
-    dist = multi_source_vertex_distances(tgt, seeds)
-    radius = ZERO
-    witness = None
-    for vid in tgt.vertex_ids():
-        d = dist[vid]
-        if d is None:
-            raise DisconnectedGraph("target must be connected")
+    on_edge = {}
+    for q in images:
+        edge, entries = _scaled_point(tgt, q, k)
+        seeds.extend((c, tgt._index[v]) for v, c in entries)
+        if edge is not None:
+            on_edge.setdefault(edge, []).append(entries[0][1])
+    dist = tgt._search(seeds, k)
+    if min(dist, default=0) < 0:
+        raise DisconnectedGraph("target must be connected")
+    radius, witness = 0, None
+    for vid, d in zip(tgt.vertex_ids(), dist):
         if d > radius:
             radius, witness = d, Vertex(vid)
+    ix = tgt._index
     for e in sorted(tgt.edges, key=lambda e: e.id):
-        d = min(dist[e.u], dist[e.v]) + e.length * HALF
-        for t in interior_on.get(e.id, ()):
-            direct = abs(t - HALF) * e.length
-            if direct < d:
-                d = direct
+        half = tgt._ilen[e.id] * k // 2
+        d = min(dist[ix[e.u]], dist[ix[e.v]]) + half
+        for pos in on_edge.get(e.id, ()):
+            d = min(d, abs(pos - half))
         if d > radius:
             radius, witness = d, Interior(e.id, HALF)
-    return radius, witness
+    return Fraction(radius, k * tgt._scale), witness
 
 
-def _select_domain(m: QuasiMap, mode):
-    if mode == "vertex-exhaustive":
-        return [(p, q) for p, q in m.assignments if isinstance(p, Vertex)]
-    return list(m.assignments)
-
-
-def _fast_pair_scan(m, pairs, n):
-    """Integer BFS scan for unit-length graphs with vertex-only pairs.
-    Returns the first violating (i, j) or None."""
+def _scaled_pairs(m, pairs):
+    """The pairs' domain and image points in integer units of 1/S, one
+    common scale for both graphs: (S, source points, target points)."""
     src, tgt = m.source, m.target
-    dom = [p.id for p, _ in pairs]
-    img = [q.id for _, q in pairs]
-    didx = [src._index[v] for v in dom]
-    iidx = [tgt._index[v] for v in img]
-    nn = n * n
-    count = len(pairs)
-    for i in range(count):
-        rs = src._bfs_row(dom[i])
-        rt = tgt._bfs_row(img[i])
-        for j in range(i + 1, count):
-            ds = rs[didx[j]]
-            dt = rt[iidx[j]]
-            if dt > n * ds + n or ds > n * dt + nn:
-                return i, j
-    return None
+    s = lcm(
+        src._scale * _point_scale(src, (p for p, _ in pairs)),
+        tgt._scale * _point_scale(tgt, (q for _, q in pairs)),
+    )
+    ks, kt = s // src._scale, s // tgt._scale
+    return (
+        s,
+        (src, ks, [_scaled_point(src, p, ks) for p, _ in pairs]),
+        (tgt, kt, [_scaled_point(tgt, q, kt) for _, q in pairs]),
+    )
 
 
-def _pair_violation(m, p, q, fp, fq, n):
-    ds = distance(m.source, p, q)
-    dt = distance(m.target, fp, fq)
-    lower = ds / n - n
-    upper = n * ds + n
-    if dt > upper or dt < lower:
-        return PairViolation(p, q, ds, dt, lower, upper)
+def _kernel_side(g, k, pts):
+    """One graph's half of the pair kernel: each point's column, and a
+    function giving point i's row of distances to every column, in units
+    of 1/(k*L).  Vertices are columns by index; each distinct interior
+    point gets a column after them."""
+    ix = g._index
+    extra = {}
+    cols = []
+    for edge, entries in pts:
+        if edge is None:
+            cols.append(ix[entries[0][0]])
+        else:
+            cols.append(extra.setdefault((edge, entries), len(ix) + len(extra)))
+
+    def row(i):
+        edge, entries = pts[i]
+        if edge is None:
+            r = g._row(entries[0][0])
+            if k != 1 or extra:  # a copy: rows from the engine are shared
+                r = [d * k for d in r]
+        else:
+            (u, cu), (v, cv) = entries
+            r = [min(a * k + cu, b * k + cv) for a, b in zip(g._row(u), g._row(v))]
+        for e2, ((u2, c2), (v2, c3)) in extra:
+            d = min(r[ix[u2]] + c2, r[ix[v2]] + c3)
+            if e2 == edge:
+                d = min(d, abs(entries[0][1] - c2))
+            r.append(d)
+        return r
+
+    return cols, row
+
+
+def _first_violation(side_s, side_t, n, s, start):
+    """The first pair (i, j), i < j, from ``start`` on in domain order whose
+    distances break the bound with constant n, as (i, j, ds, dt) in units
+    of 1/s; None if every pair holds."""
+    (a, row_s), (b, row_t) = side_s, side_t
+    up, lo = n * s, n * n * s
+    count = len(a)
+    i0, j0 = start
+    for i in range(i0, count):
+        rs, rt = row_s(i), row_t(i)
+        for j in range(j0 if i == i0 else i + 1, count):
+            ds = rs[a[j]]
+            dt = rt[b[j]]
+            if dt > n * ds + up or ds > n * dt + lo:
+                return i, j, ds, dt
     return None
 
 
@@ -201,105 +232,93 @@ def verify_quasi_isometry(
     mode: str = "exhaustive",
     seed: Optional[int] = None,
     count: Optional[int] = None,
-    _force_generic: bool = False,
 ) -> QiCertificate:
     """Check the two-sided bound with constant n on the selected pairs and
     the coarse surjectivity radius.  The first violation (in domain order,
-    or draw order when sampling) becomes the certificate witness."""
+    or draw order when sampling) becomes the certificate witness, and
+    pairs_checked counts the pairs up to and including it."""
     if n < 1:
         raise ValueError("constant must be a positive integer")
     if mode not in ("exhaustive", "vertex-exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (seed is None or count is None):
         raise ValueError("sampled mode requires seed and count")
+    if count is not None and count < 0:
+        raise ValueError("sample count must be >= 0")
     _require_connected(m)
     _require_vertex_cover(m)
 
     radius, rad_witness = surjectivity_radius(m)
-    violations = []
     if radius > n:
-        violations.append(SurjectivityViolation(rad_witness, radius, Fraction(n)))
-        return QiCertificate(n, mode, seed, count, 0, radius, tuple(violations))
+        violation = SurjectivityViolation(rad_witness, radius, Fraction(n))
+        return QiCertificate(n, mode, seed, count, 0, radius, (violation,))
 
-    pairs_checked = 0
+    pairs = [
+        pq for pq in m.assignments
+        if mode != "vertex-exhaustive" or isinstance(pq[0], Vertex)
+    ]
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    hit = None
     if mode == "sampled":
-        pool = list(m.assignments)
+        up, lo = n * s, n * n * s
         rng = random.Random(seed)
-        for _ in range(count):
-            i, j = rng.sample(range(len(pool)), 2)
-            (p, fp), (q, fq) = pool[i], pool[j]
-            pairs_checked += 1
-            bad = _pair_violation(m, p, q, fp, fq, n)
-            if bad:
-                violations.append(bad)
+        # fewer than two points hold no pair to draw
+        pairs_checked = count if len(pairs) >= 2 else 0
+        for t in range(pairs_checked):
+            i, j = rng.sample(range(len(pairs)), 2)
+            ds = _scaled_distance(src, ks, ps[i], ps[j])
+            dt = _scaled_distance(tgt, kt, pt[i], pt[j])
+            if dt > n * ds + up or ds > n * dt + lo:
+                hit, pairs_checked = (i, j, ds, dt), t + 1
                 break
     else:
-        pairs = _select_domain(m, mode)
-        total = len(pairs) * (len(pairs) - 1) // 2
-        fast_ok = (
-            not _force_generic
-            and m.source.unit_lengths
-            and m.target.unit_lengths
-            and all(isinstance(p, Vertex) and isinstance(q, Vertex) for p, q in pairs)
+        hit = _first_violation(
+            _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt), n, s, (0, 1)
         )
-        if fast_ok:
-            hit = _fast_pair_scan(m, pairs, n)
-            pairs_checked = total
-            if hit:
-                i, j = hit
-                (p, fp), (q, fq) = pairs[i], pairs[j]
-                violations.append(_pair_violation(m, p, q, fp, fq, n))
-        else:
-            done = False
-            for i in range(len(pairs)):
-                if done:
-                    break
-                p, fp = pairs[i]
-                for j in range(i + 1, len(pairs)):
-                    q, fq = pairs[j]
-                    pairs_checked += 1
-                    bad = _pair_violation(m, p, q, fp, fq, n)
-                    if bad:
-                        violations.append(bad)
-                        done = True
-                        break
-    return QiCertificate(n, mode, seed, count, pairs_checked, radius, tuple(violations))
+        size = len(pairs)
+        pairs_checked = size * (size - 1) // 2
+        if hit:
+            i, j = hit[:2]
+            # pairs of rows before i, then j - i pairs of row i
+            pairs_checked = i * size - i * (i + 1) // 2 + j - i
+    violations = ()
+    if hit:
+        i, j, ds, dt = hit
+        ds, dt = Fraction(ds, s), Fraction(dt, s)
+        violations = (PairViolation(
+            pairs[i][0], pairs[j][0], ds, dt, ds / n - n, n * ds + n
+        ),)
+    return QiCertificate(n, mode, seed, count, pairs_checked, radius, violations)
 
 
 def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
     """Smallest integer constant at which exhaustive verification accepts.
 
     All three acceptance conditions are monotone in the constant, so the
-    minimum is the max of the per-pair and surjectivity minima.
+    minimum is the max of the per-pair and surjectivity minima: the scan
+    raises the constant to each violating pair's minimum and resumes at
+    that pair.
     """
     _require_connected(m)
     _require_vertex_cover(m)
     radius, _ = surjectivity_radius(m)
     best = max(1, _ceil(radius))
     pairs = list(m.assignments)
-    for i in range(len(pairs)):
-        p, fp = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            q, fq = pairs[j]
-            ds = distance(m.source, p, q)
-            dt = distance(m.target, fp, fq)
-            need_up = _ceil(dt / (ds + 1))
-            if need_up > best:
-                best = need_up
-            nlo = best
-            while nlo * nlo + nlo * dt < ds:
-                nlo += 1
-            if nlo > best:
-                best = nlo
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    sides = _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt)
+    hit = (0, 1)
+    while True:
         if cap is not None and best > cap:
             raise NotCoarselySurjective(
                 f"no constant up to {cap} makes the map a quasi-isometry"
             )
-    if cap is not None and best > cap:
-        raise NotCoarselySurjective(
-            f"no constant up to {cap} makes the map a quasi-isometry"
-        )
-    return best
+        hit = _first_violation(*sides, best, s, hit[:2])
+        if hit is None:
+            return best
+        _, _, ds, dt = hit
+        best = max(best, -(-dt // (ds + s)))
+        while best * best * s + best * dt < ds:
+            best += 1
 
 
 def snap_to_domain(g: LabeledMetricGraph, q: GraphPoint, points) -> GraphPoint:

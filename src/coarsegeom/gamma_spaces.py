@@ -39,7 +39,6 @@ from .metric_graph import (
     distance,
     half_net,
     is_separated,
-    point_to_vertex_distance,
     validate_point,
 )
 
@@ -104,8 +103,8 @@ class _ArmMetric:
       - n + m when a and b lie in different sets.
     ``arm_sets`` gives each arm's set index; the quotient tree is the case
     of one arm per set.  The formula holds only for the graphs that
-    build_gamma0 and build_gamma1 return, so only they may attach it; BFS
-    stays the engine of every other graph and the reference in tests.
+    build_gamma0 and build_gamma1 return, so only they may attach it; the
+    integer Dijkstra of LabeledMetricGraph serves every other graph.
     """
 
     def __init__(self, arm_sets, depth):
@@ -271,8 +270,7 @@ class PointClass:
 
 def level_of(g0: GammaZeroGraph, p: GraphPoint) -> int:
     """Integer part of the distance from p to the base vertex."""
-    validate_point(g0.graph, p)
-    return math.floor(point_to_vertex_distance(g0.graph, p, g0.base_row()))
+    return math.floor(distance(g0.graph, p, Vertex(0)))
 
 
 def classify_point(g0: GammaZeroGraph, p: GraphPoint) -> PointClass:

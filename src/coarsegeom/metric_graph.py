@@ -7,15 +7,22 @@ labels), so routes through them count as distinct geodesics.  Points are
 either vertices or interior points of an edge, and every computation here
 (distances, geodesics, ball complements) is exact; no floating point is
 used anywhere.
+
+Vertex distances come from one engine: a Dijkstra over integer edge
+weights in units of 1/L, L the lcm of the edge-length denominators, whose
+single-source rows are cached per graph; graphs built with a closed-form
+metric answer from it instead.  Point distances scale the same integers
+by a factor that makes the points' offsets whole, and Fractions appear
+only where results leave the engine.
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -149,22 +156,22 @@ class LabeledMetricGraph:
             vid: tuple(sorted(pairs, key=lambda t: (t[0], t[1].id)))
             for vid, pairs in adj.items()
         }
-        nbr_min = {vid: {} for vid in self._ids}
+        # the distance engine works in integer units of 1/L, L the lcm of
+        # the edge-length denominators: _ilen is each edge's length in
+        # those units, _iadj the shortest edge to each neighbor by index
+        self._scale = lcm(*(e.length.denominator for e in self.edges))
+        self._ilen = {e.id: e.length.numerator * (self._scale // e.length.denominator)
+                      for e in self.edges}
+        nbr_min = [{} for _ in self._ids]
         for e in self.edges:
+            w = self._ilen[e.id]
             for a, b in ((e.u, e.v), (e.v, e.u)):
-                cur = nbr_min[a].get(b)
-                if cur is None or e.length < cur:
-                    nbr_min[a][b] = e.length
-        self._nbr_min = {
-            vid: tuple(sorted(d.items())) for vid, d in nbr_min.items()
-        }
-        self._unit = all(e.length == 1 for e in self.edges)
-        # compact adjacency (indices) for the unit-length BFS fast path
-        self._nbr_idx = [
-            [self._index[w] for w, _ in self._nbr_min[vid]] for vid in self._ids
-        ]
-        self._irows = {}
-        self._frows = {}
+                d = nbr_min[self._index[a]]
+                j = self._index[b]
+                if j not in d or w < d[j]:
+                    d[j] = w
+        self._iadj = [tuple(sorted(d.items())) for d in nbr_min]
+        self._rows = {}
         # closed-form distances, attached by the builders of graphs whose
         # metric has one (ids 0..V-1, so vertex ids index its rows)
         self._closed_form = None
@@ -199,10 +206,6 @@ class LabeledMetricGraph:
     def n_edges(self):
         return len(self.edges)
 
-    @property
-    def unit_lengths(self):
-        return self._unit
-
     def max_edge_length(self):
         return max((e.length for e in self.edges), default=ZERO)
 
@@ -223,86 +226,63 @@ class LabeledMetricGraph:
 
     # -- vertex distance engine ------------------------------------------
 
-    def _bfs_row(self, src):
+    def _search(self, seeds, k=1):
+        """Dijkstra from weighted seeds, given as (integer cost, vertex
+        index) pairs.  Returns the distance to every vertex by index, in
+        units of 1/(k*L), with -1 where no seed reaches."""
+        adj = self._iadj
+        if k != 1:
+            adj = [[(j, w * k) for j, w in nb] for nb in adj]
+        dist = [-1] * len(adj)
+        heap = list(seeds)
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            d, i = pop(heap)
+            if dist[i] >= 0:
+                continue
+            dist[i] = d
+            for j, w in adj[i]:
+                if dist[j] < 0:
+                    push(heap, (d + w, j))
+        return dist
+
+    def _row(self, src):
+        """Integer distances (units of 1/L) from vertex src to every vertex,
+        by index.  The closed form answers first; searched rows are cached."""
         if self._closed_form is not None:
             return self._closed_form.row(src)
-        row = self._irows.get(src)
+        row = self._rows.get(src)
         if row is None:
-            n = len(self._ids)
-            work = [-1] * n
-            s = self._index[src]
-            work[s] = 0
-            q = deque([s])
-            nbrs = self._nbr_idx
-            while q:
-                i = q.popleft()
-                d1 = work[i] + 1
-                for j in nbrs[i]:
-                    if work[j] < 0:
-                        work[j] = d1
-                        q.append(j)
-            # rows are cached per source; 4-byte entries keep thousands of
-            # cached rows affordable
-            row = array("i", work)
-            self._irows[src] = row
+            row = self._rows[src] = self._search(((0, self._index[src]),))
         return row
 
-    def _dijkstra_row(self, src):
-        row = self._frows.get(src)
-        if row is None:
-            n = len(self._ids)
-            row = [None] * n
-            s = self._index[src]
-            heap = [(ZERO, s)]
-            while heap:
-                d, i = heapq.heappop(heap)
-                if row[i] is not None:
-                    continue
-                row[i] = d
-                for w, ln in self._nbr_min[self._ids[i]]:
-                    j = self._index[w]
-                    if row[j] is None:
-                        heapq.heappush(heap, (d + ln, j))
-            self._frows[src] = row
-        return row
+    def _vdist(self, u, v):
+        """Integer distance (units of 1/L) between vertex ids u and v."""
+        if self._closed_form is not None:
+            d = self._closed_form.distance(u, v)
+        else:
+            d = self._row(u)[self._index[v]]
+        if d < 0:
+            raise DisconnectedGraph(f"no path between vertices {u} and {v}")
+        return d
 
     def vertex_distance(self, u, v):
         if u not in self._index or v not in self._index:
             raise InvalidPoint("unknown vertex id")
-        if u == v:
-            return ZERO
-        if self._closed_form is not None:
-            return Fraction(self._closed_form.distance(u, v))
-        if self._unit:
-            d = self._bfs_row(u)[self._index[v]]
-            if d < 0:
-                raise DisconnectedGraph(f"no path between vertices {u} and {v}")
-            return Fraction(d)
-        d = self._dijkstra_row(u)[self._index[v]]
-        if d is None:
-            raise DisconnectedGraph(f"no path between vertices {u} and {v}")
-        return d
+        return Fraction(self._vdist(u, v), self._scale)
 
     def vertex_row(self, src):
-        """Exact distances from src to every vertex, as a dict id -> Fraction."""
-        out = {}
-        if self._unit:
-            row = self._bfs_row(src)
-            for vid, i in self._index.items():
-                out[vid] = Fraction(row[i]) if row[i] >= 0 else None
-        else:
-            row = self._dijkstra_row(src)
-            for vid, i in self._index.items():
-                out[vid] = row[i]
-        return out
+        """Exact distances from src to every vertex, as a dict id -> Fraction
+        (None where unreachable)."""
+        s = self._scale
+        return {
+            vid: Fraction(d, s) if d >= 0 else None
+            for vid, d in zip(self._ids, self._row(src))
+        }
 
     def is_connected(self):
-        if not self._ids:
-            return True
-        src = self._ids[0]
-        if self._unit:
-            return all(d >= 0 for d in self._bfs_row(src))
-        return all(d is not None for d in self._dijkstra_row(src))
+        return not self._ids or min(self._row(self._ids[0])) >= 0
 
 
 # -- points ----------------------------------------------------------------
@@ -339,46 +319,46 @@ def point_on_edge(g: LabeledMetricGraph, eid: int, offset) -> GraphPoint:
     return Interior(eid, t)
 
 
-def _entry_costs(g, p):
-    """(vertex id, length to reach it) for each way of leaving the point."""
+def _point_scale(g, points):
+    """The least k such that every entry cost of the points is a whole
+    number of units of 1/(k*L)."""
+    k = 1
+    for p in points:
+        if isinstance(p, Interior):
+            den = p.offset.denominator
+            k = lcm(k, den // gcd(den, g._ilen[p.edge]))
+    return k
+
+
+def _scaled_point(g, p, k):
+    """A point in integer units of 1/(k*L): (edge id, or None for a
+    vertex; the (vertex id, cost) pairs of the ways of leaving it)."""
     if isinstance(p, Vertex):
-        return ((p.id, ZERO),)
+        return None, ((p.id, 0),)
     e = g.edge(p.edge)
-    return ((e.u, p.offset * e.length), (e.v, (1 - p.offset) * e.length))
+    ln = g._ilen[e.id] * k
+    pos = p.offset.numerator * ln // p.offset.denominator
+    return e.id, ((e.u, pos), (e.v, ln - pos))
+
+
+def _scaled_distance(g, k, x, y):
+    """Distance between two points from _scaled_point, in units of
+    1/(k*L)."""
+    (ex, px), (ey, py) = x, y
+    vd = g._vdist
+    best = min(ca + vd(a, b) * k + cb for a, ca in px for b, cb in py)
+    if ex is not None and ex == ey:
+        best = min(best, abs(px[0][1] - py[0][1]))
+    return best
 
 
 def distance(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Exact shortest-path distance between two points."""
     validate_point(g, p)
     validate_point(g, q)
-    if p == q:
-        return ZERO
-    best = None
-    for a, ca in _entry_costs(g, p):
-        for b, cb in _entry_costs(g, q):
-            d = ca + g.vertex_distance(a, b) + cb
-            if best is None or d < best:
-                best = d
-    if isinstance(p, Interior) and isinstance(q, Interior) and p.edge == q.edge:
-        e = g.edge(p.edge)
-        direct = abs(p.offset - q.offset) * e.length
-        if direct < best:
-            best = direct
-    return best
-
-
-def point_to_vertex_distance(g, p: GraphPoint, row: dict) -> Fraction:
-    """Distance from p to the source of a precomputed vertex row."""
-    if isinstance(p, Vertex):
-        d = row[p.id]
-        if d is None:
-            raise DisconnectedGraph("point unreachable")
-        return d
-    e = g.edge(p.edge)
-    du, dv = row[e.u], row[e.v]
-    if du is None or dv is None:
-        raise DisconnectedGraph("point unreachable")
-    return min(p.offset * e.length + du, (1 - p.offset) * e.length + dv)
+    k = _point_scale(g, (p, q))
+    d = _scaled_distance(g, k, _scaled_point(g, p, k), _scaled_point(g, q, k))
+    return Fraction(d, k * g._scale)
 
 
 def half_net(g: LabeledMetricGraph):
@@ -404,29 +384,10 @@ def scale_metric(g: LabeledMetricGraph, lam) -> LabeledMetricGraph:
 
 def _distance_to_point_fn(g, q):
     """Returns f(vertex id) -> exact distance to point q."""
-    if isinstance(q, Vertex):
-        row = g.vertex_row(q.id)
-
-        def f(vid):
-            d = row[vid]
-            if d is None:
-                raise DisconnectedGraph("unreachable endpoint")
-            return d
-
-        return f
-    e = g.edge(q.edge)
-    row_u = g.vertex_row(e.u)
-    row_v = g.vertex_row(e.v)
-    cu = q.offset * e.length
-    cv = (1 - q.offset) * e.length
-
-    def f(vid):
-        du, dv = row_u[vid], row_v[vid]
-        if du is None or dv is None:
-            raise DisconnectedGraph("unreachable endpoint")
-        return min(du + cu, dv + cv)
-
-    return f
+    k = _point_scale(g, (q,))
+    y = _scaled_point(g, q, k)
+    s = k * g._scale
+    return lambda vid: Fraction(_scaled_distance(g, k, (None, ((vid, 0),)), y), s)
 
 
 def _degenerate(p, q, total):
@@ -658,7 +619,7 @@ def _subtract_cover(length, cover):
     """Open sub-intervals of [0, length] left after removing the closed
     cover intervals."""
     clipped = sorted(
-        (max(ZERO, a), min(length, b)) for a, b in cover if b >= 0 and a <= length
+        (max(0, a), min(length, b)) for a, b in cover if b >= 0 and a <= length
     )
     merged = []
     for a, b in clipped:
@@ -667,7 +628,7 @@ def _subtract_cover(length, cover):
         else:
             merged.append([a, b])
     out = []
-    cur = ZERO
+    cur = 0
     for a, b in merged:
         if a > cur:
             out.append((cur, a))
@@ -684,47 +645,43 @@ def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius
     r = Fraction(radius)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    rows = [(g.vertex_row(a), c) for a, c in _entry_costs(g, center)]
-
-    def dist_to_center(vid):
-        best = None
-        for row, c in rows:
-            d = row[vid]
-            if d is None:
-                raise DisconnectedGraph("graph must be connected")
-            d = d + c
-            if best is None or d < best:
-                best = d
-        return best
-
-    dcen = {vid: dist_to_center(vid) for vid in g.vertex_ids()}
-    surviving = [vid for vid in g.vertex_ids() if dcen[vid] > r]
+    # lengths below are whole units of 1/(k*L)
+    k = lcm(_point_scale(g, (center,)), r.denominator // gcd(r.denominator, g._scale))
+    rk = r.numerator * (k * g._scale // r.denominator)
+    center_edge, entries = _scaled_point(g, center, k)
+    rows = [(g._row(a), c) for a, c in entries]
+    if any(min(row) < 0 for row, _ in rows):
+        raise DisconnectedGraph("graph must be connected")
+    dcen = {
+        vid: min(row[i] * k + c for row, c in rows) for i, vid in enumerate(g._ids)
+    }
+    surviving = [vid for vid in g.vertex_ids() if dcen[vid] > rk]
     dsu = _DSU()
     for vid in surviving:
         dsu.find(vid)
-    center_edge = center.edge if isinstance(center, Interior) else None
     frag_raw = []
     for e in sorted(g.edges, key=lambda e: e.id):
+        ln = g._ilen[e.id] * k
         cover = []
-        cu = r - dcen[e.u]
+        cu = rk - dcen[e.u]
         if cu >= 0:
-            cover.append((ZERO, cu))
-        cv = r - dcen[e.v]
+            cover.append((0, cu))
+        cv = rk - dcen[e.v]
         if cv >= 0:
-            cover.append((e.length - cv, e.length))
+            cover.append((ln - cv, ln))
         if e.id == center_edge:
-            sc = center.offset * e.length
-            cover.append((sc - r, sc + r))
-        for a, b in _subtract_cover(e.length, cover):
+            sc = entries[0][1]
+            cover.append((sc - rk, sc + rk))
+        for a, b in _subtract_cover(ln, cover):
             token = ("frag", e.id, a)
             dsu.find(token)
             # a fragment ending exactly at a deleted vertex (a sphere
             # point) is open there and must not connect through it
-            if a == 0 and dcen[e.u] > r:
+            if a == 0 and dcen[e.u] > rk:
                 dsu.union(token, e.u)
-            if b == e.length and dcen[e.v] > r:
+            if b == ln and dcen[e.v] > rk:
                 dsu.union(token, e.v)
-            frag_raw.append((e, a, b, token))
+            frag_raw.append((e, Fraction(a, ln), Fraction(b, ln), token))
     groups = {}
     for vid in surviving:
         groups.setdefault(dsu.find(vid), []).append(vid)
@@ -741,7 +698,7 @@ def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius
     comp_of_root = {root: i for i, (_, root) in enumerate(order)}
     vertex_component = {vid: comp_of_root[dsu.find(vid)] for vid in surviving}
     fragments = tuple(
-        Fragment(e.id, a / e.length, b / e.length, comp_of_root[dsu.find(token)])
+        Fragment(e.id, a, b, comp_of_root[dsu.find(token)])
         for e, a, b, token in frag_raw
     )
     return ComplementIndex(center, r, vertex_component, fragments, len(order))
@@ -825,22 +782,10 @@ def multi_source_vertex_distances(g, seeds):
     seeds: iterable of (vertex id, initial cost).  Returns dict id -> Fraction
     (None where unreachable).
     """
-    dist = {vid: None for vid in g.vertex_ids()}
-    heap = []
-    for vid, c in seeds:
-        c = Fraction(c)
-        if dist[vid] is None or c < dist[vid]:
-            dist[vid] = c
-            heapq.heappush(heap, (c, vid))
-    done = set()
-    while heap:
-        d, vid = heapq.heappop(heap)
-        if vid in done:
-            continue
-        done.add(vid)
-        for w, ln in g._nbr_min[vid]:
-            nd = d + ln
-            if dist[w] is None or nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
+    seeds = [(vid, Fraction(c)) for vid, c in seeds]
+    s = lcm(g._scale, *(c.denominator for _, c in seeds))
+    dist = g._search(
+        [(c.numerator * (s // c.denominator), g._index[vid]) for vid, c in seeds],
+        s // g._scale,
+    )
+    return {vid: Fraction(d, s) if d >= 0 else None for vid, d in zip(g._ids, dist)}

@@ -146,7 +146,7 @@ def test_extraction_caches_no_rows():
     g1 = build_gamma1(fam, 944)
     m = section_map(g0, mode="seeded", seed=5, g1=g1)
     assert extract_choice(m, g0, 4).verified
-    assert g0.graph._irows == {} and g1._irows == {}
+    assert g0.graph._rows == {} and g1._rows == {}
 
 
 def test_constant_too_small(pipe2):

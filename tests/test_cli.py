@@ -131,6 +131,41 @@ def test_check_qi_exhaustive_guard(capsys, tmp_path):
     assert doc["mode"] == "sampled" and doc["accepted"] is True
 
 
+def test_sampled_commands_on_one_vertex(capsys, tmp_path):
+    g = LabeledMetricGraph([0], [])
+    gp = graph_file(tmp_path, g, "one.json")
+    mp = tmp_path / "one_map.json"
+    mp.write_text(canonical_dumps(map_doc(
+        QuasiMap(g, g, [(Vertex(0), Vertex(0))]), "one.json", "one.json", n=1)))
+    code, doc, _ = run(capsys, "check-qi", "--map", str(mp), "--constant", "1",
+                       "--mode", "sampled", "--seed", "1", "--count", "5")
+    assert code == 0 and doc["accepted"] is True and doc["pairs_checked"] == 0
+    code, doc, _ = run(capsys, "bottleneck", "--graph", gp, "--delta", "2",
+                       "--mode", "sampled", "--seed", "1", "--count", "5")
+    assert code == 0 and doc["accepted"] is True and doc["pairs_checked"] == 0
+
+
+def test_negative_sample_counts_exit_2(capsys, tmp_path, fam_file):
+    g = path_graph(4)
+    gp = graph_file(tmp_path, g, "p4.json")
+    mp = tmp_path / "p4_map.json"
+    mp.write_text(canonical_dumps(map_doc(
+        QuasiMap(g, g, [(Vertex(v), Vertex(v)) for v in range(4)]),
+        "p4.json", "p4.json", n=1)))
+    g0p = str(tmp_path / "g0.json")
+    main(["gamma0", "--family", fam_file, "--depth", "3", "--out", g0p])
+    sampled = ("--mode", "sampled", "--seed", "1", "--count", "-3")
+    for argv in (
+        ("check-qi", "--map", str(mp), "--constant", "1") + sampled,
+        ("bottleneck", "--graph", gp, "--delta", "2") + sampled,
+        ("delta", "--graph", gp) + sampled,
+        ("separation", "--gamma0", g0p, "--seed", "1", "--count", "-3"),
+    ):
+        code, doc, err = run(capsys, *argv)
+        assert (code, doc) == (2, None), argv
+        assert "count" in err
+
+
 def test_delta_matches_library(capsys, tmp_path):
     gp = graph_file(tmp_path, cycle_graph(8), "c8.json")
     code, doc, _ = run(capsys, "delta", "--graph", gp)

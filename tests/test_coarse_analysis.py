@@ -142,3 +142,16 @@ def test_separation_certificate(fam2):
     assert r.probes_checked == 85
     assert r.witness is None
     assert certify_two_hyperbolic_gamma0(g0, seed=5, count=60) == r
+
+
+def test_sampled_modes_on_tiny_pools(fam2):
+    g = path_graph(1)
+    rep = verify_bottleneck(g, 2, mode="sampled", seed=1, count=5)
+    assert rep.accepted and rep.pairs_checked == 0
+    assert slim_triangle_delta(g, mode="sampled", seed=1, count=5).triples_checked == 0
+    with pytest.raises(ValueError):
+        verify_bottleneck(g, 2, mode="sampled", seed=1, count=-3)
+    with pytest.raises(ValueError):
+        slim_triangle_delta(g, mode="sampled", seed=1, count=-3)
+    with pytest.raises(ValueError):
+        certify_two_hyperbolic_gamma0(build_gamma0(fam2, 3), 1, -3)

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import path_graph, random_tree
 from coarsegeom import (
     DomainNotNet,
@@ -13,6 +17,7 @@ from coarsegeom import (
     Vertex,
     build_collapse_map,
     compose,
+    distance,
     half_net,
     minimal_qi_constant,
     restrict_map,
@@ -20,7 +25,7 @@ from coarsegeom import (
     snap_to_domain,
     verify_quasi_isometry,
 )
-from coarsegeom.coarse_maps import surjectivity_radius
+from coarsegeom.coarse_maps import SurjectivityViolation, surjectivity_radius
 
 H = Fraction(1, 2)
 
@@ -121,15 +126,118 @@ def test_sampled_mode_is_seeded(g0_d3, g1_d3):
         verify_quasi_isometry(f, 2, mode="sampled", count=40)
 
 
-def test_fast_scan_agrees_with_generic():
+# -- the pair kernel against the oracles ------------------------------------
+
+# coprime denominators make the common integer scale large
+LENGTHS = [Fraction(1), Fraction(1, 2), Fraction(5, 3), Fraction(1, 997), Fraction(1, 991)]
+OFFSETS = [H, Fraction(1, 3), Fraction(2, 3), Fraction(1, 991), Fraction(996, 997)]
+
+
+@st.composite
+def rational_graphs(draw):
+    n = draw(st.integers(1, 6))
+    edges = [
+        (i - 1, draw(st.integers(0, i - 1)), i, draw(st.sampled_from(LENGTHS)))
+        for i in range(1, n)
+    ]
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges.append((len(edges), u, v, draw(st.sampled_from(LENGTHS))))
+    return LabeledMetricGraph(range(n), edges)
+
+
+@st.composite
+def graph_points(draw, g):
+    if g.edges and draw(st.booleans()):
+        e = draw(st.sampled_from(g.edges))
+        return Interior(e.id, draw(st.sampled_from(OFFSETS)))
+    return Vertex(draw(st.sampled_from(g.vertex_ids())))
+
+
+@st.composite
+def rational_maps(draw):
+    src, tgt = draw(rational_graphs()), draw(rational_graphs())
+    dom = [Vertex(v) for v in src.vertex_ids()]
+    for e in src.edges:
+        offsets = st.lists(st.sampled_from(OFFSETS), max_size=2, unique=True)
+        dom += [Interior(e.id, t) for t in draw(offsets)]
+    return QuasiMap(src, tgt, [(p, draw(graph_points(tgt))) for p in dom])
+
+
+def brute_qi(m, n, mode, seed=None, count=None):
+    """(radius, radius witness, pairs checked, pair witness) of a QI check,
+    from Floyd-Warshall and point_distance only."""
+    fs, ft = oracles.floyd_warshall(m.source), oracles.floyd_warshall(m.target)
+    images = [q for _, q in m.assignments]
+    radius, far = Fraction(0), None
+    for x in half_net(m.target):
+        d = min(oracles.point_distance(m.target, ft, x, q) for q in images)
+        if d > radius:
+            radius, far = d, x
+    if radius > n:
+        return radius, far, 0, None
+    pairs = [pq for pq in m.assignments
+             if mode != "vertex-exhaustive" or isinstance(pq[0], Vertex)]
+    if mode != "sampled":
+        order = [(i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))]
+    elif len(pairs) < 2:
+        order = []
+    else:
+        rng = random.Random(seed)
+        order = [rng.sample(range(len(pairs)), 2) for _ in range(count)]
+    for checked, (i, j) in enumerate(order, 1):
+        (p, fp), (q, fq) = pairs[i], pairs[j]
+        ds = oracles.point_distance(m.source, fs, p, q)
+        dt = oracles.point_distance(m.target, ft, fp, fq)
+        if not ds / n - n <= dt <= n * ds + n:
+            return radius, far, checked, (p, q, ds, dt)
+    return radius, far, len(order), None
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(rational_maps(), st.integers(1, 3), st.integers(0, 2**16))
+def test_pair_kernel_matches_oracles(m, n, seed):
+    for g, pts in ((m.source, m.domain()), (m.target, [q for _, q in m.assignments])):
+        fw = oracles.floyd_warshall(g)
+        for p in pts:
+            for q in pts:
+                assert distance(g, p, q) == oracles.point_distance(g, fw, p, q)
+    for mode in ("exhaustive", "vertex-exhaustive", "sampled"):
+        count = 12 if mode == "sampled" else None
+        cert = verify_quasi_isometry(m, n, mode=mode, seed=seed, count=count)
+        radius, far, checked, bad = brute_qi(m, n, mode, seed, count)
+        assert cert.surjectivity_radius == radius
+        assert cert.pairs_checked == checked
+        if radius > n:
+            assert cert.violations == (SurjectivityViolation(far, radius, n),)
+        elif bad is None:
+            assert cert.accepted
+        else:
+            (v,) = cert.violations
+            assert (v.x, v.y, v.d_source, v.d_target) == bad
+    best = minimal_qi_constant(m)
+    radius, _, _, bad = brute_qi(m, best, "exhaustive")
+    assert radius <= best and bad is None
+    if best > 1:
+        r, _, _, bad = brute_qi(m, best - 1, "exhaustive")
+        assert r > best - 1 or bad is not None
+
+
+def test_rejected_certificate_counts_pairs_to_witness():
     t = path_graph(9)
-    m = QuasiMap(t, t, [(Vertex(i), Vertex(min(i + 1, 8))) for i in range(9)], asserted_constant=2)
-    fast = verify_quasi_isometry(m, 1)
-    slow = verify_quasi_isometry(m, 1, _force_generic=True)
-    assert fast == slow
-    fast2 = verify_quasi_isometry(m, 2)
-    slow2 = verify_quasi_isometry(m, 2, _force_generic=True)
-    assert fast2.accepted and slow2.accepted and fast2 == slow2
+    m = QuasiMap(t, t, [(Vertex(i), Vertex(0 if i == 6 else i)) for i in range(9)])
+    cert = verify_quasi_isometry(m, 1, mode="vertex-exhaustive")
+    (v,) = cert.violations
+    assert (v.x, v.y) == (Vertex(0), Vertex(6))
+    assert cert.pairs_checked == 6
+
+
+def test_sampled_mode_on_one_point():
+    g = LabeledMetricGraph([0], [])
+    cert = verify_quasi_isometry(identity_map(g), 1, mode="sampled", seed=1, count=5)
+    assert cert.accepted and cert.pairs_checked == 0
+    with pytest.raises(ValueError):
+        verify_quasi_isometry(identity_map(g), 1, mode="sampled", seed=1, count=-3)
 
 
 def test_surjectivity_radius_gap():

@@ -12,7 +12,6 @@ from coarsegeom import (
     EmptyMemberSet,
     FamilyMismatch,
     Interior,
-    LabeledMetricGraph,
     LevelProfile,
     NoAlternateArm,
     NotAGeodesic,
@@ -150,13 +149,6 @@ def test_levels_and_classification(g0_d3):
 # -- closed-form distances ----------------------------------------------------
 
 
-def _without_closed_form(g):
-    """The same graph built again from its parts, so BFS computes its rows."""
-    return LabeledMetricGraph(
-        list(g.vertex_labels.items()), g.edges, basepoint=g.basepoint
-    )
-
-
 @pytest.mark.parametrize(
     "lists",
     [[["a"]], [["a"], ["b"]], [["a", "b"], ["c"]], [["a", "b"], ["c"], ["d", "e", "f"]]],
@@ -165,15 +157,14 @@ def test_closed_form_matches_bfs(lists):
     fam = SetFamily.of_lists(lists)
     for depth in range(1, 7):
         for g in (build_gamma0(fam, depth).graph, build_gamma1(fam, depth)):
-            ref = _without_closed_form(g)
-            assert g._closed_form is not None and ref._closed_form is None
+            assert g._closed_form is not None
+            fw = oracles.floyd_warshall(g)
             ids = g.vertex_ids()
             for u in ids:
-                assert g._bfs_row(u) == ref._bfs_row(u), (lists, depth, u)
-                row = ref._bfs_row(u)
+                assert g.vertex_row(u) == fw[u], (lists, depth, u)
                 for v in ids:
-                    assert g._closed_form.distance(u, v) == row[ref._index[v]]
-                    assert g.vertex_distance(u, v) == ref.vertex_distance(u, v)
+                    assert g._closed_form.distance(u, v) == fw[u][v]
+                    assert g.vertex_distance(u, v) == fw[u][v]
 
 
 def test_closed_form_only_on_builder_graphs(fam2):
