@@ -580,7 +580,10 @@ def point_along(g, geo: Geodesic, s) -> GraphPoint:
 
 @dataclass(frozen=True, slots=True)
 class Fragment:
-    """A maximal surviving open sub-interval of an edge, as length-fractions."""
+    """A maximal surviving open sub-interval (lo, hi) of an edge, as
+    length-fractions.  Fragments are cut at deleted vertices, including
+    sphere vertices at distance exactly the radius, and on the center's
+    own edge around the center."""
 
     edge: int
     lo: Fraction
@@ -590,29 +593,18 @@ class Fragment:
 
 @dataclass(frozen=True)
 class ComplementIndex:
+    """The components of a graph minus a closed ball.
+
+    ``vertex_component`` maps each surviving vertex id to its component;
+    ``fragments`` lists every fragment, by edge id and then by ``lo``.
+    Components are numbered first by their least surviving vertex id,
+    then, for vertex-free fragments, by (edge id, lo)."""
+
     center: GraphPoint
     radius: Fraction
     vertex_component: dict
     fragments: tuple
     n_components: int
-
-
-class _DSU:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def _subtract_cover(length, cover):
@@ -638,70 +630,82 @@ def _subtract_cover(length, cover):
     return out
 
 
-def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius):
-    """Delete the closed ball around ``center`` exactly and return the
-    connected components of what survives."""
+def _ball_cut(g, center, radius):
+    """The closed ball around ``center`` deleted from g, in integer units
+    of 1/(k*L).  Returns (alive, find, pieces): alive[i] tells whether the
+    vertex of index i survives; find(i) is the root of its component, in a
+    union-find joined across every surviving edge that does not hold the
+    center; pieces(e) yields the open surviving parts (a, b) of edge e, of
+    length ln in these units, as (a, b, ln, label).  A part's label is the
+    root of a surviving endpoint it touches, else (edge id, a)."""
     validate_point(g, center)
     r = Fraction(radius)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    # lengths below are whole units of 1/(k*L)
     k = lcm(_point_scale(g, (center,)), r.denominator // gcd(r.denominator, g._scale))
     rk = r.numerator * (k * g._scale // r.denominator)
     center_edge, entries = _scaled_point(g, center, k)
-    rows = [(g._row(a), c) for a, c in entries]
-    if any(min(row) < 0 for row, _ in rows):
-        raise DisconnectedGraph("graph must be connected")
-    dcen = {
-        vid: min(row[i] * k + c for row, c in rows) for i, vid in enumerate(g._ids)
-    }
-    surviving = [vid for vid in g.vertex_ids() if dcen[vid] > rk]
-    dsu = _DSU()
-    for vid in surviving:
-        dsu.find(vid)
-    frag_raw = []
-    for e in sorted(g.edges, key=lambda e: e.id):
+    # how far the ball reaches past each vertex into its edges; < 0: alive
+    reach = None
+    for a, c in entries:
+        row = g._row(a)
+        if min(row) < 0:
+            raise DisconnectedGraph("graph must be connected")
+        part = [rk - c - d * k for d in row]
+        reach = part if reach is None else list(map(max, reach, part))
+    alive = [x < 0 for x in reach]
+    parent = list(range(len(reach)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    idx = g._index
+    for e in g.edges:
+        i, j = idx[e.u], idx[e.v]
+        if alive[i] and alive[j] and e.id != center_edge:
+            parent[find(i)] = find(j)
+
+    def pieces(e):
+        i, j = idx[e.u], idx[e.v]
         ln = g._ilen[e.id] * k
-        cover = []
-        cu = rk - dcen[e.u]
-        if cu >= 0:
-            cover.append((0, cu))
-        cv = rk - dcen[e.v]
-        if cv >= 0:
-            cover.append((ln - cv, ln))
+        cover = [(0, reach[i]), (ln - reach[j], ln)]
         if e.id == center_edge:
-            sc = entries[0][1]
-            cover.append((sc - rk, sc + rk))
+            c = entries[0][1]
+            cover.append((c - rk, c + rk))
         for a, b in _subtract_cover(ln, cover):
-            token = ("frag", e.id, a)
-            dsu.find(token)
-            # a fragment ending exactly at a deleted vertex (a sphere
-            # point) is open there and must not connect through it
-            if a == 0 and dcen[e.u] > rk:
-                dsu.union(token, e.u)
-            if b == ln and dcen[e.v] > rk:
-                dsu.union(token, e.v)
-            frag_raw.append((e, Fraction(a, ln), Fraction(b, ln), token))
-    groups = {}
-    for vid in surviving:
-        groups.setdefault(dsu.find(vid), []).append(vid)
-    frag_groups = {}
-    for e, a, b, token in frag_raw:
-        frag_groups.setdefault(dsu.find(token), []).append((e.id, a))
-    order = []
-    for root, vids in groups.items():
-        order.append(((0, min(vids)), root))
-    for root in frag_groups:
-        if root not in groups:
-            order.append(((1,) + min(frag_groups[root]), root))
-    order.sort(key=lambda t: t[0])
-    comp_of_root = {root: i for i, (_, root) in enumerate(order)}
-    vertex_component = {vid: comp_of_root[dsu.find(vid)] for vid in surviving}
-    fragments = tuple(
-        Fragment(e.id, a, b, comp_of_root[dsu.find(token)])
-        for e, a, b, token in frag_raw
-    )
-    return ComplementIndex(center, r, vertex_component, fragments, len(order))
+            # a part ending exactly at a deleted vertex (a sphere point) is
+            # open there and does not connect through it
+            if a == 0 and alive[i]:
+                yield a, b, ln, find(i)
+            elif b == ln and alive[j]:
+                yield a, b, ln, find(j)
+            else:
+                yield a, b, ln, (e.id, a)
+
+    return alive, find, pieces
+
+
+def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius):
+    """Delete the closed ball around ``center`` exactly and return the
+    connected components of what survives."""
+    alive, find, pieces = _ball_cut(g, center, radius)
+    ids = g._ids
+    first = {}
+    for i in range(len(ids)):
+        if alive[i]:
+            first.setdefault(find(i), (0, ids[i]))
+    parts = []
+    for e in sorted(g.edges, key=lambda e: e.id):
+        for a, b, ln, label in pieces(e):
+            first.setdefault(label, (1, e.id, a))
+            parts.append((e.id, ZERO if a == 0 else Fraction(a, ln),
+                          ONE if b == ln else Fraction(b, ln), label))
+    comp = {label: n for n, label in enumerate(sorted(first, key=first.get))}
+    vertex_component = {ids[i]: comp[find(i)] for i in range(len(ids)) if alive[i]}
+    fragments = tuple(Fragment(eid, a, b, comp[label]) for eid, a, b, label in parts)
+    return ComplementIndex(center, Fraction(radius), vertex_component, fragments, len(comp))
 
 
 def complement_component_of(idx: ComplementIndex, p: GraphPoint):
@@ -720,8 +724,17 @@ def is_separated(g, x: GraphPoint, y: GraphPoint, w: GraphPoint, r) -> bool:
     r = Fraction(r)
     if distance(g, x, w) <= r or distance(g, y, w) <= r:
         return True
-    idx = ball_complement_components(g, w, r)
-    return complement_component_of(idx, x) != complement_component_of(idx, y)
+    _, find, pieces = _ball_cut(g, w, r)
+
+    def label(p):
+        if isinstance(p, Vertex):
+            return find(g._index[p.id])
+        t = p.offset
+        for a, b, ln, lab in pieces(g.edge(p.edge)):
+            if a * t.denominator < t.numerator * ln < b * t.denominator:
+                return lab
+
+    return label(x) != label(y)
 
 
 def surviving_vertex_path(g, idx: ComplementIndex, x: GraphPoint, y: GraphPoint):

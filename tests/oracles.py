@@ -196,13 +196,16 @@ def brute_tree_median(g, x, y, z):
 def surviving_vertex_partition(g, center, radius):
     """Components of vertices outside the closed ball, by DFS reachability.
 
-    An edge joins two survivors iff both endpoints survive (the distance
-    function along an edge is minimized at an endpoint, so no interior
-    point dips deeper into the ball than the nearer endpoint).
+    An edge joins two survivors iff both endpoints survive and the edge
+    does not hold the center (off the center's edge the distance function
+    along an edge is minimized at an endpoint, so no interior point dips
+    deeper into the ball than the nearer endpoint; on the center's edge
+    the center itself is deleted).
     """
     fw = floyd_warshall(g)
     radius = Fraction(radius)
     alive = {v for v in g.vertex_ids() if point_distance(g, fw, Vertex(v), center) > radius}
+    cut = center.edge if isinstance(center, Interior) else None
     seen = set()
     parts = []
     for start in sorted(alive):
@@ -215,12 +218,67 @@ def surviving_vertex_partition(g, center, radius):
             if cur in comp:
                 continue
             comp.add(cur)
-            for nbr, _ in g.edges_at(cur):
-                if nbr in alive and nbr not in comp:
+            for nbr, e in g.edges_at(cur):
+                if nbr in alive and nbr not in comp and e.id != cut:
                     stack.append(nbr)
         seen |= comp
         parts.append(frozenset(comp))
     return frozenset(parts)
+
+
+def point_separated(g, x, y, w, r):
+    """Whether every path from x to y meets the closed ball around w of
+    radius r, decided on an explicit subdivision.
+
+    Each edge is cut at its ends, at every point where one of the routes
+    to w (through u, through v, or along the edge when w lies on it)
+    reaches length exactly r, and at the offsets of x and y.  The distance
+    to w differs from r throughout each open piece between two cuts, so a
+    piece survives or dies whole, as its midpoint does.  Surviving pieces
+    are joined to the surviving cut points at their ends, and a BFS over
+    pieces and cut points decides.
+    """
+    fw = floyd_warshall(g)
+    r = Fraction(r)
+
+    def dead(p):
+        return point_distance(g, fw, p, w) <= r
+
+    def node(p):
+        return ("v", p.id) if isinstance(p, Vertex) else ("p", p.edge, p.offset)
+
+    if dead(x) or dead(y):
+        return True
+    nbrs = {}
+    for e in g.edges:
+        ln = e.length
+        du = point_distance(g, fw, Vertex(e.u), w)
+        dv = point_distance(g, fw, Vertex(e.v), w)
+        cuts = {ZERO, Fraction(1), (r - du) / ln, 1 - (r - dv) / ln}
+        if isinstance(w, Interior) and w.edge == e.id:
+            cuts |= {w.offset - r / ln, w.offset + r / ln}
+        cuts |= {p.offset for p in (x, y) if isinstance(p, Interior) and p.edge == e.id}
+        cuts = sorted(t for t in cuts if 0 <= t <= 1)
+        for a, b in zip(cuts, cuts[1:]):
+            if dead(Interior(e.id, (a + b) / 2)):
+                continue
+            piece = ("s", e.id, a)
+            for t in (a, b):
+                p = Vertex(e.u) if t == 0 else Vertex(e.v) if t == 1 else Interior(e.id, t)
+                if not dead(p):
+                    nbrs.setdefault(piece, []).append(node(p))
+                    nbrs.setdefault(node(p), []).append(piece)
+    seen = {node(x)}
+    stack = [node(x)]
+    while stack:
+        cur = stack.pop()
+        if cur == node(y):
+            return False
+        for nxt in nbrs.get(cur, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return True
 
 
 def label_shape(g):

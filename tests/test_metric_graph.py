@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import cycle_graph, path_graph, random_graph, random_tree
@@ -32,7 +34,12 @@ from coarsegeom import (
     surviving_vertex_path,
     validate_point,
 )
-from coarsegeom.metric_graph import complement_component_of, point_on_edge
+from coarsegeom.metric_graph import (
+    ComplementIndex,
+    Fragment,
+    complement_component_of,
+    point_on_edge,
+)
 
 H = Fraction(1, 2)
 
@@ -312,8 +319,12 @@ def test_scale_metric_scales_distances():
 
 
 def test_complement_partition_matches_oracle():
-    for seed in range(5):
-        g = random_graph(seed, 11, extra=4, rational=seed % 2 == 1)
+    graphs = [random_graph(seed, 11, extra=4, rational=seed % 2 == 1) for seed in range(5)]
+    # edges longer than twice the radius: the center's own edge is cut
+    # between two surviving endpoints
+    graphs.append(LabeledMetricGraph([0, 1], [(0, 0, 1, 10)]))
+    graphs.append(scale_metric(random_graph(6, 11, extra=4, rational=True), 3))
+    for g in graphs:
         for center in (Vertex(0), Interior(g.edges[0].id, H)):
             for radius in (Fraction(1), Fraction(3, 2), Fraction(5, 2)):
                 idx = ball_complement_components(g, center, radius)
@@ -324,6 +335,93 @@ def test_complement_partition_matches_oracle():
                     if c is not None:
                         got.setdefault(c, set()).add(v)
                 assert frozenset(frozenset(s) for s in got.values()) == want
+
+
+# lengths above 2 make edges longer than twice most radii
+SEP_LENGTHS = [Fraction(1), Fraction(1, 2), Fraction(5, 3), Fraction(3), Fraction(9, 2)]
+SEP_OFFSETS = [H, Fraction(1, 3), Fraction(3, 4), Fraction(1, 7)]
+
+
+@st.composite
+def separation_queries(draw):
+    n = draw(st.integers(2, 6))
+    edges = [
+        (i - 1, draw(st.integers(0, i - 1)), i, draw(st.sampled_from(SEP_LENGTHS)))
+        for i in range(1, n)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges.append((len(edges), u, v, draw(st.sampled_from(SEP_LENGTHS))))
+    g = LabeledMetricGraph(range(n), edges)
+
+    def interior():
+        e = draw(st.sampled_from(g.edges))
+        return Interior(e.id, draw(st.sampled_from(SEP_OFFSETS)))
+
+    w = interior()
+    x, y = (
+        interior() if draw(st.integers(0, 3)) else Vertex(draw(st.integers(0, n - 1)))
+        for _ in range(2)
+    )
+    fw = oracles.floyd_warshall(g)
+    # 0, fixed radii, and radii that put a vertex exactly on the sphere
+    spheres = [oracles.point_distance(g, fw, Vertex(v), w) for v in range(n)]
+    r = draw(st.sampled_from([Fraction(0), H, Fraction(1), Fraction(2)] + spheres))
+    return g, x, y, w, r
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(separation_queries())
+def test_separation_matches_point_oracle(query):
+    g, x, y, w, r = query
+    want = oracles.point_separated(g, x, y, w, r)
+    assert is_separated(g, x, y, w, r) == want
+    idx = ball_complement_components(g, w, r)
+    cx, cy = complement_component_of(idx, x), complement_component_of(idx, y)
+    assert (cx is None or cy is None or cx != cy) == want
+
+
+def test_is_separated_checks_its_inputs():
+    g = cycle_graph(12)
+    with pytest.raises(ValueError):
+        is_separated(g, Vertex(0), Vertex(6), Vertex(3), -1)
+    for bad in (Vertex(99), Interior(99, H), Interior(0, Fraction(3, 2))):
+        with pytest.raises(InvalidPoint):
+            is_separated(g, Vertex(0), Vertex(6), bad, 1)
+    two = LabeledMetricGraph(range(4), [(0, 0, 1, 1), (1, 2, 3, 1)])
+    with pytest.raises(DisconnectedGraph):
+        is_separated(two, Vertex(0), Vertex(1), Interior(0, H), 0)
+    with pytest.raises(DisconnectedGraph):
+        is_separated(two, Vertex(0), Vertex(2), Vertex(1), 0)
+
+
+def test_complement_index_output():
+    whole = Fraction(0), Fraction(1)
+    idx = ball_complement_components(cycle_graph(12), Vertex(3), 2)
+    assert idx == ComplementIndex(
+        Vertex(3), Fraction(2), {v: 0 for v in (0, 6, 7, 8, 9, 10, 11)},
+        tuple(Fragment(e, *whole, 0) for e in (0, 5, 6, 7, 8, 9, 10, 11)), 1,
+    )
+    long_edge = LabeledMetricGraph([0, 1], [(0, 0, 1, 10)])
+    assert ball_complement_components(long_edge, Vertex(0), 4) == ComplementIndex(
+        Vertex(0), Fraction(4), {1: 0}, (Fragment(0, Fraction(2, 5), Fraction(1), 0),), 1,
+    )
+    assert ball_complement_components(long_edge, Interior(0, H), 1) == ComplementIndex(
+        Interior(0, H), Fraction(1), {0: 0, 1: 1},
+        (Fragment(0, Fraction(0), Fraction(2, 5), 0), Fragment(0, Fraction(3, 5), Fraction(1), 1)),
+        2,
+    )
+    # vertex 0 lies on the sphere (3 via the short edge); the stretch of
+    # edge 0 up to the center's cover is its own component, numbered
+    # after every component holding a vertex
+    g = LabeledMetricGraph(range(4), [(0, 0, 1, 10), (1, 0, 1, 1), (2, 1, 2, 5), (3, 3, 2, 1)])
+    w = Interior(0, Fraction(4, 5))
+    assert ball_complement_components(g, w, 3) == ComplementIndex(
+        w, Fraction(3), {2: 0, 3: 0},
+        (Fragment(0, Fraction(0), H, 1), Fragment(2, Fraction(1, 5), Fraction(1), 0),
+         Fragment(3, *whole, 0)),
+        2,
+    )
 
 
 def test_is_separated_monotone_in_radius():
