@@ -382,86 +382,39 @@ def scale_metric(g: LabeledMetricGraph, lam) -> LabeledMetricGraph:
 # -- geodesics ---------------------------------------------------------------
 
 
-def _distance_to_point_fn(g, q):
-    """Returns f(vertex id) -> exact distance to point q."""
-    k = _point_scale(g, (q,))
-    y = _scaled_point(g, q, k)
-    s = k * g._scale
-    return lambda vid: Fraction(_scaled_distance(g, k, (None, ((vid, 0),)), y), s)
-
-
-def _degenerate(p, q, total):
-    vs = (p.id,) if isinstance(p, Vertex) else ()
-    return Geodesic(p, q, vs, (), total)
-
-
-def _start_states(g, p, q, total, dq):
-    """First-vertex states in the order matching lexicographic enumeration."""
-    if isinstance(p, Vertex):
-        return [(p.id, ZERO)]
-    e = g.edge(p.edge)
-    opts = sorted(((e.u, p.offset * e.length), (e.v, (1 - p.offset) * e.length)))
-    return [(vid, c) for vid, c in opts if c + dq(vid) == total]
-
-
-def _emit_checks(g, q, vid, cost, total):
-    """True if a geodesic may terminate at this vertex state."""
-    if isinstance(q, Vertex):
-        return vid == q.id and cost == total
-    e = g.edge(q.edge)
-    if vid == e.u and cost + q.offset * e.length == total:
-        return True
-    if vid == e.v and cost + (1 - q.offset) * e.length == total:
-        return True
-    return False
-
-
-def enumerate_geodesics(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint, cap=1000):
-    """All distinct geodesics from p to q, in lexicographic order of
-    (vertex sequence, edge sequence).  Raises CapExceeded (carrying the
-    truncated list) if more than ``cap`` exist."""
+def _geodesics(g, p, q):
+    """Yield every geodesic from p to q lazily, in enumeration order.  The
+    walk counts in integer units of 1/(k*L) and enters a vertex only where
+    its cost from p plus its distance to q is the total."""
     validate_point(g, p)
     validate_point(g, q)
-    total = distance(g, p, q)
-    if p == q:
-        return [_degenerate(p, q, total)]
-    out = []
+    k = _point_scale(g, (p, q))
+    (ex, px), (ey, py) = x, y = _scaled_point(g, p, k), _scaled_point(g, q, k)
+    total = _scaled_distance(g, k, x, y)
+    length = Fraction(total, k * g._scale)
+    if ex is not None and ex == ey and abs(px[0][1] - py[0][1]) == total:
+        yield Geodesic(p, q, (), (), length)
+    # distance still to go from each vertex, by index
+    rows = [(g._row(b), cb) for b, cb in py]
+    togo = [min(r[i] * k + cb for r, cb in rows) for i in range(g.n_vertices)]
+    ends = dict(py)
+    adj, index, ilen = g._adj, g._index, g._ilen
 
-    def emit(vseq, eseq):
-        if len(out) >= cap:
-            raise CapExceeded(
-                f"more than {cap} geodesics between {p} and {q}", out
-            )
-        out.append(Geodesic(p, q, tuple(vseq), tuple(eseq), total))
-
-    if (
-        isinstance(p, Interior)
-        and isinstance(q, Interior)
-        and p.edge == q.edge
-        and abs(p.offset - q.offset) * g.edge(p.edge).length == total
-    ):
-        emit((), ())
-
-    dq = _distance_to_point_fn(g, q)
-    terminal_vertex = isinstance(q, Vertex)
-
-    def visit(vid, cost, vseq, eseq):
-        """Emit at this state if a geodesic ends here, then yield the
-        states one geodesic hop on, in edge order."""
-        if _emit_checks(g, q, vid, cost, total):
-            emit(vseq, eseq)
-            if terminal_vertex:
-                return
-        for w, edge in g.edges_at(vid):
-            nc = cost + edge.length
-            if nc <= total and nc + dq(w) == total:
-                yield w, nc, edge.id
+    def hops(vid, cost):
+        for w, e in adj[vid]:
+            nc = cost + ilen[e.id] * k
+            if nc <= total and nc + togo[index[w]] == total:
+                yield w, nc, e.id
 
     # depth-first with an explicit stack, one successor iterator per hop,
-    # so geodesics of any length come out in lexicographic order
-    for vid, c in _start_states(g, p, q, total, dq):
-        vseq, eseq = [vid], []
-        stack = [visit(vid, c, vseq, eseq)]
+    # so geodesics of any length come out in order without recursion
+    for a, ca in sorted(px):
+        if ca + togo[index[a]] != total:
+            continue
+        vseq, eseq = [a], []
+        if ends.get(a) == total - ca:
+            yield Geodesic(p, q, (a,), (), length)
+        stack = [hops(a, ca)]
         while stack:
             step = next(stack[-1], None)
             if step is None:
@@ -473,43 +426,29 @@ def enumerate_geodesics(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint, cap
             w, nc, eid = step
             vseq.append(w)
             eseq.append(eid)
-            stack.append(visit(w, nc, vseq, eseq))
+            if ends.get(w) == total - nc:
+                yield Geodesic(p, q, tuple(vseq), tuple(eseq), length)
+            stack.append(hops(w, nc))
+
+
+def enumerate_geodesics(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint, cap=1000):
+    """All distinct geodesics from p to q, in lexicographic order of hops:
+    by first vertex, then by each hop's (next vertex id, edge id), with the
+    geodesic inside one edge first.  Raises CapExceeded (carrying the
+    truncated list) if more than ``cap`` exist."""
+    out = []
+    for geo in _geodesics(g, p, q):
+        if len(out) >= cap:
+            raise CapExceeded(f"more than {cap} geodesics between {p} and {q}", out)
+        out.append(geo)
     return out
 
 
 def canonical_geodesic(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint) -> Geodesic:
-    """The lexicographically least geodesic, computed greedily without
-    enumerating alternatives."""
-    validate_point(g, p)
-    validate_point(g, q)
-    total = distance(g, p, q)
-    if p == q:
-        return _degenerate(p, q, total)
-    if (
-        isinstance(p, Interior)
-        and isinstance(q, Interior)
-        and p.edge == q.edge
-        and abs(p.offset - q.offset) * g.edge(p.edge).length == total
-    ):
-        return Geodesic(p, q, (), (), total)
-    dq = _distance_to_point_fn(g, q)
-    starts = _start_states(g, p, q, total, dq)
-    vid, cost = starts[0]
-    vseq, eseq = [vid], []
-    while True:
-        if _emit_checks(g, q, vid, cost, total):
-            return Geodesic(p, q, tuple(vseq), tuple(eseq), total)
-        advanced = False
-        for w, edge in g.edges_at(vid):
-            nc = cost + edge.length
-            if nc <= total and nc + dq(w) == total:
-                vseq.append(w)
-                eseq.append(edge.id)
-                vid, cost = w, nc
-                advanced = True
-                break
-        if not advanced:  # cannot happen on a connected graph
-            raise DisconnectedGraph("geodesic walk stalled")
+    """The least geodesic in enumeration order, found without enumerating
+    alternatives: every state the walk enters lies on a geodesic, so its
+    first branch never backtracks."""
+    return next(_geodesics(g, p, q))
 
 
 def geodesic_segments(g, geo: Geodesic):
@@ -536,23 +475,40 @@ def geodesic_segments(g, geo: Geodesic):
 
 
 def check_geodesic(g, geo: Geodesic):
-    """Validate a geodesic against the metric; raises NotAGeodesic."""
+    """Validate a geodesic against the metric; raises NotAGeodesic.  Its
+    vertices must run from an entry vertex of the start along each hop's
+    edge to an entry vertex of the end (none only inside one edge), and
+    its length in units of 1/(k*L) must be the claim and the distance."""
+    p, q, vs, es = geo.start, geo.end, geo.vertices, geo.edges
     try:
-        span = distance(g, geo.start, geo.end)
+        validate_point(g, p)
+        validate_point(g, q)
+        hops = [g.edge(eid) for eid in es]
     except InvalidPoint as exc:
         raise NotAGeodesic(str(exc)) from exc
-    length = ZERO
-    for e, a, b in geodesic_segments(g, geo):
-        length += abs(b - a) * e.length
-    if length != geo.length or geo.length != span:
+    k = _point_scale(g, (p, q))
+    (ex, px), (ey, py) = x, y = _scaled_point(g, p, k), _scaled_point(g, q, k)
+    if not vs:
+        if es or ex is None or ex != ey:
+            raise NotAGeodesic("an empty vertex sequence needs both ends inside one edge")
+        units = abs(px[0][1] - py[0][1])
+    else:
+        if len(vs) != len(es) + 1:
+            raise NotAGeodesic(f"{len(vs)} vertices do not fit {len(es)} hops")
+        first, last = dict(px).get(vs[0]), dict(py).get(vs[-1])
+        if first is None or last is None:
+            raise NotAGeodesic(f"vertices {vs[0]}..{vs[-1]} do not join {p} to {q}")
+        for i, e in enumerate(hops):
+            if {vs[i], vs[i + 1]} != {e.u, e.v}:
+                raise NotAGeodesic(f"hop {i} does not follow edge {e.id}")
+        units = first + sum(g._ilen[e.id] for e in hops) * k + last
+    span = _scaled_distance(g, k, x, y)
+    scale = k * g._scale
+    if units != span or geo.length != Fraction(units, scale):
         raise NotAGeodesic(
-            f"claimed length {geo.length}, segments sum to {length}, "
-            f"metric distance is {span}"
+            f"claimed length {geo.length}, segments sum to {Fraction(units, scale)}, "
+            f"metric distance is {Fraction(span, scale)}"
         )
-    for k, eid in enumerate(geo.edges):
-        e = g.edge(eid)
-        if {geo.vertices[k], geo.vertices[k + 1]} != {e.u, e.v}:
-            raise NotAGeodesic(f"hop {k} does not follow edge {eid}")
 
 
 def point_along(g, geo: Geodesic, s) -> GraphPoint:

@@ -40,17 +40,17 @@ def floyd_warshall(g):
     return dist
 
 
+def entries(g, pt):
+    """(vertex, cost-to-reach-it) entry list for a point."""
+    if isinstance(pt, Vertex):
+        return [(pt.id, ZERO)]
+    e = g.edge(pt.edge)
+    s = pt.offset * e.length
+    return [(e.u, s), (e.v, e.length - s)]
+
+
 def point_distance(g, fw, p, q):
     """Exact point-to-point distance using only fw and edge data."""
-
-    def routes(pt):
-        # (vertex, cost-to-reach-it) entry list for a point
-        if isinstance(pt, Vertex):
-            return [(pt.id, ZERO)]
-        e = g.edge(pt.edge)
-        s = pt.offset * e.length
-        return [(e.u, s), (e.v, e.length - s)]
-
     best = None
     if isinstance(p, Interior) and isinstance(q, Interior) and p.edge == q.edge:
         e = g.edge(p.edge)
@@ -61,8 +61,8 @@ def point_distance(g, fw, p, q):
         and p.id == q.id
     ):
         return ZERO
-    for a, ca in routes(p):
-        for b, cb in routes(q):
+    for a, ca in entries(g, p):
+        for b, cb in entries(g, q):
             base = fw[a][b]
             if base is None:
                 continue
@@ -74,25 +74,34 @@ def point_distance(g, fw, p, q):
     return best
 
 
-def enumerate_geodesics_dfs(g, u, v, fw=None):
-    """All shortest vertex-to-vertex paths as (vertex_seq, edge_id_seq)."""
+def enumerate_geodesics_dfs(g, p, q, fw=None):
+    """All shortest paths between two points (an int stands for a vertex)
+    as (vertex_seq, edge_id_seq), routed through each point's entry
+    vertices, plus the direct segment when both lie inside one edge.
+    Sorted in lexicographic order of hops: first vertex, then each hop's
+    (next vertex, edge id)."""
     if fw is None:
         fw = floyd_warshall(g)
-    total = fw[u][v]
-    if total is None:
+    p, q = (Vertex(x) if isinstance(x, int) else x for x in (p, q))
+    try:
+        total = point_distance(g, fw, p, q)
+    except ValueError:
         return []
     out = []
-    stack = [(u, ZERO, (u,), ())]
+    if isinstance(p, Interior) and isinstance(q, Interior) and p.edge == q.edge:
+        if abs(p.offset - q.offset) * g.edge(p.edge).length == total:
+            out.append(((), ()))
+    ends = dict(entries(g, q))
+    stack = [(a, ca, (a,), ()) for a, ca in entries(g, p)]
     while stack:
         cur, cost, vseq, eseq = stack.pop()
-        if cur == v and cost == total:
+        if cur in ends and cost + ends[cur] == total:
             out.append((vseq, eseq))
-            continue
         for nbr, e in g.edges_at(cur):
-            rem = fw[nbr][v]
-            if rem is not None and cost + e.length + rem == total:
+            rem = point_distance(g, fw, Vertex(nbr), q)
+            if cost + e.length + rem == total:
                 stack.append((nbr, cost + e.length, vseq + (nbr,), eseq + (e.id,)))
-    out.sort()
+    out.sort(key=lambda path: (path[0][:1], tuple(zip(path[0][1:], path[1]))))
     return out
 
 

@@ -1,0 +1,26 @@
+"""The narrative demos run to completion.
+
+Each demo is a script; it runs in a subprocess against the source tree.
+The choice-extraction demo takes seconds and is left to its own runs.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo", ["demo_gamma_graphs.py", "demo_hyperbolicity.py", "demo_quasi_inverse.py"]
+)
+def test_demo_exits_0(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from coarsegeom import (
     CapExceeded,
     DisconnectedGraph,
     Edge,
+    Geodesic,
     GraphStructureError,
     Interior,
     InvalidPoint,
@@ -244,6 +246,19 @@ def test_canonical_geodesic_is_lex_least():
     assert canonical_geodesic(g, Vertex(0), Vertex(4)) == geos[0]
     seqs = [geo.vertices for geo in geos]
     assert seqs == sorted(seqs)
+    # a parallel pair before a branch: hops compare by (vertex, edge), so
+    # both routes over edge 0 come before both routes over edge 1
+    g = LabeledMetricGraph(
+        range(5), [(0, 0, 1, 1), (1, 0, 1, 1), (2, 1, 2, 1), (3, 1, 3, 1), (4, 2, 4, 1), (5, 3, 4, 1)]
+    )
+    geos = enumerate_geodesics(g, Vertex(0), Vertex(4))
+    assert [(geo.vertices, geo.edges) for geo in geos] == [
+        ((0, 1, 2, 4), (0, 2, 4)),
+        ((0, 1, 3, 4), (0, 3, 5)),
+        ((0, 1, 2, 4), (1, 2, 4)),
+        ((0, 1, 3, 4), (1, 3, 5)),
+    ] == oracles.enumerate_geodesics_dfs(g, 0, 4)
+    assert canonical_geodesic(g, Vertex(0), Vertex(4)) == geos[0]
 
 
 def test_enumeration_cap():
@@ -278,17 +293,31 @@ def test_enumeration_cap_on_deep_pair():
 
 
 def test_check_geodesic_rejects_detour():
-    g = cycle_graph(8)
-    geo = canonical_geodesic(g, Vertex(0), Vertex(2))
-    bad = type(geo)(
-        start=Vertex(0),
-        end=Vertex(2),
-        vertices=(0, 7, 6, 5, 4, 3, 2),
-        edges=(7, 6, 5, 4, 3, 2),
-        length=Fraction(6),
+    # vertex 5 does not touch edge 0, so (5, 3) leaves neither end of it
+    g = LabeledMetricGraph(
+        range(6), [(0, 0, 1, 1), (1, 1, 3, 2), (2, 5, 3, 2), (3, 1, 2, 1), (4, 2, 4, 1)]
     )
-    with pytest.raises(NotAGeodesic):
-        check_geodesic(g, bad)
+    path = path_graph(3)
+    cases = [
+        (cycle_graph(8), Geodesic(
+            Vertex(0), Vertex(2), (0, 7, 6, 5, 4, 3, 2), (7, 6, 5, 4, 3, 2), Fraction(6)
+        )),
+        (g, Geodesic(Interior(0, H), Vertex(3), (5, 3), (2,), Fraction(5, 2))),
+        (g, Geodesic(Vertex(3), Interior(0, H), (3, 5), (2,), Fraction(5, 2))),
+        # ends at vertex 2, not at vertex 1
+        (path, Geodesic(Vertex(0), Vertex(1), (0, 1, 2), (0,), Fraction(1))),
+        # one vertex short for its hops, or one too many
+        (path, Geodesic(Vertex(0), Vertex(2), (0, 1), (0, 1), Fraction(2))),
+        (path, Geodesic(Vertex(0), Vertex(1), (0, 1, 1), (0,), Fraction(1))),
+        # no edge 7
+        (path, Geodesic(Vertex(0), Vertex(1), (0, 1), (7,), Fraction(1))),
+        # an empty vertex sequence needs both ends inside one edge
+        (path, Geodesic(Vertex(0), Vertex(0), (), (), Fraction(0))),
+        (path, Geodesic(Interior(0, H), Interior(1, H), (), (), Fraction(1))),
+    ]
+    for graph, bad in cases:
+        with pytest.raises(NotAGeodesic):
+            check_geodesic(graph, bad)
 
 
 def test_point_along_and_segments():
@@ -343,26 +372,39 @@ SEP_OFFSETS = [H, Fraction(1, 3), Fraction(3, 4), Fraction(1, 7)]
 
 
 @st.composite
-def separation_queries(draw):
+def rational_graphs(draw, lengths, extra):
+    """Connected graphs on up to 6 vertices, parallel edges included."""
     n = draw(st.integers(2, 6))
     edges = [
-        (i - 1, draw(st.integers(0, i - 1)), i, draw(st.sampled_from(SEP_LENGTHS)))
+        (i - 1, draw(st.integers(0, i - 1)), i, draw(st.sampled_from(lengths)))
         for i in range(1, n)
     ]
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, extra))):
         u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        edges.append((len(edges), u, v, draw(st.sampled_from(SEP_LENGTHS))))
-    g = LabeledMetricGraph(range(n), edges)
+        edges.append((len(edges), u, v, draw(st.sampled_from(lengths))))
+    return LabeledMetricGraph(range(n), edges)
 
-    def interior():
-        e = draw(st.sampled_from(g.edges))
-        return Interior(e.id, draw(st.sampled_from(SEP_OFFSETS)))
 
-    w = interior()
-    x, y = (
-        interior() if draw(st.integers(0, 3)) else Vertex(draw(st.integers(0, n - 1)))
-        for _ in range(2)
-    )
+@st.composite
+def interior_points(draw, g):
+    e = draw(st.sampled_from(g.edges))
+    return Interior(e.id, draw(st.sampled_from(SEP_OFFSETS)))
+
+
+@st.composite
+def graph_points(draw, g):
+    """Mostly interior points, sometimes vertices."""
+    if draw(st.integers(0, 3)):
+        return draw(interior_points(g))
+    return Vertex(draw(st.integers(0, g.n_vertices - 1)))
+
+
+@st.composite
+def separation_queries(draw):
+    g = draw(rational_graphs(SEP_LENGTHS, 3))
+    n = g.n_vertices
+    w = draw(interior_points(g))
+    x, y = draw(graph_points(g)), draw(graph_points(g))
     fw = oracles.floyd_warshall(g)
     # 0, fixed radii, and radii that put a vertex exactly on the sphere
     spheres = [oracles.point_distance(g, fw, Vertex(v), w) for v in range(n)]
@@ -379,6 +421,41 @@ def test_separation_matches_point_oracle(query):
     idx = ball_complement_components(g, w, r)
     cx, cy = complement_component_of(idx, x), complement_component_of(idx, y)
     assert (cx is None or cy is None or cx != cy) == want
+
+
+@st.composite
+def geodesic_queries(draw):
+    # two edge lengths and parallel copies, so that ties are common
+    g = draw(rational_graphs([Fraction(1), H], 4))
+    copies = draw(st.lists(st.sampled_from(g.edges), max_size=4))
+    g = LabeledMetricGraph(range(g.n_vertices), g.edges + tuple(
+        Edge(g.n_edges + i, e.u, e.v, e.length) for i, e in enumerate(copies)
+    ))
+    p = draw(graph_points(g))
+    return g, p, draw(graph_points(g).filter(lambda q: q != p))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(geodesic_queries())
+def test_geodesics_match_dfs_oracle(query):
+    g, p, q = query
+    geos = enumerate_geodesics(g, p, q, cap=10**6)
+    assert [(geo.vertices, geo.edges) for geo in geos] == oracles.enumerate_geodesics_dfs(g, p, q)
+    assert canonical_geodesic(g, p, q) == geos[0]
+    d = distance(g, p, q)
+    for geo in geos:
+        assert (geo.start, geo.end, geo.length) == (p, q, d)
+        check_geodesic(g, geo)
+        mutants = [replace(geo, length=d + H)]
+        if geo.edges:
+            mutants.append(replace(geo, vertices=geo.vertices[1:], edges=geo.edges[1:]))
+        for bad in mutants:
+            if bad in geos:
+                # from an interior start the next vertex can be as near directly
+                check_geodesic(g, bad)
+                continue
+            with pytest.raises(NotAGeodesic):
+                check_geodesic(g, bad)
 
 
 def test_is_separated_checks_its_inputs():
