@@ -26,6 +26,7 @@ from .errors import (
 )
 from .gamma_spaces import (
     GammaZeroGraph,
+    _is_gamma1,
     build_gamma1,
     classify_point,
     gamma1_vertex_id,
@@ -193,7 +194,8 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
     "alternating" cycles through the elements as the level grows;
     "seeded" draws the element at every (set, level) from a seeded RNG.
     A prebuilt quotient tree may be passed as g1 so repeated sections
-    share one graph object (and its distance caches).
+    share one graph object; the tree build_gamma1 made for this family
+    and depth is accepted without a second build.
     """
     if mode not in ("first", "alternating", "seeded"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -217,7 +219,7 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
 
     if g1 is None:
         g1 = build_gamma1(g0.family, depth)
-    elif not g1.same_structure(build_gamma1(g0.family, depth)):
+    elif not _is_gamma1(g1, g0.family, depth):
         raise GraphMismatch("supplied quotient tree does not match the family")
     graph0 = g0.graph
 

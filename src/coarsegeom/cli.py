@@ -450,16 +450,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidPoint as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SchemaError, InvalidPoint, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

@@ -81,6 +81,9 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction reads "1e10000000" as a 33-million-bit integer
+        if "e" in value.lower():
+            _fail(f"bad rational {value!r}: exponent notation is not accepted")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -212,20 +215,6 @@ def gamma0_doc(g0: GammaZeroGraph) -> dict:
     return doc
 
 
-def parse_gamma0(doc) -> GammaZeroGraph:
-    _expect_obj(doc, "gamma0 document")
-    if doc.get("kind") != "gamma0":
-        _fail('expected "kind":"gamma0"')
-    family = parse_family(doc.get("family"))
-    depth = _expect_int(doc.get("depth"), "depth")
-    if depth < 1:
-        _fail("depth must be at least 1")
-    g0 = build_gamma0(family, depth)
-    if not parse_graph(doc).same_structure(g0.graph):
-        _fail("embedded graph does not match the declared family and depth")
-    return g0
-
-
 def gamma1_doc(g1: LabeledMetricGraph, family: SetFamily, depth: int) -> dict:
     doc = graph_doc(g1, tree=True)
     doc["kind"] = "gamma1"
@@ -234,19 +223,41 @@ def gamma1_doc(g1: LabeledMetricGraph, family: SetFamily, depth: int) -> dict:
     return doc
 
 
-def parse_gamma1(doc):
-    """Returns (graph, family, depth)."""
-    _expect_obj(doc, "gamma1 document")
-    if doc.get("kind") != "gamma1":
-        _fail('expected "kind":"gamma1"')
+def _parse_gamma(doc, kind):
+    """(builder graph, family, depth) of a gamma document: the builder's own
+    document stands as it is, any other spelling is parsed and compared."""
+    _expect_obj(doc, f"{kind} document")
+    if doc.get("kind") != kind:
+        _fail(f'expected "kind":"{kind}"')
     family = parse_family(doc.get("family"))
     depth = _expect_int(doc.get("depth"), "depth")
     if depth < 1:
         _fail("depth must be at least 1")
-    g1 = build_gamma1(family, depth)
-    if not parse_graph(doc).same_structure(g1):
+    gamma0 = kind == "gamma0"
+    arms = len(family.all_elements()) if gamma0 else len(family.sets)
+    vertices = doc.get("vertices")
+    # a vertex list of the wrong length never matches: refuse it unbuilt, so
+    # a declared depth costs nothing the document does not hold
+    if not isinstance(vertices, list) or len(vertices) != 1 + arms * depth:
+        parse_graph(doc)  # a malformed graph keeps its own error
         _fail("embedded graph does not match the declared family and depth")
-    return g1, family, depth
+    built = build_gamma0(family, depth) if gamma0 else build_gamma1(family, depth)
+    canonical = gamma0_doc(built) if gamma0 else gamma1_doc(built, family, depth)
+    # == keeps odd keys from the text compare, which tells 1 from 1.0 and True
+    if ((doc != canonical or json.dumps(doc, sort_keys=True, default=repr)
+         != json.dumps(canonical, sort_keys=True))
+            and not parse_graph(doc).same_structure(built.graph if gamma0 else built)):
+        _fail("embedded graph does not match the declared family and depth")
+    return built, family, depth
+
+
+def parse_gamma0(doc) -> GammaZeroGraph:
+    return _parse_gamma(doc, "gamma0")[0]
+
+
+def parse_gamma1(doc):
+    """Returns (graph, family, depth)."""
+    return _parse_gamma(doc, "gamma1")
 
 
 # -- maps --------------------------------------------------------------------
@@ -336,10 +347,6 @@ def file_digest(path) -> str:
 
 
 # -- reports and certificates -------------------------------------------------
-
-
-def _opt(x):
-    return None if x is None else rational_str(x)
 
 
 def violation_doc(v) -> dict:

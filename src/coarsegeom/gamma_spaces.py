@@ -104,11 +104,15 @@ class _ArmMetric:
     ``arm_sets`` gives each arm's set index; the quotient tree is the case
     of one arm per set.  The formula holds only for the graphs that
     build_gamma0 and build_gamma1 return, so only they may attach it; the
-    integer Dijkstra of LabeledMetricGraph serves every other graph.
+    integer Dijkstra of LabeledMetricGraph serves every other graph.  Its
+    ``key`` (kind, family, depth) names the build, so a graph carrying it
+    is known to be that builder's graph without comparing structures.
     """
 
-    def __init__(self, arm_sets, depth):
-        self.arm_sets = tuple(arm_sets)
+    def __init__(self, kind, family, depth):
+        self.key = (kind, family, depth)
+        self.arm_sets = tuple(si for si, s in enumerate(family.sets)
+                              for _ in (s.elements if kind == "gamma0" else (s,)))
         self.depth = depth
         self.n_vertices = 1 + len(self.arm_sets) * depth
         # rows are cut from these two with memcpy-speed slices: _vee[k] is
@@ -218,9 +222,7 @@ def build_gamma0(family: SetFamily, depth: int) -> GammaZeroGraph:
                     for y in members:
                         doubled(vid[x][n], vid[y][n + 1])
     graph = LabeledMetricGraph(vertices, edges, basepoint=0)
-    graph._closed_form = _ArmMetric(
-        (si for si, s in enumerate(family.sets) for _ in s.elements), depth
-    )
+    graph._closed_form = _ArmMetric("gamma0", family, depth)
     return GammaZeroGraph(graph, family, depth)
 
 
@@ -253,8 +255,18 @@ def build_gamma1(family: SetFamily, depth: int) -> LabeledMetricGraph:
                 one,
             ))
     graph = LabeledMetricGraph(vertices, sorted(edges), basepoint=0)
-    graph._closed_form = _ArmMetric(range(len(family.sets)), depth)
+    graph._closed_form = _ArmMetric("gamma1", family, depth)
     return graph
+
+
+def _is_gamma1(g: LabeledMetricGraph, family: SetFamily, depth: int) -> bool:
+    """True iff g has the structure of build_gamma1(family, depth): the
+    builder's own tree answers from its key, any other is compared with a
+    fresh build (a parsed tree, or that of a family with renamed elements)."""
+    cf = g._closed_form
+    if cf is not None and cf.key == ("gamma1", family, depth):
+        return True
+    return build_gamma1(family, depth).same_structure(g)
 
 
 @dataclass(frozen=True)
@@ -291,8 +303,7 @@ def classify_point(g0: GammaZeroGraph, p: GraphPoint) -> PointClass:
 def build_collapse_map(g0: GammaZeroGraph, g1: LabeledMetricGraph) -> QuasiMap:
     """The arm-collapsing map from the half-net of the level-0 graph onto
     the quotient tree."""
-    expected = build_gamma1(g0.family, g0.depth)
-    if not expected.same_structure(g1):
+    if not _is_gamma1(g1, g0.family, g0.depth):
         raise FamilyMismatch("quotient tree does not match the family and depth")
     depth = g0.depth
     assignments = [(Vertex(0), Vertex(0))]

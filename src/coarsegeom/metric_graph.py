@@ -175,7 +175,6 @@ class LabeledMetricGraph:
         # closed-form distances, attached by the builders of graphs whose
         # metric has one (ids 0..V-1, so vertex ids index its rows)
         self._closed_form = None
-        self._sig = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -210,19 +209,17 @@ class LabeledMetricGraph:
         return max((e.length for e in self.edges), default=ZERO)
 
     def signature(self):
-        if self._sig is None:
-            self._sig = (
-                tuple(sorted(self.vertex_labels.items())),
-                tuple(
-                    (e.id, e.u, e.v, e.length, e.label)
-                    for e in sorted(self.edges, key=lambda e: e.id)
-                ),
-                self.basepoint,
-            )
-        return self._sig
+        return (
+            tuple(sorted(self.vertex_labels.items())),
+            tuple(
+                (e.id, e.u, e.v, e.length, e.label)
+                for e in sorted(self.edges, key=lambda e: e.id)
+            ),
+            self.basepoint,
+        )
 
     def same_structure(self, other):
-        return self.signature() == other.signature()
+        return self is other or self.signature() == other.signature()
 
     # -- vertex distance engine ------------------------------------------
 
@@ -618,10 +615,12 @@ def _ball_cut(g, center, radius):
         return i
 
     idx = g._index
+    joined = None  # parallel edges come in runs: a pair just joined is skipped
     for e in g.edges:
         i, j = idx[e.u], idx[e.v]
-        if alive[i] and alive[j] and e.id != center_edge:
+        if (e.u, e.v) != joined and alive[i] and alive[j] and e.id != center_edge:
             parent[find(i)] = find(j)
+            joined = e.u, e.v
 
     def pieces(e):
         i, j = idx[e.u], idx[e.v]

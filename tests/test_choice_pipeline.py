@@ -3,9 +3,13 @@
 import pytest
 
 from coarsegeom import (
+    HALF,
+    CoarseGeomError,
     ConstantTooSmall,
     DepthError,
     GraphMismatch,
+    Interior,
+    InternalError,
     NotATree,
     NotQuasiIsometry,
     QuasiMap,
@@ -15,6 +19,7 @@ from coarsegeom import (
     build_gamma0,
     build_gamma1,
     extract_choice,
+    gamma1_edge_id,
     gamma1_vertex_id,
     minimal_qi_constant,
     prune_k,
@@ -193,6 +198,42 @@ def test_bad_map_is_rejected(pipe2):
     bad = QuasiMap(g1, g0.graph, broken, asserted_constant=4)
     with pytest.raises(NotQuasiIsometry):
         extract_choice(bad, g0, 4)
+
+
+def test_mutated_sections_never_yield_a_wrong_choice(pipe2):
+    """One assignment of a section, moved: the extraction either refuses
+    the map with a precondition error or certifies a true transversal."""
+    g0, g1 = pipe2
+    m = section_map(g0, mode="first", g1=g1)
+    at = g0.vertex_of
+    frontier = Vertex(gamma1_vertex_id(1000, 0, 224))  # lands on "a" at 224
+    mid = Interior(gamma1_edge_id(1000, 0, 225), HALF)
+
+    def edge(a, b, which):
+        return [e.id for nb, e in g0.graph.edges_at(a) if nb == b][which]
+
+    mutations = [
+        (frontier, Vertex(at("b", 224))),  # sibling element
+        (frontier, Vertex(at("c", 224))),  # another arm, same level
+        (frontier, Vertex(at("a", 223))),  # one level nearer the base
+        (frontier, Vertex(0)),  # the base
+        (mid, Interior(edge(at("a", 224), at("a", 225), 1), HALF)),  # twin edge
+        (mid, Interior(edge(at("c", 224), at("c", 225), 0), HALF)),  # other arm
+    ]
+    outcomes = set()
+    for p, img in mutations:
+        assert m.image_of(p) != img
+        moved = [(q, img if q == p else w) for q, w in m.assignments]
+        try:
+            cert = extract_choice(QuasiMap(g1, g0.graph, moved), g0, 4)
+        except InternalError:
+            raise
+        except CoarseGeomError:
+            outcomes.add("refused")
+            continue
+        assert cert.verified and verify_transversal(cert.transversal, g0.family)
+        outcomes.add("certified")
+    assert outcomes == {"refused", "certified"}
 
 
 def test_certificates_are_deterministic(pipe2):

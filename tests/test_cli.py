@@ -7,6 +7,7 @@ checks the installed entry point end to end.
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,23 @@ def test_profile_deep_pair(capsys, tmp_path):
     code, _, err = run(capsys, "profile", "--gamma0", g0p,
                        "--x", '{"vertex": 0}', "--y", y, "--cap", "1")
     assert code == 3 and "CapExceeded" in err
+
+
+def test_oversized_inputs_exit_2_quickly(capsys, tmp_path):
+    """Ten bytes of exponent and a declared depth of 10**9 are refused
+    before any work sized by them is done."""
+    cp = graph_file(tmp_path, cycle_graph(6), "c6.json")
+    huge = tmp_path / "huge.json"
+    huge.write_text(canonical_dumps({"kind": "gamma0", "depth": 10**9,
+                                     "family": FAM2, "vertices": [], "edges": []}))
+    for argv in (
+        ("bottleneck", "--graph", cp, "--delta", "1e10000000"),
+        ("separation", "--gamma0", str(huge), "--seed", "1", "--count", "1"),
+    ):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ")
+        assert time.perf_counter() - start < 1
 
 
 def test_witness_frozen(capsys, tmp_path):

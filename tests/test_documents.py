@@ -52,6 +52,10 @@ def test_rational_strings():
     for bad in ("", "a/b", "1/0", 1.5, True, None, [1, 2]):
         with pytest.raises(SchemaError):
             parse_rational(bad)
+    # exponents would let ten bytes ask for a 33-million-bit integer
+    for bad in ("1e10000000", "1E5", "2.5e-3", "1/1e3"):
+        with pytest.raises(SchemaError, match="exponent"):
+            parse_rational(bad)
 
 
 def test_rational_round_trip_loop():
@@ -174,6 +178,42 @@ def test_tampered_gamma0_is_rejected(fam2):
         parse_gamma0(doc2)
     with pytest.raises(SchemaError):
         parse_gamma0({"kind": "gamma1"})
+
+
+def test_gamma_docs_accept_other_spellings(fam2):
+    """Documents that are not the builder's own text but encode the same
+    graph still parse; ints standing in as bools or floats still fail."""
+    for doc, parse in (
+        (gamma0_doc(build_gamma0(fam2, 3)), lambda d: parse_gamma0(d).graph),
+        (gamma1_doc(build_gamma1(fam2, 3), fam2, 3), lambda d: parse_gamma1(d)[0]),
+    ):
+        canonical = parse(doc)
+        for spell in ("1", 1):
+            other = json.loads(canonical_dumps(doc))
+            for e in other["edges"]:
+                e["len"] = spell
+            assert parse(other).same_structure(canonical)
+        other = json.loads(canonical_dumps(doc))
+        other["edges"].reverse()
+        assert parse(other).same_structure(canonical)
+        assert parse({**doc, 7: "an extra key"}).same_structure(canonical)
+        for key, value in (("basepoint", False), ("basepoint", 0.0)):
+            other = json.loads(canonical_dumps(doc))
+            other[key] = value
+            with pytest.raises(SchemaError, match="basepoint must be an integer"):
+                parse(other)
+
+
+@pytest.mark.parametrize("kind", ["gamma0", "gamma1"])
+def test_declared_depth_is_checked_before_building(fam2, kind):
+    doc = {"kind": kind, "depth": 10**9, "family": family_doc(fam2),
+           "vertices": [], "edges": []}
+    parse = parse_gamma0 if kind == "gamma0" else parse_gamma1
+    with pytest.raises(SchemaError, match="does not match the declared"):
+        parse(doc)
+    doc["vertices"] = [{"id": "0"}]
+    with pytest.raises(SchemaError, match="vertex id must be an integer"):
+        parse(doc)
 
 
 def test_map_file_round_trip(tmp_path, fam2):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from coarsegeom import choice_pipeline, documents, gamma_spaces
 from coarsegeom import (
     DepthTooSmall,
     DuplicateElement,
@@ -33,6 +34,7 @@ from coarsegeom import (
     minimal_qi_constant,
     prune_k,
     scale_metric,
+    section_map,
 )
 from coarsegeom.documents import (
     gamma0_doc,
@@ -178,6 +180,34 @@ def test_closed_form_only_on_builder_graphs(fam2):
         assert prune_k(g, 1)[0]._closed_form is None
     with pytest.raises(KeyError):
         g0.graph.vertex_row(g0.graph.n_vertices)
+
+
+def test_builder_graphs_are_not_rebuilt(fam2, monkeypatch):
+    """A builder graph, or a canonical gamma document, is recognised from
+    its family and depth: no second build and no generic parse."""
+    g0 = build_gamma0(fam2, 4)
+    g1 = build_gamma1(fam2, 4)
+    doc0, doc1 = gamma0_doc(g0), gamma1_doc(g1, fam2, 4)
+
+    def refuse(*args):
+        raise AssertionError("rebuilt or reparsed")
+
+    monkeypatch.setattr(choice_pipeline, "build_gamma1", refuse)
+    monkeypatch.setattr(gamma_spaces, "build_gamma1", refuse)
+    monkeypatch.setattr(documents, "parse_graph", refuse)
+    assert section_map(g0, g1=g1).source is g1
+    assert build_collapse_map(g0, g1).target is g1
+    assert parse_gamma0(doc0).graph.same_structure(g0.graph)
+    assert parse_gamma1(doc1)[0].same_structure(g1)
+
+
+def test_structurally_equal_trees_are_accepted(fam2):
+    g0 = build_gamma0(fam2, 3)
+    parsed = parse_graph(graph_doc(build_gamma1(fam2, 3), tree=True))
+    assert section_map(g0, g1=parsed).source is parsed
+    renamed = SetFamily.of_lists([["p", "q"], ["r"]])
+    tree = build_gamma1(renamed, 3)
+    assert build_collapse_map(g0, tree).target is tree
 
 
 # -- geodesic level profiles --------------------------------------------------
