@@ -31,7 +31,7 @@ from .gamma_spaces import (
     classify_point,
     gamma1_vertex_id,
 )
-from .metric_graph import HALF, Interior, Vertex, distance
+from .metric_graph import HALF, Interior, Vertex, _point_scale, _scaled_point, distance
 from .tree_ops import assert_tree, prune_k
 
 
@@ -90,9 +90,9 @@ def _element_of_image(g0, img):
 def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate:
     """Run the full extraction and certify the resulting transversal.
 
-    Preconditions are checked in a fixed order: the constant (>= 4), the
-    domain being a tree, the target graph, the truncation depth, then a
-    vertex-exhaustive check that m really is an n-quasi-isometry.
+    Preconditions are checked in order: the constant (>= 4), the domain
+    being a tree, the target graph, the truncation depth, then that m is
+    an n-quasi-isometry on the tree's vertices (edge images unchecked).
     """
     n = int(n)
     if n < 4:
@@ -114,16 +114,19 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     if pruned.n_vertices == 0:
         raise DepthError(f"{k} pruning rounds emptied the domain tree")
     r = restrict_map(m, pruned)
-    base = Vertex(0)
+    # images' distances to the base in units of 1/(ks*L), from one row
+    g, row0 = g0.graph, g0.graph._row(0)
+    ks = _point_scale(g, (img for _, img in r.assignments))
     near = set()
     for w, img in r.assignments:
-        if distance(g0.graph, img, base) <= n:
+        to_base = min(row0[g._index[v]] * ks + c for v, c in _scaled_point(g, img, ks)[1])
+        if to_base <= n * ks * g._scale:
             near.update(_half_vertex_candidates(pruned, w))
     if not near:
         raise DepthError("no surviving domain point maps within the constant "
                          "of the base")
     root = min(near)
-    if distance(g0.graph, r.image_of(Vertex(root)), base) > 3 * n:
+    if distance(g, r.image_of(Vertex(root)), Vertex(0)) > 3 * n:
         raise NotQuasiIsometry(
             "root image strays beyond three constants from the base, which "
             f"an accepted constant-{n} certificate rules out"

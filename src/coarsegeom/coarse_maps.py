@@ -4,16 +4,19 @@ A QuasiMap assigns a target point to every point of a declared net of the
 source (the net must at minimum contain all source vertices).  Verification
 checks the two-sided distance bound with constant N together with coarse
 surjectivity: every point of the target half-net must lie within N of the
-image.  All comparisons are exact: one kernel scans every pair on rows
-of integer distances at a scale common to both graphs, and exhaustive
-verification and the minimal constant share it.
+image.  All comparisons are exact: one kernel certifies every pair on
+rows of integer distances at a scale common to both graphs, skipping the
+pairs the triangle inequality proves safe, and exhaustive verification
+and the minimal constant share it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Optional
 
@@ -176,10 +179,12 @@ def _scaled_pairs(m, pairs):
 
 
 def _kernel_side(g, k, pts):
-    """One graph's half of the pair kernel: each point's column, and a
-    function giving point i's row of distances to every column, in units
-    of 1/(k*L).  Vertices are columns by index; each distinct interior
-    point gets a column after them."""
+    """One graph's half of the pair kernel: each point's column, a function
+    giving point i's row of distances to every column, and the steps, the
+    distances from each point to the next, in units of 1/(k*L).  Vertices
+    are columns by index; each distinct interior point gets a column after
+    them.  Only a closed form gives steps (else None): elsewhere each step
+    would search a row that the scan may never read."""
     ix = g._index
     extra = {}
     cols = []
@@ -205,24 +210,46 @@ def _kernel_side(g, k, pts):
             r.append(d)
         return r
 
-    return cols, row
+    steps = ([_scaled_distance(g, k, x, y) for x, y in zip(pts, pts[1:])]
+             if g._closed_form is not None else None)
+    return cols, row, steps
 
 
 def _first_violation(side_s, side_t, n, s, start):
     """The first pair (i, j), i < j, from ``start`` on in domain order whose
     distances break the bound with constant n, as (i, j, ds, dt) in units
-    of 1/s; None if every pair holds."""
-    (a, row_s), (b, row_t) = side_s, side_t
+    of 1/s; None if every pair holds.  Pairs the triangle inequality proves
+    safe are certified unread: for j < j2 both distances move by at most
+    P[j2] - P[j], P a side's prefix sums of steps, so if (i, j) holds with
+    slacks g1, g2 no pair fails before Q1 = n*Ps + Pt or Q2 = Ps + n*Pt
+    grows past Q[j] + g.  Where a slack cannot cover the next step, the next
+    64 pairs are compared directly, so rows that cannot skip stay cheap."""
+    (a, row_s, steps_s), (b, row_t, steps_t) = side_s, side_t
     up, lo = n * s, n * n * s
     count = len(a)
+    skip = steps_s is not None and steps_t is not None
+    if skip:
+        e1 = [n * x + y for x, y in zip(steps_s, steps_t)] + [0]
+        e2 = [x + n * y for x, y in zip(steps_s, steps_t)] + [0]
+        q1, q2 = list(accumulate(e1, initial=0)), list(accumulate(e2, initial=0))
     i0, j0 = start
     for i in range(i0, count):
         rs, rt = row_s(i), row_t(i)
-        for j in range(j0 if i == i0 else i + 1, count):
-            ds = rs[a[j]]
-            dt = rt[b[j]]
-            if dt > n * ds + up or ds > n * dt + lo:
+        j = j0 if i == i0 else i + 1
+        while j < count:
+            ds, dt = rs[a[j]], rt[b[j]]
+            g1, g2 = n * ds + up - dt, n * dt + lo - ds
+            if g1 < 0 or g2 < 0:
                 return i, j, ds, dt
+            if skip and e1[j] <= g1 and e2[j] <= g2:
+                j = min(bisect_right(q1, q1[j] + g1, j + 1, count),
+                        bisect_right(q2, q2[j] + g2, j + 1, count))
+                continue
+            for j in range(j + 1, min(j + 65, count)):
+                ds, dt = rs[a[j]], rt[b[j]]
+                if dt > n * ds + up or ds > n * dt + lo:
+                    return i, j, ds, dt
+            j += 1
     return None
 
 
@@ -236,7 +263,7 @@ def verify_quasi_isometry(
     """Check the two-sided bound with constant n on the selected pairs and
     the coarse surjectivity radius.  The first violation (in domain order,
     or draw order when sampling) becomes the certificate witness, and
-    pairs_checked counts the pairs up to and including it."""
+    pairs_checked counts pairs up to and including it, read or not."""
     if n < 1:
         raise ValueError("constant must be a positive integer")
     if mode not in ("exhaustive", "vertex-exhaustive", "sampled"):

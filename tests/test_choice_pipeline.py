@@ -154,6 +154,20 @@ def test_extraction_caches_no_rows():
     assert g0.graph._rows == {} and g1._rows == {}
 
 
+def test_extraction_at_constant_5(fam3):
+    """Constant 5 needs depth 1820: the three-set family's plain and
+    seeded sections both yield a verified transversal there."""
+    depth = required_gamma0_depth(5)
+    assert depth == 1820
+    g0, g1 = build_gamma0(fam3, depth), build_gamma1(fam3, depth)
+    for mode, seed in (("first", None), ("seeded", 55)):
+        cert = extract_choice(section_map(g0, mode=mode, seed=seed, g1=g1), g0, 5)
+        assert cert.verified
+        assert cert.rounds == pruning_rounds(5) == 175
+        assert len(cert.frontier) == 3
+        assert verify_transversal(cert.transversal, fam3)
+
+
 def test_constant_too_small(pipe2):
     g0, g1 = pipe2
     m = section_map(g0, mode="first", g1=g1)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -14,18 +15,28 @@ from coarsegeom import (
     LabeledMetricGraph,
     NotCoarselySurjective,
     QuasiMap,
+    SetFamily,
     Vertex,
     build_collapse_map,
+    build_gamma0,
+    build_gamma1,
     compose,
     distance,
     half_net,
     minimal_qi_constant,
     restrict_map,
     scale_metric,
+    section_map,
     snap_to_domain,
     verify_quasi_isometry,
 )
-from coarsegeom.coarse_maps import SurjectivityViolation, surjectivity_radius
+from coarsegeom.coarse_maps import (
+    SurjectivityViolation,
+    _first_violation,
+    _kernel_side,
+    _scaled_pairs,
+    surjectivity_radius,
+)
 
 H = Fraction(1, 2)
 
@@ -164,48 +175,66 @@ def rational_maps(draw):
     return QuasiMap(src, tgt, [(p, draw(graph_points(tgt))) for p in dom])
 
 
-def brute_qi(m, n, mode, seed=None, count=None):
-    """(radius, radius witness, pairs checked, pair witness) of a QI check,
-    from Floyd-Warshall and point_distance only."""
-    fs, ft = oracles.floyd_warshall(m.source), oracles.floyd_warshall(m.target)
-    images = [q for _, q in m.assignments]
-    radius, far = Fraction(0), None
-    for x in half_net(m.target):
-        d = min(oracles.point_distance(m.target, ft, x, q) for q in images)
-        if d > radius:
-            radius, far = d, x
-    if radius > n:
-        return radius, far, 0, None
-    pairs = [pq for pq in m.assignments
-             if mode != "vertex-exhaustive" or isinstance(pq[0], Vertex)]
-    if mode != "sampled":
-        order = [(i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))]
-    elif len(pairs) < 2:
-        order = []
-    else:
-        rng = random.Random(seed)
-        order = [rng.sample(range(len(pairs)), 2) for _ in range(count)]
-    for checked, (i, j) in enumerate(order, 1):
-        (p, fp), (q, fq) = pairs[i], pairs[j]
-        ds = oracles.point_distance(m.source, fs, p, q)
-        dt = oracles.point_distance(m.target, ft, fp, fq)
-        if not ds / n - n <= dt <= n * ds + n:
-            return radius, far, checked, (p, q, ds, dt)
-    return radius, far, len(order), None
+class BruteQi:
+    """QI checks from Floyd-Warshall and point_distance only.  Calling it
+    with (n, mode, seed, count) gives (radius, radius witness, pairs
+    checked, pair witness); the tables, the radius and each pair's
+    distances are computed once per map."""
+
+    def __init__(self, m, fs=None, ft=None):
+        self.m = m
+        self.fs = oracles.floyd_warshall(m.source) if fs is None else fs
+        self.ft = oracles.floyd_warshall(m.target) if ft is None else ft
+        images = {q for _, q in m.assignments}
+        self.radius, self.far = Fraction(0), None
+        for x in half_net(m.target):
+            d = None
+            for q in images:
+                e = oracles.point_distance(m.target, self.ft, x, q)
+                if e <= self.radius:
+                    break  # then x cannot raise the radius
+                d = e if d is None else min(d, e)
+            else:
+                self.radius, self.far = d, x
+        self.dists = {}
+
+    def pair(self, a, b):
+        """(source distance, target distance) of two assignments."""
+        key = a[0], b[0]
+        if key not in self.dists:
+            self.dists[key] = (
+                oracles.point_distance(self.m.source, self.fs, a[0], b[0]),
+                oracles.point_distance(self.m.target, self.ft, a[1], b[1]),
+            )
+        return self.dists[key]
+
+    def __call__(self, n, mode, seed=None, count=None):
+        radius, far = self.radius, self.far
+        if radius > n:
+            return radius, far, 0, None
+        pairs = [pq for pq in self.m.assignments
+                 if mode != "vertex-exhaustive" or isinstance(pq[0], Vertex)]
+        if mode != "sampled":
+            order = [(i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))]
+        elif len(pairs) < 2:
+            order = []
+        else:
+            rng = random.Random(seed)
+            order = [rng.sample(range(len(pairs)), 2) for _ in range(count)]
+        for checked, (i, j) in enumerate(order, 1):
+            ds, dt = self.pair(pairs[i], pairs[j])
+            if not ds / n - n <= dt <= n * ds + n:
+                return radius, far, checked, (pairs[i][0], pairs[j][0], ds, dt)
+        return radius, far, len(order), None
 
 
-@settings(derandomize=True, max_examples=80, deadline=None, database=None)
-@given(rational_maps(), st.integers(1, 3), st.integers(0, 2**16))
-def test_pair_kernel_matches_oracles(m, n, seed):
-    for g, pts in ((m.source, m.domain()), (m.target, [q for _, q in m.assignments])):
-        fw = oracles.floyd_warshall(g)
-        for p in pts:
-            for q in pts:
-                assert distance(g, p, q) == oracles.point_distance(g, fw, p, q)
+def assert_qi_matches_oracle(m, n, seed, brute):
+    """Every mode of verify_quasi_isometry at constant n, and
+    minimal_qi_constant, agree with the brute-force checks."""
     for mode in ("exhaustive", "vertex-exhaustive", "sampled"):
         count = 12 if mode == "sampled" else None
         cert = verify_quasi_isometry(m, n, mode=mode, seed=seed, count=count)
-        radius, far, checked, bad = brute_qi(m, n, mode, seed, count)
+        radius, far, checked, bad = brute(n, mode, seed, count)
         assert cert.surjectivity_radius == radius
         assert cert.pairs_checked == checked
         if radius > n:
@@ -216,11 +245,124 @@ def test_pair_kernel_matches_oracles(m, n, seed):
             (v,) = cert.violations
             assert (v.x, v.y, v.d_source, v.d_target) == bad
     best = minimal_qi_constant(m)
-    radius, _, _, bad = brute_qi(m, best, "exhaustive")
+    radius, _, _, bad = brute(best, "exhaustive")
     assert radius <= best and bad is None
     if best > 1:
-        r, _, _, bad = brute_qi(m, best - 1, "exhaustive")
+        r, _, _, bad = brute(best - 1, "exhaustive")
         assert r > best - 1 or bad is not None
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(rational_maps(), st.integers(1, 3), st.integers(0, 2**16))
+def test_pair_kernel_matches_oracles(m, n, seed):
+    for g, pts in ((m.source, m.domain()), (m.target, [q for _, q in m.assignments])):
+        fw = oracles.floyd_warshall(g)
+        for p in pts:
+            for q in pts:
+                assert distance(g, p, q) == oracles.point_distance(g, fw, p, q)
+    assert_qi_matches_oracle(m, n, seed, BruteQi(m))
+
+
+# Builder graphs have a closed form, so on them the kernel skips the pairs
+# the triangle inequality certifies: these maps exercise the skips.
+GAMMA_FAMILIES = ((("a",), ("b",)), (("a", "b"),), (("a", "b"), ("c",)))
+GAMMA_ORACLES = {}
+
+
+@functools.lru_cache(maxsize=None)
+def gamma_pair(lists, depth):
+    """Both builder graphs of a family at a depth and their Floyd-Warshall
+    tables, built once per test session."""
+    fam = SetFamily.of_lists(lists)
+    g0, g1 = build_gamma0(fam, depth), build_gamma1(fam, depth)
+    return g0, g1, oracles.floyd_warshall(g0.graph), oracles.floyd_warshall(g1)
+
+
+@st.composite
+def gamma_maps(draw):
+    """A seeded section or the collapse map with one to three images moved
+    to random vertices or interior points, often late in domain order, so
+    that a moved point lies far from its neighbours' images; returned with
+    the (source, target) Floyd-Warshall tables."""
+    depth = draw(st.sampled_from((5, 8, 13, 21, 40)))
+    lists = draw(st.sampled_from(GAMMA_FAMILIES[:1] if depth == 40 else GAMMA_FAMILIES))
+    g0, g1, fw0, fw1 = gamma_pair(lists, depth)
+    if depth <= 13 and draw(st.booleans()):
+        m, fws = build_collapse_map(g0, g1), (fw0, fw1)
+    else:
+        m = section_map(g0, mode="seeded", seed=draw(st.integers(0, 2**16)), g1=g1)
+        fws = fw1, fw0
+    pairs = list(m.assignments)
+    last = len(pairs) - 1
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, last) | st.integers(last - 8, last))
+        pairs[i] = pairs[i][0], draw(graph_points(m.target))
+    return QuasiMap(m.source, m.target, pairs), fws
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(gamma_maps(), st.integers(1, 6), st.integers(0, 2**16))
+def test_pair_kernel_skips_exactly_on_builder_graphs(m_fws, n, seed):
+    m, (fs, ft) = m_fws
+    # the builder graphs are shared, so equal maps share one oracle
+    key = id(m.source), id(m.target), m.assignments
+    if key not in GAMMA_ORACLES:
+        GAMMA_ORACLES[key] = BruteQi(m, fs, ft)
+    assert_qi_matches_oracle(m, n, seed, GAMMA_ORACLES[key])
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def kernel_reads(m, n):
+    """(pairs read, pairs in all) of one kernel scan of m at constant n."""
+    pairs = list(m.assignments)
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    cols, row, steps = _kernel_side(src, ks, ps)
+    cols = CountingList(cols)
+    assert _first_violation((cols, row, steps), _kernel_side(tgt, kt, pt), n, s, (0, 1)) is None
+    return cols.reads, len(pairs) * (len(pairs) - 1) // 2
+
+
+def test_kernel_skips_only_with_a_closed_form(fam2):
+    g0 = build_gamma0(fam2, 100)
+    m = section_map(g0, mode="seeded", seed=4)
+    read, total = kernel_reads(m, 4)
+    assert read < total // 10
+    # the same map between constructor-built copies of the graphs is
+    # scanned densely, since their steps would cost searches
+    src, tgt = (LabeledMetricGraph(list(g.vertex_labels.items()), g.edges)
+                for g in (m.source, m.target))
+    copy = QuasiMap(src, tgt, m.assignments)
+    assert kernel_reads(copy, 4) == (total, total)
+
+
+def test_early_rejection_searches_one_row():
+    """On a constructor graph a rejection at pair (0, 7) reads, and caches,
+    the one row a dense scan reads."""
+    size = 1500
+    g = path_graph(size)
+    img = [size - 1 if i == 7 else i for i in range(size)]
+    m = QuasiMap(g, g, [(Vertex(i), Vertex(img[i])) for i in range(size)])
+    cert = verify_quasi_isometry(m, 1)
+    # dense reference: distances on a path are differences of ids
+    pairs = ((i, j) for i in range(size) for j in range(i + 1, size))
+    checked, (i, j) = next(
+        (c, (i, j)) for c, (i, j) in enumerate(pairs, 1)
+        if not abs(i - j) - 1 <= abs(img[i] - img[j]) <= abs(i - j) + 1
+    )
+    (v,) = cert.violations
+    assert (i, j) == (0, 7)
+    assert (v.x, v.y) == (Vertex(i), Vertex(j))
+    assert cert.pairs_checked == checked
+    assert len(g._rows) == 1
 
 
 def test_rejected_certificate_counts_pairs_to_witness():

@@ -1,7 +1,6 @@
 """The narrative demos run to completion.
 
 Each demo is a script; it runs in a subprocess against the source tree.
-The choice-extraction demo takes seconds and is left to its own runs.
 """
 
 import os
@@ -14,9 +13,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "demo", ["demo_gamma_graphs.py", "demo_hyperbolicity.py", "demo_quasi_inverse.py"]
-)
+@pytest.mark.parametrize("demo", [
+    "demo_choice_extraction.py",
+    "demo_gamma_graphs.py",
+    "demo_hyperbolicity.py",
+    "demo_quasi_inverse.py",
+])
 def test_demo_exits_0(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
