@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coarse_maps import QuasiMap, restrict_map, verify_quasi_isometry
+from .coarse_maps import QuasiMap, _distance_rows, restrict_map, verify_quasi_isometry
 from .errors import (
     ArmCollision,
     ConstantTooSmall,
@@ -31,7 +31,7 @@ from .gamma_spaces import (
     classify_point,
     gamma1_vertex_id,
 )
-from .metric_graph import HALF, Interior, Vertex, _point_scale, _scaled_point, distance
+from .metric_graph import HALF, Interior, Vertex, distance
 from .tree_ops import assert_tree, prune_k
 
 
@@ -114,19 +114,16 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     if pruned.n_vertices == 0:
         raise DepthError(f"{k} pruning rounds emptied the domain tree")
     r = restrict_map(m, pruned)
-    # images' distances to the base in units of 1/(ks*L), from one row
-    g, row0 = g0.graph, g0.graph._row(0)
-    ks = _point_scale(g, (img for _, img in r.assignments))
+    unit, rows = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in r.assignments])
     near = set()
-    for w, img in r.assignments:
-        to_base = min(row0[g._index[v]] * ks + c for v, c in _scaled_point(g, img, ks)[1])
-        if to_base <= n * ks * g._scale:
+    for (w, _), d in zip(r.assignments, next(rows)):
+        if d <= n * unit:
             near.update(_half_vertex_candidates(pruned, w))
     if not near:
         raise DepthError("no surviving domain point maps within the constant "
                          "of the base")
     root = min(near)
-    if distance(g, r.image_of(Vertex(root)), Vertex(0)) > 3 * n:
+    if distance(g0.graph, r.image_of(Vertex(root)), Vertex(0)) > 3 * n:
         raise NotQuasiIsometry(
             "root image strays beyond three constants from the base, which "
             f"an accepted constant-{n} certificate rules out"

@@ -36,7 +36,6 @@ from .metric_graph import (
     _point_scale,
     _scaled_distance,
     _scaled_point,
-    distance,
     point_key,
     validate_point,
 )
@@ -348,29 +347,66 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
             best += 1
 
 
-def snap_to_domain(g: LabeledMetricGraph, q: GraphPoint, points) -> GraphPoint:
-    """Nearest of ``points`` to q in g; distance ties break toward the
-    smaller point in the canonical point order."""
-    best = None
-    for x in points:
-        d = distance(g, q, x)
-        key = (d,) + point_key(x)
-        if best is None or key < best[0]:
-            best = (key, x)
-    if best is None:
+def _distance_rows(g, sources, targets):
+    """(k*L, rows), k one scale for all the points: row by row, each
+    source's integer distances to all targets in units of 1/(k*L), read
+    from the engine rows of its entry vertices at the targets' entry
+    vertices, raising DisconnectedGraph where a read entry is -1."""
+    k = _point_scale(g, (*sources, *targets))
+    ix, cols, ends, on_edge = g._index, {}, [], {}
+    for t, q in enumerate(targets):
+        edge, entries = _scaled_point(g, q, k)
+        (a, ca), (b, cb) = entries[0], entries[-1]  # one entry twice for a vertex
+        i, j = cols.setdefault(ix[a], len(cols)), cols.setdefault(ix[b], len(cols))
+        ends.append((i, ca, j, cb))
+        if edge is not None:
+            on_edge.setdefault(edge, []).append((t, ca))
+
+    def rows():
+        for p in sources:
+            edge, entries = _scaled_point(g, p, k)
+            near = None
+            for a, ca in entries:
+                r = g._row(a)
+                part = [r[i] for i in cols]
+                if -1 in part:
+                    raise DisconnectedGraph(f"vertex {a} does not reach every target")
+                part = [d * k + ca for d in part]
+                near = part if near is None else list(map(min, near, part))
+            row = [min(near[i] + ci, near[j] + cj) for i, ci, j, cj in ends]
+            for t, c in on_edge.get(edge, ()):
+                row[t] = min(row[t], abs(entries[0][1] - c))
+            yield row
+
+    return k * g._scale, rows()
+
+
+def _snap(g, queries, points):
+    """snap_to_domain for every query: each row's first least entry in point_key order."""
+    net = sorted(points, key=point_key)
+    if queries and not net:
         raise InvalidPoint("cannot snap onto an empty net")
-    return best[1]
+    return [net[row.index(min(row))] for row in _distance_rows(g, queries, net)[1]]
+
+
+def snap_to_domain(g: LabeledMetricGraph, q: GraphPoint, points) -> GraphPoint:
+    """Nearest of ``points`` to q in g on a row of integer distances; ties
+    break toward the smaller point in the canonical point order.  Raises
+    DisconnectedGraph when q and a point lie in different components."""
+    points = list(points)
+    for p in (q, *points):
+        validate_point(g, p)
+    return _snap(g, [q], points)[0]
 
 
 def compose(m2: QuasiMap, m1: QuasiMap) -> QuasiMap:
-    """m2 after m1; images of m1 are snapped onto m2's domain first."""
+    """m2 after m1; images of m1 are snapped onto m2's domain on integer
+    distance rows, ties toward the smaller point key, DisconnectedGraph
+    where an image and a domain point lie in different components."""
     if not m1.target.same_structure(m2.source):
         raise GraphMismatch("middle graphs of the composition differ")
-    dom2 = m2.domain()
-    out = []
-    for p, q in m1.assignments:
-        snapped = snap_to_domain(m1.target, q, dom2)
-        out.append((p, m2.image_of(snapped)))
+    snapped = _snap(m1.target, [q for _, q in m1.assignments], m2.domain())
+    out = [(p, m2.image_of(x)) for (p, _), x in zip(m1.assignments, snapped)]
     return QuasiMap(m1.source, m2.target, out)
 
 

@@ -11,11 +11,12 @@ from typing import Optional
 from .coarse_maps import (
     QiCertificate,
     QuasiMap,
+    _distance_rows,
+    compose,
     minimal_qi_constant,
-    snap_to_domain,
     verify_quasi_isometry,
 )
-from .errors import EmptyPreimage, NotATree
+from .errors import EmptyPreimage, GraphMismatch, NotATree
 from .metric_graph import (
     GraphPoint,
     LabeledMetricGraph,
@@ -149,10 +150,11 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     """A coarse inverse of an n-quasi-isometry out of a finite tree.
 
     Each half-net point x of the target collects the domain points whose
-    image lies within n of x, and is sent to the meet of that preimage
-    cloud relative to the root z (the smallest vertex by default).  The
-    result is checked exhaustively against the 9n^2 constant and its true
-    minimal constant is computed.
+    image lies within n of x, read off one integer distance row per x
+    (DisconnectedGraph where x and an image lie in different components),
+    and is sent to the meet of that preimage cloud relative to the root z
+    (the smallest vertex by default).  The result is checked exhaustively
+    against the 9n^2 constant and its true minimal constant is computed.
     """
     if n < 1:
         raise ValueError("constant must be >= 1")
@@ -160,12 +162,13 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     assert_tree(tree)
     if z is None:
         z = Vertex(min(tree.vertex_ids()))
-    images = [(y, f.image_of(y)) for y in f.domain()]
+    net = half_net(f.target)
+    unit, rows = _distance_rows(f.target, net, [q for _, q in f.assignments])
     assignments = []
-    for x in half_net(f.target):
+    for x, row in zip(net, rows):
         m = None
-        for y, fy in images:
-            if distance(f.target, fy, x) <= n:
+        for (y, _), d in zip(f.assignments, row):
+            if d <= n * unit:
                 m = y if m is None else _median(tree, z, m, y)
         if m is None:
             raise EmptyPreimage(f"no image within {n} of {x}")
@@ -177,13 +180,11 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
 
 
 def round_trip_max(f: QuasiMap, g: QuasiMap) -> Fraction:
-    """Largest displacement of going forward through f and back through g,
-    snapping images onto g's domain."""
-    gdom = g.domain()
-    best = Fraction(0)
-    for y in f.domain():
-        x = snap_to_domain(f.target, f.image_of(y), gdom)
-        d = distance(f.source, y, g.image_of(x))
-        if d > best:
-            best = d
-    return best
+    """Largest displacement d(y, x) over compose(g, f), going forward through
+    f and back through g: snapping is on integer rows, ties toward the
+    smaller point key, DisconnectedGraph where compose raises it.  Raises
+    GraphMismatch unless g maps f's target back to f's source."""
+    if not g.target.same_structure(f.source):
+        raise GraphMismatch("g does not map back to the source of f")
+    trips = compose(g, f).assignments
+    return max((distance(f.source, y, x) for y, x in trips), default=Fraction(0))

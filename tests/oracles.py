@@ -74,6 +74,17 @@ def point_distance(g, fw, p, q):
     return best
 
 
+def point_order(p):
+    """The canonical point order: vertices by id, then interior points by
+    (edge id, offset)."""
+    return (0, p.id, ZERO) if isinstance(p, Vertex) else (1, p.edge, p.offset)
+
+
+def nearest_point(g, fw, q, points):
+    """The point nearest q, ties toward the smaller point in point_order."""
+    return min(points, key=lambda x: (point_distance(g, fw, q, x), point_order(x)))
+
+
 def enumerate_geodesics_dfs(g, p, q, fw=None):
     """All shortest paths between two points (an int stands for a vertex)
     as (vertex_seq, edge_id_seq), routed through each point's entry
@@ -200,6 +211,24 @@ def brute_tree_median(g, x, y, z):
     if len(hits) != 1:
         raise AssertionError(f"median candidates: {hits!r}")
     return hits[0]
+
+
+def brute_quasi_inverse(f, n, z):
+    """The assignments of the coarse inverse of f, a map out of a tree:
+    each vertex and edge midpoint x of f's target, in point_order, paired
+    with the median fold relative to z of the domain points whose images
+    lie within n of x, or with None where no image does."""
+    ft = floyd_warshall(f.target)
+    net = [Vertex(v) for v in f.target.vertex_ids()]
+    net += [Interior(e.id, Fraction(1, 2)) for e in f.target.edges]
+    out = []
+    for x in sorted(net, key=point_order):
+        m = None
+        for y, fy in f.assignments:
+            if point_distance(f.target, ft, fy, x) <= n:
+                m = y if m is None else brute_tree_median(f.source, z, m, y)
+        out.append((x, m))
+    return out
 
 
 def surviving_vertex_partition(g, center, radius):

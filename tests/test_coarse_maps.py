@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import path_graph, random_tree
 from coarsegeom import (
+    DisconnectedGraph,
     DomainNotNet,
+    EmptyPreimage,
     Interior,
     InvalidPoint,
     LabeledMetricGraph,
@@ -24,7 +26,9 @@ from coarsegeom import (
     distance,
     half_net,
     minimal_qi_constant,
+    quasi_inverse,
     restrict_map,
+    round_trip_max,
     scale_metric,
     section_map,
     snap_to_domain,
@@ -32,6 +36,7 @@ from coarsegeom import (
 )
 from coarsegeom.coarse_maps import (
     SurjectivityViolation,
+    _distance_rows,
     _first_violation,
     _kernel_side,
     _scaled_pairs,
@@ -409,6 +414,108 @@ def test_snap_ties_break_lexicographically():
     assert snap_to_domain(g, Vertex(2), pts) == Vertex(2)
     mid = Interior(1, H)
     assert snap_to_domain(g, mid, [Vertex(0), mid]) == mid
+
+
+def test_snap_on_a_disconnected_graph():
+    # two components: 0-1 and 2-3
+    g = LabeledMetricGraph(range(4), [(0, 0, 1, 1), (1, 2, 3, 1)])
+    # only rows between points of one component are read
+    assert snap_to_domain(g, Vertex(0), [Vertex(1)]) == Vertex(1)
+    third = Interior(0, Fraction(1, 3))
+    assert snap_to_domain(g, third, [Vertex(0), Interior(0, H)]) == Interior(0, H)
+    with pytest.raises(DisconnectedGraph):
+        snap_to_domain(g, Vertex(0), [Vertex(1), Vertex(2)])
+    m1 = QuasiMap(g, g, [(Vertex(0), Vertex(0))])
+    m2 = QuasiMap(g, g, [(Vertex(1), Vertex(1)), (Vertex(2), Vertex(2))])
+    with pytest.raises(DisconnectedGraph):
+        compose(m2, m1)
+
+
+# -- snapping and coarse inverses against the oracles ----------------------
+
+
+@st.composite
+def snap_cases(draw):
+    """A graph, its Floyd-Warshall table, a query and points to snap it
+    onto: drawn with repeats, joined by every candidate at the least
+    distance among them so that the least distance is often tied, and
+    shuffled."""
+    g = draw(rational_graphs())
+    fw = oracles.floyd_warshall(g)
+    q = draw(graph_points(g))
+    pool = [Vertex(v) for v in g.vertex_ids()]
+    pool += [Interior(e.id, t) for e in g.edges for t in OFFSETS]
+    pts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    least = min(oracles.point_distance(g, fw, q, x) for x in pts)
+    pts += [x for x in pool if oracles.point_distance(g, fw, q, x) == least]
+    return g, fw, q, draw(st.permutations(pts))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(snap_cases(), st.booleans())
+def test_snap_matches_oracle(case, lazy):
+    g, fw, q, pts = case
+    unit, rows = _distance_rows(g, [q], pts)
+    want = [oracles.point_distance(g, fw, q, x) for x in pts]
+    assert [Fraction(d, unit) for d in next(rows)] == want
+    got = snap_to_domain(g, q, iter(pts) if lazy else pts)
+    assert got == oracles.nearest_point(g, fw, q, pts)
+
+
+@st.composite
+def round_trips(draw):
+    """A rational map f and a map back from f's target to f's source over
+    the target's vertices and some interior points."""
+    f = draw(rational_maps())
+    back = [Vertex(v) for v in f.target.vertex_ids()]
+    for e in f.target.edges:
+        offsets = st.lists(st.sampled_from(OFFSETS), max_size=2, unique=True)
+        back += [Interior(e.id, t) for t in draw(offsets)]
+    return f, QuasiMap(f.target, f.source, [(p, draw(graph_points(f.source))) for p in back])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(round_trips())
+def test_round_trip_and_compose_match_oracle(fg):
+    f, g = fg
+    fs, ft = oracles.floyd_warshall(f.source), oracles.floyd_warshall(f.target)
+    there_and_back = [
+        (y, g.image_of(oracles.nearest_point(f.target, ft, fy, g.domain())))
+        for y, fy in f.assignments
+    ]
+    assert compose(g, f).assignments == tuple(there_and_back)
+    want = max(oracles.point_distance(f.source, fs, y, x) for y, x in there_and_back)
+    assert round_trip_max(f, g) == want
+
+
+@st.composite
+def tree_maps(draw):
+    """A rational tree T, a constant n in 1..3, a map from T to T scaled by
+    n that moves up to two vertex images to random points, and a root."""
+    n, size = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    edges = [
+        (i - 1, draw(st.integers(0, i - 1)), i, draw(st.sampled_from(LENGTHS)))
+        for i in range(1, size)
+    ]
+    tree = LabeledMetricGraph(range(size), edges)
+    big = scale_metric(tree, n)
+    image = {v: Vertex(v) for v in tree.vertex_ids()}
+    for v in draw(st.lists(st.sampled_from(tree.vertex_ids()), max_size=2)):
+        image[v] = draw(graph_points(big))
+    f = QuasiMap(tree, big, [(Vertex(v), q) for v, q in image.items()])
+    return f, n, Vertex(draw(st.sampled_from(tree.vertex_ids())))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(tree_maps())
+def test_quasi_inverse_matches_oracle(case):
+    f, n, z = case
+    want = oracles.brute_quasi_inverse(f, n, z)
+    if any(m is None for _, m in want):
+        with pytest.raises(EmptyPreimage):
+            quasi_inverse(f, n, z)
+    else:
+        assert quasi_inverse(f, n, z).map.assignments == tuple(want)
 
 
 def test_compose_slack(g0_d3, g1_d3):

@@ -12,6 +12,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# result lines a demo must print, beyond exiting 0
+RESULT_LINES = {
+    "demo_quasi_inverse.py": (
+        "verified: True",
+        "actual minimal constant: 2",
+        "= 1 <= 3n^2 = 12",
+        "moves 7 of 27 values",
+    ),
+}
+
 
 @pytest.mark.parametrize("demo", [
     "demo_choice_extraction.py",
@@ -26,3 +36,5 @@ def test_demo_exits_0(demo):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr
+    for line in RESULT_LINES.get(demo, ()):
+        assert line in out.stdout

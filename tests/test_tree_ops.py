@@ -7,6 +7,7 @@ import oracles
 from conftest import path_graph, random_tree
 from coarsegeom import (
     EmptyPreimage,
+    GraphMismatch,
     Interior,
     LabeledMetricGraph,
     NotATree,
@@ -15,6 +16,7 @@ from coarsegeom import (
     Vertex,
     assert_tree,
     build_gamma1,
+    compose,
     half_net,
     meet_fold,
     prune_k,
@@ -196,6 +198,21 @@ def test_quasi_inverse_scaled_trees():
         assert res.certificate.accepted
         assert res.minimal_constant <= res.bound
         assert round_trip_max(f, res.map) <= 3 * n * n
+
+
+def test_round_trip_max_needs_maps_that_compose():
+    path = path_graph(4)
+    star = LabeledMetricGraph(range(4), [(0, 0, 1, 1), (1, 0, 2, 1), (2, 0, 3, 1)])
+    f = QuasiMap(path, path, [(Vertex(i), Vertex(i)) for i in range(4)])
+    g = QuasiMap(star, star, [(Vertex(i), Vertex(i)) for i in range(4)])
+    with pytest.raises(GraphMismatch):
+        compose(g, f)
+    with pytest.raises(GraphMismatch):
+        round_trip_max(f, g)
+    # g leaves from f's target but does not come back to f's source
+    into_star = QuasiMap(path, star, [(Vertex(i), Vertex(i)) for i in range(4)])
+    with pytest.raises(GraphMismatch):
+        round_trip_max(into_star, g)
 
 
 def test_quasi_inverse_root_override():
