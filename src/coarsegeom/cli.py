@@ -262,6 +262,8 @@ def _cmd_extract_choice(args):
     if not isinstance(sec, dict) or "mode" not in sec:
         raise SchemaError('a section spec is {"mode":...} with optional "seed"')
     mode, seed = sec["mode"], sec.get("seed")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise SchemaError(f'a section "seed" must be an integer, got {seed!r}')
     if args.adversarial_seed is not None:
         mode, seed = "seeded", args.adversarial_seed
     need = required_gamma0_depth(args.constant)

@@ -25,6 +25,7 @@ from .metric_graph import (
     Interior,
     LabeledMetricGraph,
     Vertex,
+    _farthest,
     ball_complement_components,
     canonical_geodesic,
     distance,
@@ -79,26 +80,14 @@ def _side_sup(g, probe, union):
     Probes are the carrier vertices and the midpoints of carrier edges not
     in the union.  A midpoint must exit its edge through an endpoint, and
     the nearest union point is always a union vertex, so its distance is
-    exactly len/2 + min over the two endpoints.
+    exactly len/2 + min over the two endpoints.  The search stays at
+    scale 1, where it reuses the graph's adjacency.
     """
     pverts, pedges = probe
     uverts, uedges = union
     ueids = {e.id for e in uedges}
-    ix = g._index
-    du = g._search([(0, ix[v]) for v in uverts])
-    # doubled units of 1/L, so half an edge is whole
-    best, bp = 0, None
-    for w in pverts:
-        d = 2 * du[ix[w]]
-        if d > best:
-            best, bp = d, Vertex(w)
-    for e in pedges:
-        if e.id in ueids:
-            continue
-        val = g._ilen[e.id] + 2 * min(du[ix[e.u]], du[ix[e.v]])
-        if val > best:
-            best, bp = val, Interior(e.id, HALF)
-    return Fraction(best, 2 * g._scale), bp
+    du = g._search([(0, g._index[v]) for v in uverts])
+    return _farthest(g, 1, du, {}, pverts, [e for e in pedges if e.id not in ueids])
 
 
 def _check_count(count):

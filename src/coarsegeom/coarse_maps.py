@@ -28,11 +28,11 @@ from .errors import (
     NotCoarselySurjective,
 )
 from .metric_graph import (
-    HALF,
     GraphPoint,
-    Interior,
     LabeledMetricGraph,
     Vertex,
+    _farthest,
+    _point_rows,
     _point_scale,
     _scaled_distance,
     _scaled_point,
@@ -134,10 +134,8 @@ def surjectivity_radius(m: QuasiMap):
     together with the witness point attaining it."""
     tgt = m.target
     images = [q for _, q in m.assignments]
-    # distances in units of 1/(k*L), k even so edge midpoints are whole
-    k = 2 * _point_scale(tgt, images)
-    seeds = []
-    on_edge = {}
+    k = _point_scale(tgt, images)
+    seeds, on_edge = [], {}
     for q in images:
         edge, entries = _scaled_point(tgt, q, k)
         seeds.extend((c, tgt._index[v]) for v, c in entries)
@@ -146,19 +144,8 @@ def surjectivity_radius(m: QuasiMap):
     dist = tgt._search(seeds, k)
     if min(dist, default=0) < 0:
         raise DisconnectedGraph("target must be connected")
-    radius, witness = 0, None
-    for vid, d in zip(tgt.vertex_ids(), dist):
-        if d > radius:
-            radius, witness = d, Vertex(vid)
-    ix = tgt._index
-    for e in sorted(tgt.edges, key=lambda e: e.id):
-        half = tgt._ilen[e.id] * k // 2
-        d = min(dist[ix[e.u]], dist[ix[e.v]]) + half
-        for pos in on_edge.get(e.id, ()):
-            d = min(d, abs(pos - half))
-        if d > radius:
-            radius, witness = d, Interior(e.id, HALF)
-    return Fraction(radius, k * tgt._scale), witness
+    return _farthest(tgt, k, dist, on_edge, tgt.vertex_ids(),
+                     sorted(tgt.edges, key=lambda e: e.id))
 
 
 def _scaled_pairs(m, pairs):
@@ -178,40 +165,14 @@ def _scaled_pairs(m, pairs):
 
 
 def _kernel_side(g, k, pts):
-    """One graph's half of the pair kernel: each point's column, a function
-    giving point i's row of distances to every column, and the steps, the
-    distances from each point to the next, in units of 1/(k*L).  Vertices
-    are columns by index; each distinct interior point gets a column after
-    them.  Only a closed form gives steps (else None): elsewhere each step
-    would search a row that the scan may never read."""
-    ix = g._index
-    extra = {}
-    cols = []
-    for edge, entries in pts:
-        if edge is None:
-            cols.append(ix[entries[0][0]])
-        else:
-            cols.append(extra.setdefault((edge, entries), len(ix) + len(extra)))
-
-    def row(i):
-        edge, entries = pts[i]
-        if edge is None:
-            r = g._row(entries[0][0])
-            if k != 1 or extra:  # a copy: rows from the engine are shared
-                r = [d * k for d in r]
-        else:
-            (u, cu), (v, cv) = entries
-            r = [min(a * k + cu, b * k + cv) for a, b in zip(g._row(u), g._row(v))]
-        for e2, ((u2, c2), (v2, c3)) in extra:
-            d = min(r[ix[u2]] + c2, r[ix[v2]] + c3)
-            if e2 == edge:
-                d = min(d, abs(entries[0][1] - c2))
-            r.append(d)
-        return r
-
+    """One graph's half of the pair kernel, in units of 1/(k*L): each
+    point's column and point i's row, from _point_rows, and the steps, the
+    distances from each point to the next.  Only a closed form gives steps
+    (else None): elsewhere each step would search a row the scan may skip."""
+    cols, row = _point_rows(g, k, pts)
     steps = ([_scaled_distance(g, k, x, y) for x, y in zip(pts, pts[1:])]
              if g._closed_form is not None else None)
-    return cols, row, steps
+    return cols, lambda i: row(pts[i]), steps
 
 
 def _first_violation(side_s, side_t, n, s, start):
@@ -349,34 +310,19 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
 
 def _distance_rows(g, sources, targets):
     """(k*L, rows), k one scale for all the points: row by row, each
-    source's integer distances to all targets in units of 1/(k*L), read
-    from the engine rows of its entry vertices at the targets' entry
-    vertices, raising DisconnectedGraph where a read entry is -1."""
+    source's integer distances to all targets in units of 1/(k*L) from
+    _point_rows, raising DisconnectedGraph where one does not reach."""
     k = _point_scale(g, (*sources, *targets))
-    ix, cols, ends, on_edge = g._index, {}, [], {}
-    for t, q in enumerate(targets):
-        edge, entries = _scaled_point(g, q, k)
-        (a, ca), (b, cb) = entries[0], entries[-1]  # one entry twice for a vertex
-        i, j = cols.setdefault(ix[a], len(cols)), cols.setdefault(ix[b], len(cols))
-        ends.append((i, ca, j, cb))
-        if edge is not None:
-            on_edge.setdefault(edge, []).append((t, ca))
+    cols, row = _point_rows(g, k, [_scaled_point(g, q, k) for q in targets])
 
     def rows():
         for p in sources:
-            edge, entries = _scaled_point(g, p, k)
-            near = None
-            for a, ca in entries:
-                r = g._row(a)
-                part = [r[i] for i in cols]
-                if -1 in part:
-                    raise DisconnectedGraph(f"vertex {a} does not reach every target")
-                part = [d * k + ca for d in part]
-                near = part if near is None else list(map(min, near, part))
-            row = [min(near[i] + ci, near[j] + cj) for i, ci, j, cj in ends]
-            for t, c in on_edge.get(edge, ()):
-                row[t] = min(row[t], abs(entries[0][1] - c))
-            yield row
+            _, entries = x = _scaled_point(g, p, k)
+            r = row(x)
+            out = [r[c] for c in cols]
+            if -1 in out:
+                raise DisconnectedGraph(f"vertex {entries[0][0]} does not reach every target")
+            yield out
 
     return k * g._scale, rows()
 

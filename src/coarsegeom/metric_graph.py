@@ -13,7 +13,10 @@ weights in units of 1/L, L the lcm of the edge-length denominators, whose
 single-source rows are cached per graph; graphs built with a closed-form
 metric answer from it instead.  Point distances scale the same integers
 by a factor that makes the points' offsets whole, and Fractions appear
-only where results leave the engine.
+only where results leave the engine.  One builder, _point_rows, turns
+engine rows into a point's row to every vertex and to the interior
+points of a net, and one sweep, _farthest, finds the farthest vertex or
+edge midpoint on a given row.
 """
 
 from __future__ import annotations
@@ -349,6 +352,68 @@ def _scaled_distance(g, k, x, y):
     return best
 
 
+def _point_rows(g, k, net):
+    """(cols, row), over net, a list of points from _scaled_point: row(x),
+    x such a point, gives x's integer distances in units of 1/(k*L) to
+    every vertex by index, then to each distinct interior point of net,
+    -1 exactly where x does not reach; cols[t] is net[t]'s column.  A vertex
+    at k == 1 with no interior columns gets the engine row itself, unwritten."""
+    ix, n, extra = g._index, g.n_vertices, {}
+    cols = [ix[entries[0][0]] if edge is None
+            else extra.setdefault((edge, entries), n + len(extra))
+            for edge, entries in net]
+    spans = [(ix[u], cu, ix[v], cv) for _, ((u, cu), (v, cv)) in extra]
+    on_edge = {}
+    for (edge, ((_, c), _)), col in extra.items():
+        on_edge.setdefault(edge, []).append((col, c))
+    holes = not g.is_connected()
+
+    def row(x):
+        edge, entries = x
+        (a, ca), (b, cb) = entries[0], entries[-1]
+        ra = g._row(a)
+        # p if (p := ...) < (q := ...) else q: min without a call per entry
+        if edge is not None:
+            r = [p if (p := d * k + ca) < (q := e * k + cb) else q
+                 for d, e in zip(ra, g._row(b))]
+        elif k != 1 or spans:
+            r = [d * k for d in ra]
+        else:
+            return ra
+        if holes:  # d * k + c would turn -1 into a reachable-looking entry
+            r = [d if e >= 0 else -1 for d, e in zip(r, ra)]
+        r += [p if (p := r[u] + cu) < (q := r[v] + cv) else q for u, cu, v, cv in spans]
+        if holes:
+            r[n:] = [d if r[u] >= 0 else -1 for d, (u, _, _, _) in zip(r[n:], spans)]
+        for t, c in on_edge.get(edge, ()):
+            r[t] = min(r[t], abs(ca - c))
+        return r
+
+    return cols, row
+
+
+def _farthest(g, k, dist, on_edge, verts, edges):
+    """(distance, point) of the farthest of verts and of the midpoints of
+    edges, by a row dist in units of 1/(k*L) and on_edge, each edge's
+    offsets in those units of points at 0.  Counted in doubled units, so
+    midpoints are whole: vertices, then midpoints, each in the given
+    order; the first maximum wins, and (0, None) means none is past 0."""
+    ix = g._index
+    best, point = 0, None
+    for w in verts:
+        d = 2 * dist[ix[w]]
+        if d > best:
+            best, point = d, Vertex(w)
+    for e in edges:
+        ln = g._ilen[e.id] * k
+        d = ln + 2 * min(dist[ix[e.u]], dist[ix[e.v]])
+        for pos in on_edge.get(e.id, ()):
+            d = min(d, abs(2 * pos - ln))
+        if d > best:
+            best, point = d, Interior(e.id, HALF)
+    return Fraction(best, 2 * k * g._scale), point
+
+
 def distance(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Exact shortest-path distance between two points."""
     validate_point(g, p)
@@ -391,9 +456,7 @@ def _geodesics(g, p, q):
     length = Fraction(total, k * g._scale)
     if ex is not None and ex == ey and abs(px[0][1] - py[0][1]) == total:
         yield Geodesic(p, q, (), (), length)
-    # distance still to go from each vertex, by index
-    rows = [(g._row(b), cb) for b, cb in py]
-    togo = [min(r[i] * k + cb for r, cb in rows) for i in range(g.n_vertices)]
+    togo = _point_rows(g, k, ())[1](y)  # distance still to go, by vertex index
     ends = dict(py)
     adj, index, ilen = g._adj, g._index, g._ilen
 
@@ -597,15 +660,12 @@ def _ball_cut(g, center, radius):
         raise ValueError("radius must be >= 0")
     k = lcm(_point_scale(g, (center,)), r.denominator // gcd(r.denominator, g._scale))
     rk = r.numerator * (k * g._scale // r.denominator)
-    center_edge, entries = _scaled_point(g, center, k)
+    center_edge, entries = point = _scaled_point(g, center, k)
+    row = _point_rows(g, k, ())[1](point)
+    if -1 in row:
+        raise DisconnectedGraph("graph must be connected")
     # how far the ball reaches past each vertex into its edges; < 0: alive
-    reach = None
-    for a, c in entries:
-        row = g._row(a)
-        if min(row) < 0:
-            raise DisconnectedGraph("graph must be connected")
-        part = [rk - c - d * k for d in row]
-        reach = part if reach is None else list(map(max, reach, part))
+    reach = [rk - d for d in row]
     alive = [x < 0 for x in reach]
     parent = list(range(len(reach)))
 
@@ -751,6 +811,8 @@ def multi_source_vertex_distances(g, seeds):
     (None where unreachable).
     """
     seeds = [(vid, Fraction(c)) for vid, c in seeds]
+    if any(vid not in g._index for vid, _ in seeds):
+        raise InvalidPoint("unknown vertex id")
     s = lcm(g._scale, *(c.denominator for _, c in seeds))
     dist = g._search(
         [(c.numerator * (s // c.denominator), g._index[vid]) for vid, c in seeds],

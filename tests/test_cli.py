@@ -356,6 +356,15 @@ def test_extract_choice_paths(capsys, tmp_path, fam_file):
                        "--depth", "944", "--constant", "4", "--section", str(bad))
     assert code == 2
 
+    # a seed that is not an integer is refused before any graph is built
+    # (the depth note comes first otherwise)
+    for seed in ([1], True, 1.5, "x"):
+        bad.write_text(canonical_dumps({"mode": "seeded", "seed": seed}))
+        code, _, err = run(capsys, "extract-choice", "--family", fam_file,
+                           "--depth", "20", "--constant", "4", "--section", str(bad))
+        assert code == 2
+        assert err == f'error: a section "seed" must be an integer, got {seed!r}\n'
+
     code, doc, _ = run(capsys, "extract-choice", "--family", fam_file,
                        "--depth", "944", "--constant", "4", "--section", str(sec))
     assert code == 0

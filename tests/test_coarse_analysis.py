@@ -41,6 +41,23 @@ def test_eight_cycle_report():
     assert r.witness == DeltaWitness(side=(0, 4), apex=1, point=Vertex(6), dist=Fraction(2))
 
 
+def test_delta_witnesses_are_pinned():
+    """The witness (side, apex, point) as well as the value, for a vertex
+    and for edge-midpoint witnesses on rational graphs."""
+    cases = [
+        (cycle_graph(8), DeltaWitness((0, 4), 1, Vertex(6), Fraction(2))),
+        (random_graph(3, 10, extra=8, rational=True),
+         DeltaWitness((2, 4), 7, Vertex(0), Fraction(3, 2))),
+        (random_graph(6, 10, extra=8, rational=True),
+         DeltaWitness((0, 6), 1, Interior(8, H), Fraction(7, 4))),
+        (random_graph(9, 9, extra=5, rational=True),
+         DeltaWitness((0, 6), 2, Interior(11, H), Fraction(3, 4))),
+    ]
+    for g, witness in cases:
+        r = slim_triangle_delta(g)
+        assert (r.delta_upper_observed, r.witness) == (witness.dist, witness)
+
+
 def test_trees_are_zero_thin():
     """A tree triangle is a tripod; every side stays inside the union."""
     for seed in range(6):

@@ -36,9 +36,13 @@ from coarsegeom import (
     surviving_vertex_path,
     validate_point,
 )
+from coarsegeom.coarse_maps import _distance_rows, _kernel_side
 from coarsegeom.metric_graph import (
     ComplementIndex,
     Fragment,
+    _point_rows,
+    _point_scale,
+    _scaled_point,
     complement_component_of,
     point_on_edge,
 )
@@ -210,6 +214,8 @@ def test_multi_source_distances():
     assert row[7] == 1
     assert row[4] == 4
     assert row[6] == 2
+    with pytest.raises(InvalidPoint):
+        multi_source_vertex_distances(g, [(0, Fraction(0)), (8, Fraction(0))])
 
 
 # -- geodesics ---------------------------------------------------------------
@@ -456,6 +462,75 @@ def test_geodesics_match_dfs_oracle(query):
                 continue
             with pytest.raises(NotAGeodesic):
                 check_geodesic(g, bad)
+
+
+@st.composite
+def point_row_cases(draw):
+    """A graph, half the time of two components (two drawn graphs side by
+    side), a point x, a net drawn with repeats that may hold points on x's
+    own edge, and a scale over the least.  Nets of vertices and of points
+    at whole units of 1/L keep the least scale at 1."""
+    g = draw(rational_graphs(SEP_LENGTHS, 3))
+    if draw(st.booleans()):
+        h = draw(rational_graphs(SEP_LENGTHS, 3))
+        n, m = g.n_vertices, g.n_edges
+        g = LabeledMetricGraph(range(n + h.n_vertices), g.edges + tuple(
+            Edge(m + e.id, n + e.u, n + e.v, e.length) for e in h.edges))
+    x = draw(st.sampled_from([Vertex(v) for v in g.vertex_ids()]) | interior_points(g))
+    pool = [Vertex(v) for v in g.vertex_ids()]
+    kind = draw(st.sampled_from(["vertices", "whole", "any"]))
+    if kind != "vertices":
+        pool += [Interior(e.id, Fraction(j, g._ilen[e.id]))
+                 for e in g.edges for j in range(1, g._ilen[e.id])]
+        if isinstance(x, Interior):
+            pool += [Interior(x.edge, t) for t in SEP_OFFSETS] * 3
+    if kind == "any":
+        pool += [Interior(e.id, t) for e in g.edges for t in SEP_OFFSETS]
+    net = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return g, x, net, _point_scale(g, (x, *net)) * draw(st.sampled_from([1, 1, 2, 3]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(point_row_cases())
+def test_point_rows_match_oracle(case):
+    g, x, net, k = case
+    fw = oracles.floyd_warshall(g)
+
+    def want(q):
+        try:
+            return oracles.point_distance(g, fw, x, q) * k * g._scale
+        except ValueError:  # q lies in the other component
+            return -1
+
+    pts = [_scaled_point(g, q, k) for q in net]
+    cols, row = _point_rows(g, k, pts)
+    r = row(_scaled_point(g, x, k))
+    n = g.n_vertices
+    assert len(r) == n + len({q for q in net if isinstance(q, Interior)})
+    assert list(r[:n]) == [want(Vertex(v)) for v in g.vertex_ids()]
+    assert [r[c] for c in cols] == [want(q) for q in net]
+
+    # the other readers of the engine rows leave the cached rows as searched
+    for q in net:
+        if want(q) >= 0:
+            canonical_geodesic(g, x, q)
+    if -1 in r:
+        with pytest.raises(DisconnectedGraph):
+            ball_complement_components(g, x, H)
+    else:
+        ball_complement_components(g, x, H)
+    _, kernel_row, _ = _kernel_side(g, k, pts)
+    for i in range(len(pts)):
+        kernel_row(i)
+    _, rows = _distance_rows(g, [x], net)
+    if -1 in [want(q) for q in net]:
+        with pytest.raises(DisconnectedGraph):
+            next(rows)
+    else:
+        next(rows)
+    assert g._rows
+    for src, cached in g._rows.items():
+        assert cached == g._search(((0, g._index[src]),))
 
 
 def test_is_separated_checks_its_inputs():
