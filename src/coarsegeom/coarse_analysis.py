@@ -20,20 +20,20 @@ from typing import Optional
 from .errors import DisconnectedGraph
 from .metric_graph import (
     HALF,
+    ONE,
     ZERO,
     GraphPoint,
     Interior,
     LabeledMetricGraph,
     Vertex,
+    _avoiding_path,
     _farthest,
-    ball_complement_components,
     canonical_geodesic,
     distance,
     geodesic_segments,
     half_net,
     is_separated,
     point_along,
-    surviving_vertex_path,
 )
 
 
@@ -186,11 +186,9 @@ class BottleneckReport:
 
 
 def _not_separated_witness(g, x, y, probe, radius):
-    idx = ball_complement_components(g, probe, radius)
-    path = surviving_vertex_path(g, idx, x, y)
-    return BottleneckWitness(
-        x, y, probe, distance(g, x, y), tuple(path) if path is not None else None
-    )
+    path = _avoiding_path(g, probe, radius, x, y)
+    path = None if path is None else tuple(path)
+    return BottleneckWitness(x, y, probe, distance(g, x, y), path)
 
 
 def _pair_stream(g, mode, seed, count):
@@ -235,8 +233,6 @@ def verify_bottleneck(
     checked = 0
     for x, y in _pair_stream(g, mode, seed, count):
         checked += 1
-        if distance(g, x, y) == 0:
-            continue
         m = midpoint(g, x, y)
         if not is_separated(g, x, y, m, r):
             return BottleneckReport(
@@ -270,21 +266,14 @@ def certify_two_hyperbolic_gamma0(g0, seed, count) -> SeparationReport:
         raise ValueError("a seed and a count are required")
     _check_count(count)
     g = g0.graph
-    pool = half_net(g)
-    rng = random.Random(seed)
     two = Fraction(2)
     pairs = probes = 0
-    for _ in range(count):
-        i, j = rng.sample(range(len(pool)), 2)
-        x, y = pool[i], pool[j]
+    for x, y in _pair_stream(g, "sampled", seed, count):
         pairs += 1
-        if distance(g, x, y) == 0:
-            continue
         geo = canonical_geodesic(g, x, y)
         cand = [Vertex(v) for v in geo.vertices]
-        one = Fraction(1)
         for e, lo, hi in geodesic_segments(g, geo):
-            if (lo, hi) in ((ZERO, one), (one, ZERO)):
+            if (lo, hi) in ((ZERO, ONE), (ONE, ZERO)):
                 cand.append(Interior(e.id, HALF))
         for w in cand:
             if distance(g, x, w) <= two or distance(g, y, w) <= two:

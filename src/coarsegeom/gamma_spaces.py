@@ -37,7 +37,6 @@ from .metric_graph import (
     Vertex,
     check_geodesic,
     distance,
-    half_net,
     is_separated,
     validate_point,
 )

@@ -16,7 +16,9 @@ by a factor that makes the points' offsets whole, and Fractions appear
 only where results leave the engine.  One builder, _point_rows, turns
 engine rows into a point's row to every vertex and to the interior
 points of a net, and one sweep, _farthest, finds the farthest vertex or
-edge midpoint on a given row.
+edge midpoint on a given row.  One cut, _ball_cut, decides what survives
+a closed ball, for separation, the component index and the avoiding
+path, every vertex of which lies outside the ball.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
     CapExceeded,
@@ -623,37 +625,15 @@ class ComplementIndex:
     n_components: int
 
 
-def _subtract_cover(length, cover):
-    """Open sub-intervals of [0, length] left after removing the closed
-    cover intervals."""
-    clipped = sorted(
-        (max(0, a), min(length, b)) for a, b in cover if b >= 0 and a <= length
-    )
-    merged = []
-    for a, b in clipped:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    out = []
-    cur = 0
-    for a, b in merged:
-        if a > cur:
-            out.append((cur, a))
-        cur = max(cur, b)
-    if cur < length:
-        out.append((cur, length))
-    return out
-
-
 def _ball_cut(g, center, radius):
     """The closed ball around ``center`` deleted from g, in integer units
-    of 1/(k*L).  Returns (alive, find, pieces): alive[i] tells whether the
-    vertex of index i survives; find(i) is the root of its component, in a
-    union-find joined across every surviving edge that does not hold the
-    center; pieces(e) yields the open surviving parts (a, b) of edge e, of
-    length ln in these units, as (a, b, ln, label).  A part's label is the
-    root of a surviving endpoint it touches, else (edge id, a)."""
+    of 1/(k*L).  Returns (pieces, locate): pieces(e) yields the open
+    surviving parts of edge e, of length ln in these units, as
+    (a, b, ln, label); locate(p) is the label of the part holding the
+    point p, or None when the ball holds it.  A surviving vertex's label
+    is its root in a union-find joined across every edge with both ends
+    alive that does not hold the center; a part touching a surviving
+    endpoint takes that endpoint's label, any other part (edge id, a)."""
     validate_point(g, center)
     r = Fraction(radius)
     if r < 0:
@@ -683,15 +663,20 @@ def _ball_cut(g, center, radius):
             joined = e.u, e.v
 
     def pieces(e):
+        # the ball covers [0, reach[i]], [ln - reach[j], ln] and, on the
+        # center's edge, [c - rk, c + rk]: at most two open parts survive
         i, j = idx[e.u], idx[e.v]
         ln = g._ilen[e.id] * k
-        cover = [(0, reach[i]), (ln - reach[j], ln)]
+        lo, hi = max(reach[i], 0), ln - max(reach[j], 0)
+        parts = ((lo, hi),)
         if e.id == center_edge:
             c = entries[0][1]
-            cover.append((c - rk, c + rk))
-        for a, b in _subtract_cover(ln, cover):
+            parts = ((lo, min(hi, c - rk)), (max(lo, c + rk), hi))
+        for a, b in parts:
             # a part ending exactly at a deleted vertex (a sphere point) is
             # open there and does not connect through it
+            if a >= b:
+                continue
             if a == 0 and alive[i]:
                 yield a, b, ln, find(i)
             elif b == ln and alive[j]:
@@ -699,18 +684,29 @@ def _ball_cut(g, center, radius):
             else:
                 yield a, b, ln, (e.id, a)
 
-    return alive, find, pieces
+    def locate(p):
+        if isinstance(p, Vertex):
+            i = idx[p.id]
+            return find(i) if alive[i] else None
+        t = p.offset
+        for a, b, ln, label in pieces(g.edge(p.edge)):
+            if a * t.denominator < t.numerator * ln < b * t.denominator:
+                return label
+        return None
+
+    return pieces, locate
 
 
 def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius):
     """Delete the closed ball around ``center`` exactly and return the
     connected components of what survives."""
-    alive, find, pieces = _ball_cut(g, center, radius)
-    ids = g._ids
-    first = {}
-    for i in range(len(ids)):
-        if alive[i]:
-            first.setdefault(find(i), (0, ids[i]))
+    pieces, locate = _ball_cut(g, center, radius)
+    first, labels = {}, {}
+    for vid in g._ids:
+        label = locate(Vertex(vid))
+        if label is not None:
+            labels[vid] = label
+            first.setdefault(label, (0, vid))
     parts = []
     for e in sorted(g.edges, key=lambda e: e.id):
         for a, b, ln, label in pieces(e):
@@ -718,7 +714,7 @@ def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius
             parts.append((e.id, ZERO if a == 0 else Fraction(a, ln),
                           ONE if b == ln else Fraction(b, ln), label))
     comp = {label: n for n, label in enumerate(sorted(first, key=first.get))}
-    vertex_component = {ids[i]: comp[find(i)] for i in range(len(ids)) if alive[i]}
+    vertex_component = {vid: comp[label] for vid, label in labels.items()}
     fragments = tuple(Fragment(eid, a, b, comp[label]) for eid, a, b, label in parts)
     return ComplementIndex(center, Fraction(radius), vertex_component, fragments, len(comp))
 
@@ -736,72 +732,58 @@ def complement_component_of(idx: ComplementIndex, p: GraphPoint):
 def is_separated(g, x: GraphPoint, y: GraphPoint, w: GraphPoint, r) -> bool:
     """True iff every path from x to y meets the closed ball around w of
     radius r."""
-    r = Fraction(r)
-    if distance(g, x, w) <= r or distance(g, y, w) <= r:
-        return True
-    _, find, pieces = _ball_cut(g, w, r)
+    validate_point(g, x)
+    validate_point(g, y)
+    label = _ball_cut(g, w, r)[1]
+    return (lx := label(x)) is None or lx != label(y)
 
-    def label(p):
+
+def _avoiding_path(g, center, radius, x, y):
+    """The vertex ids of a path from x to y outside the closed ball around
+    center: [] when one vertex-free part holds both, None when the ball
+    separates them.  One breadth-first search from the vertices that x
+    reaches inside its edge, over the edges whose two ends survive and
+    that do not hold the center, in the order of g._adj."""
+    validate_point(g, x)
+    validate_point(g, y)
+    pieces, label = _ball_cut(g, center, radius)
+    if (lx := label(x)) is None or lx != label(y):
+        return None
+    if isinstance(lx, tuple):
+        return []
+
+    def anchors(p):
         if isinstance(p, Vertex):
-            return find(g._index[p.id])
-        t = p.offset
-        for a, b, ln, lab in pieces(g.edge(p.edge)):
+            return [p.id]
+        e, t = g.edge(p.edge), p.offset
+        for a, b, ln, _ in pieces(e):
             if a * t.denominator < t.numerator * ln < b * t.denominator:
-                return lab
+                return [v for v, end in ((e.u, a == 0), (e.v, b == ln))
+                        if end and label(Vertex(v)) is not None]
 
-    return label(x) != label(y)
+    center_edge = center.edge if isinstance(center, Interior) else None
+    targets = set(anchors(y))
+    prev = dict.fromkeys(sorted(anchors(x)))
+    q = deque(prev)
+    while q:
+        v = q.popleft()
+        if v in targets:
+            path = [v]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for w, e in g._adj[v]:
+            if w not in prev and e.id != center_edge and label(Vertex(w)) is not None:
+                prev[w] = v
+                q.append(w)
 
 
 def surviving_vertex_path(g, idx: ComplementIndex, x: GraphPoint, y: GraphPoint):
     """A vertex path joining x to y inside the ball complement, as evidence
     that they are not separated.  Returns a (possibly empty) vertex id list,
-    or None when no such path exists."""
-
-    def anchors(p):
-        if isinstance(p, Vertex):
-            return [p.id] if p.id in idx.vertex_component else []
-        out = []
-        for f in idx.fragments:
-            if f.edge == p.edge and f.lo < p.offset < f.hi:
-                e = g.edge(p.edge)
-                if f.lo == 0 and e.u in idx.vertex_component:
-                    out.append(e.u)
-                if f.hi == 1 and e.v in idx.vertex_component:
-                    out.append(e.v)
-        return out
-
-    if (
-        isinstance(x, Interior)
-        and isinstance(y, Interior)
-        and complement_component_of(idx, x) == complement_component_of(idx, y)
-        and not anchors(x)
-    ):
-        return []  # both live in one vertex-free fragment
-    full = {}
-    for f in idx.fragments:
-        if f.lo == 0 and f.hi == 1:
-            e = g.edge(f.edge)
-            full.setdefault(e.u, []).append(e.v)
-            full.setdefault(e.v, []).append(e.u)
-    starts = anchors(x)
-    targets = set(anchors(y))
-    if not starts or not targets:
-        return None
-    prev = {s: None for s in starts}
-    q = deque(sorted(starts))
-    while q:
-        v = q.popleft()
-        if v in targets:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for w in sorted(full.get(v, ())):
-            if w not in prev:
-                prev[w] = v
-                q.append(w)
-    return None
+    or None when no such path exists.  Every vertex of the path lies
+    outside the closed ball."""
+    return _avoiding_path(g, idx.center, idx.radius, x, y)
 
 
 def multi_source_vertex_distances(g, seeds):

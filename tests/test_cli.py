@@ -198,6 +198,14 @@ def test_bottleneck_exit_codes(capsys, tmp_path):
                        "--radius", "-1")
     assert code == 2
 
+    # the witness path goes round the probe vertex on the sphere
+    g = LabeledMetricGraph(range(4), [(0, 0, 2, 1), (1, 2, 1, 1), (2, 0, 3, 1), (3, 3, 1, 2)])
+    gp = graph_file(tmp_path, g, "sphere.json")
+    code, doc, _ = run(capsys, "bottleneck", "--graph", gp, "--delta", "1", "--radius", "0")
+    assert code == 1
+    assert doc["witness"]["probe"] == {"vertex": 2}
+    assert doc["witness"]["avoiding_path"] == [0, 3, 1]
+
 
 def test_separation(capsys, tmp_path, fam_file):
     g0p = str(tmp_path / "g0.json")

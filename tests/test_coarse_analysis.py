@@ -9,6 +9,7 @@ from conftest import cycle_graph, path_graph, random_graph, random_tree
 from coarsegeom import (
     DeltaWitness,
     Interior,
+    LabeledMetricGraph,
     Vertex,
     build_gamma0,
     certify_two_hyperbolic_gamma0,
@@ -135,6 +136,16 @@ def test_twentyfour_cycle_witness():
     assert w.avoiding_path == (0,) + tuple(range(23, 4, -1))
     # reproducible: rerun gives the identical report
     assert verify_bottleneck(cycle_graph(24), 3) == b
+
+
+def test_bottleneck_witness_path_avoids_sphere_vertices():
+    # vertex 2 is the probe at radius 0: it lies on the sphere, so the
+    # witness must go round it through vertex 3
+    g = LabeledMetricGraph(range(4), [(0, 0, 2, 1), (1, 2, 1, 1), (2, 0, 3, 1), (3, 3, 1, 2)])
+    b = verify_bottleneck(g, 1, radius=0)
+    assert not b.accepted
+    assert (b.witness.x, b.witness.y, b.witness.probe) == (Vertex(0), Vertex(1), Vertex(2))
+    assert b.witness.avoiding_path == (0, 3, 1)
 
 
 def test_bottleneck_monotone_in_delta():

@@ -540,11 +540,19 @@ def test_is_separated_checks_its_inputs():
     for bad in (Vertex(99), Interior(99, H), Interior(0, Fraction(3, 2))):
         with pytest.raises(InvalidPoint):
             is_separated(g, Vertex(0), Vertex(6), bad, 1)
+    for bad in (Vertex(99), Interior(0, Fraction(3, 2))):
+        with pytest.raises(InvalidPoint):
+            is_separated(g, bad, Vertex(6), Vertex(3), 1)
+        with pytest.raises(InvalidPoint):
+            is_separated(g, Vertex(0), bad, Vertex(3), 1)
     two = LabeledMetricGraph(range(4), [(0, 0, 1, 1), (1, 2, 3, 1)])
     with pytest.raises(DisconnectedGraph):
         is_separated(two, Vertex(0), Vertex(1), Interior(0, H), 0)
     with pytest.raises(DisconnectedGraph):
         is_separated(two, Vertex(0), Vertex(2), Vertex(1), 0)
+    # x inside the ball does not excuse a disconnected graph
+    with pytest.raises(DisconnectedGraph):
+        is_separated(two, Vertex(0), Vertex(1), Vertex(0), 1)
 
 
 def test_complement_index_output():
@@ -601,6 +609,41 @@ def test_separation_on_cycle():
     assert all(row[v] > 2 for v in path)
     # endpoint inside the ball counts as separated
     assert is_separated(g, Vertex(2), Vertex(8), Vertex(3), 2)
+
+
+def test_surviving_path_needs_surviving_ends():
+    # the closed ball of radius 1 around the middle vertex holds both
+    # midpoints, so no path joins them outside it
+    g = path_graph(3)
+    idx = ball_complement_components(g, Vertex(1), 1)
+    assert surviving_vertex_path(g, idx, Interior(0, H), Interior(1, H)) is None
+
+
+@st.composite
+def avoiding_path_queries(draw):
+    g = draw(rational_graphs(SEP_LENGTHS, 3))
+    n = g.n_vertices
+    w = draw(st.one_of(interior_points(g), st.builds(Vertex, st.integers(0, n - 1))))
+    x, y = draw(graph_points(g)), draw(graph_points(g))
+    fw = oracles.floyd_warshall(g)
+    # 0, fixed radii, and radii that put a vertex exactly on the sphere
+    spheres = [oracles.point_distance(g, fw, Vertex(v), w) for v in range(n)]
+    r = draw(st.sampled_from([Fraction(0), H, Fraction(1), Fraction(2)] + spheres))
+    return g, fw, x, y, w, r
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(avoiding_path_queries())
+def test_surviving_path_matches_point_oracle(query):
+    g, fw, x, y, w, r = query
+    path = surviving_vertex_path(g, ball_complement_components(g, w, r), x, y)
+    assert (path is None) == oracles.point_separated(g, x, y, w, r)
+    if path is None:
+        return
+    assert all(oracles.point_distance(g, fw, Vertex(v), w) > r for v in path)
+    cut = w.edge if isinstance(w, Interior) else None
+    for a, b in zip(path, path[1:]):
+        assert any(nbr == b and e.id != cut for nbr, e in g.edges_at(a)), (a, b)
 
 
 def test_isolated_mid_edge_fragment():

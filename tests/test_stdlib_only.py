@@ -1,4 +1,5 @@
-"""The runtime depends on the standard library alone."""
+"""The runtime depends on the standard library alone, and every module
+uses what it imports."""
 
 import ast
 import sys
@@ -24,3 +25,24 @@ def test_runtime_imports_only_the_standard_library():
                 if top != "coarsegeom" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside, outside
+
+
+def test_modules_use_every_import():
+    # __init__.py imports only to re-export
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in bound.items()
+                   if name not in used]
+    assert not unused, unused
