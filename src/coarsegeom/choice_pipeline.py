@@ -169,11 +169,8 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
             raise DepthError(f"no frontier vertex lands on arm {s.name!r}")
         assignment.append((s.name, u))
         transversal.append(chosen[u])
-    verified = (
-        cert.accepted
-        and len(frontier) == len(g0.family.sets)
-        and verify_transversal(transversal, g0.family)
-    )
+    verified = (len(frontier) == len(g0.family.sets)
+                and verify_transversal(transversal, g0.family))
     return ChoiceCertificate(
         constant=n,
         rounds=k,

@@ -12,11 +12,11 @@ residue is reported as sampling_slack next to the observed value.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .coarse_maps import _check_sampling, _draws
 from .errors import DisconnectedGraph
 from .metric_graph import (
     HALF,
@@ -32,7 +32,6 @@ from .metric_graph import (
     distance,
     geodesic_segments,
     half_net,
-    is_separated,
     point_along,
 )
 
@@ -90,11 +89,6 @@ def _side_sup(g, probe, union):
     return _farthest(g, 1, du, {}, pverts, [e for e in pedges if e.id not in ueids])
 
 
-def _check_count(count):
-    if count is not None and count < 0:
-        raise ValueError("sample count must be >= 0")
-
-
 def _triple_roles(a, b, c):
     return (((a, b), c), ((a, c), b), ((b, c), a))
 
@@ -111,11 +105,7 @@ def slim_triangle_delta(
     most half the longest edge, so the true value is bounded above by
     delta_upper_observed + sampling_slack.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and (seed is None or count is None):
-        raise ValueError("sampled mode needs a seed and a count")
-    _check_count(count)
+    _check_sampling(mode, ("exhaustive", "sampled"), seed, count)
     if not g.is_connected():
         raise DisconnectedGraph("slim-triangle slack needs a connected graph")
     ids = list(g.vertex_ids())
@@ -131,9 +121,9 @@ def slim_triangle_delta(
             got = carriers[key] = _carrier(g, key[0], key[1])
         return got
 
-    def handle(a, b, c):
-        nonlocal best, witness
-        for (p, q), apex in _triple_roles(a, b, c):
+    for i, j, k in _draws(len(ids), 3, mode, seed, count):
+        checked += 1
+        for (p, q), apex in _triple_roles(ids[i], ids[j], ids[k]):
             pv, pe = carrier(p, q)
             c1 = carrier(p, apex)
             c2 = carrier(apex, q)
@@ -141,20 +131,6 @@ def slim_triangle_delta(
             val, point = _side_sup(g, (pv, pe), union)
             if val > best:
                 best, witness = val, DeltaWitness((p, q), apex, point, val)
-
-    if mode == "exhaustive":
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                for k in range(j + 1, len(ids)):
-                    handle(ids[i], ids[j], ids[k])
-                    checked += 1
-    else:
-        if len(ids) >= 3:
-            rng = random.Random(seed)
-            for _ in range(count):
-                a, b, c = rng.sample(ids, 3)
-                handle(a, b, c)
-                checked += 1
     return DeltaReport(best, mode, seed, count, checked, 0, slack, witness)
 
 
@@ -185,23 +161,9 @@ class BottleneckReport:
     witness: Optional[BottleneckWitness]
 
 
-def _not_separated_witness(g, x, y, probe, radius):
-    path = _avoiding_path(g, probe, radius, x, y)
-    path = None if path is None else tuple(path)
-    return BottleneckWitness(x, y, probe, distance(g, x, y), path)
-
-
 def _pair_stream(g, mode, seed, count):
     pool = half_net(g)
-    if mode == "exhaustive":
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                yield pool[i], pool[j]
-    elif len(pool) >= 2:
-        rng = random.Random(seed)
-        for _ in range(count):
-            i, j = rng.sample(range(len(pool)), 2)
-            yield pool[i], pool[j]
+    return ((pool[i], pool[j]) for i, j in _draws(len(pool), 2, mode, seed, count))
 
 
 def verify_bottleneck(
@@ -223,21 +185,18 @@ def verify_bottleneck(
     r = delta - 1 if radius is None else Fraction(radius)
     if not 0 <= r < delta:
         raise ValueError("radius must satisfy 0 <= radius < delta")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and (seed is None or count is None):
-        raise ValueError("sampled mode needs a seed and a count")
-    _check_count(count)
+    _check_sampling(mode, ("exhaustive", "sampled"), seed, count)
     if not g.is_connected():
         raise DisconnectedGraph("bottleneck check needs a connected graph")
     checked = 0
     for x, y in _pair_stream(g, mode, seed, count):
         checked += 1
         m = midpoint(g, x, y)
-        if not is_separated(g, x, y, m, r):
+        path = _avoiding_path(g, m, r, x, y)
+        if path is not None:
             return BottleneckReport(
                 False, delta, r, mode, seed, count, checked,
-                _not_separated_witness(g, x, y, m, r),
+                BottleneckWitness(x, y, m, distance(g, x, y), tuple(path)),
             )
     return BottleneckReport(True, delta, r, mode, seed, count, checked, None)
 
@@ -262,9 +221,7 @@ def certify_two_hyperbolic_gamma0(g0, seed, count) -> SeparationReport:
     Probes are the geodesic's vertex hits and the midpoints of the whole
     edges it crosses.
     """
-    if seed is None or count is None:
-        raise ValueError("a seed and a count are required")
-    _check_count(count)
+    _check_sampling("sampled", ("sampled",), seed, count)
     g = g0.graph
     two = Fraction(2)
     pairs = probes = 0
@@ -279,9 +236,10 @@ def certify_two_hyperbolic_gamma0(g0, seed, count) -> SeparationReport:
             if distance(g, x, w) <= two or distance(g, y, w) <= two:
                 continue
             probes += 1
-            if not is_separated(g, x, y, w, two):
+            path = _avoiding_path(g, w, two, x, y)
+            if path is not None:
                 return SeparationReport(
                     False, two, seed, count, pairs, probes,
-                    _not_separated_witness(g, x, y, w, two),
+                    BottleneckWitness(x, y, w, distance(g, x, y), tuple(path)),
                 )
     return SeparationReport(True, two, seed, count, pairs, probes, None)

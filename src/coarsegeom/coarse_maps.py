@@ -16,7 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import lcm
 from typing import Optional
 
@@ -115,6 +115,26 @@ class QiCertificate:
     @property
     def certifying(self) -> bool:
         return self.mode in ("exhaustive", "vertex-exhaustive")
+
+
+def _check_sampling(mode, modes, seed, count):
+    """The argument checks of every exhaustive-or-sampled certificate."""
+    if mode not in modes:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and (seed is None or count is None):
+        raise ValueError("sampled mode needs a seed and a count")
+    if count is not None and count < 0:
+        raise ValueError("sample count must be >= 0")
+
+
+def _draws(size, k, mode, seed, count):
+    """The index k-tuples of range(size) a certificate examines: all of
+    them in lexicographic order, or in sampled mode ``count`` seeded
+    draws, none when fewer than k indices exist."""
+    if mode != "sampled":
+        return combinations(range(size), k)
+    rng = random.Random(seed)
+    return (rng.sample(range(size), k) for _ in range(count if size >= k else 0))
 
 
 def _require_connected(m: QuasiMap):
@@ -226,12 +246,7 @@ def verify_quasi_isometry(
     pairs_checked counts pairs up to and including it, read or not."""
     if n < 1:
         raise ValueError("constant must be a positive integer")
-    if mode not in ("exhaustive", "vertex-exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and (seed is None or count is None):
-        raise ValueError("sampled mode requires seed and count")
-    if count is not None and count < 0:
-        raise ValueError("sample count must be >= 0")
+    _check_sampling(mode, ("exhaustive", "vertex-exhaustive", "sampled"), seed, count)
     _require_connected(m)
     _require_vertex_cover(m)
 
@@ -248,15 +263,13 @@ def verify_quasi_isometry(
     hit = None
     if mode == "sampled":
         up, lo = n * s, n * n * s
-        rng = random.Random(seed)
-        # fewer than two points hold no pair to draw
-        pairs_checked = count if len(pairs) >= 2 else 0
-        for t in range(pairs_checked):
-            i, j = rng.sample(range(len(pairs)), 2)
+        pairs_checked = 0
+        for i, j in _draws(len(pairs), 2, mode, seed, count):
+            pairs_checked += 1
             ds = _scaled_distance(src, ks, ps[i], ps[j])
             dt = _scaled_distance(tgt, kt, pt[i], pt[j])
             if dt > n * ds + up or ds > n * dt + lo:
-                hit, pairs_checked = (i, j, ds, dt), t + 1
+                hit = i, j, ds, dt
                 break
     else:
         hit = _first_violation(

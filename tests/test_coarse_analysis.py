@@ -10,6 +10,7 @@ from coarsegeom import (
     DeltaWitness,
     Interior,
     LabeledMetricGraph,
+    QuasiMap,
     Vertex,
     build_gamma0,
     certify_two_hyperbolic_gamma0,
@@ -17,6 +18,7 @@ from coarsegeom import (
     scale_metric,
     slim_triangle_delta,
     verify_bottleneck,
+    verify_quasi_isometry,
 )
 
 H = Fraction(1, 2)
@@ -88,6 +90,18 @@ def test_delta_sampled_mode_seeded():
     assert a.delta_upper_observed <= slim_triangle_delta(g).delta_upper_observed
     with pytest.raises(ValueError):
         slim_triangle_delta(g, mode="sampled", seed=3)
+    # recorded values, so that a change in draw order fails: the side
+    # (4, 2) comes out in draw order, not sorted
+    cases = [
+        (random_graph(3, 10, extra=8, rational=True),
+         DeltaWitness((4, 2), 9, Vertex(0), Fraction(3, 2))),
+        (random_graph(9, 10, extra=8, rational=True),
+         DeltaWitness((9, 4), 2, Interior(14, H), Fraction(1))),
+    ]
+    for g, witness in cases:
+        r = slim_triangle_delta(g, mode="sampled", seed=7, count=25)
+        assert (r.delta_upper_observed, r.witness) == (witness.dist, witness)
+        assert r.triples_checked == 25
 
 
 def test_gamma0_observes_small_delta(g0_8):
@@ -129,6 +143,8 @@ def test_long_cycles_fail_bottleneck():
 def test_twentyfour_cycle_witness():
     b = verify_bottleneck(cycle_graph(24), 3)
     assert not b.accepted
+    # pairs come in lexicographic order: (0, 5) is the fifth
+    assert b.pairs_checked == 5
     w = b.witness
     assert (w.x, w.y) == (Vertex(0), Vertex(5))
     assert w.probe == Interior(2, H)
@@ -136,6 +152,13 @@ def test_twentyfour_cycle_witness():
     assert w.avoiding_path == (0,) + tuple(range(23, 4, -1))
     # reproducible: rerun gives the identical report
     assert verify_bottleneck(cycle_graph(24), 3) == b
+    # recorded sampled values, so that a change in draw order fails
+    b = verify_bottleneck(cycle_graph(24), 3, mode="sampled", seed=3, count=40)
+    assert not b.accepted and b.pairs_checked == 3
+    w = b.witness
+    assert (w.x, w.y, w.probe) == (Vertex(23), Interior(14, H), Interior(18, Fraction(3, 4)))
+    assert w.distance == Fraction(17, 2)
+    assert w.avoiding_path == (23,) + tuple(range(15))
 
 
 def test_bottleneck_witness_path_avoids_sphere_vertices():
@@ -177,9 +200,25 @@ def test_sampled_modes_on_tiny_pools(fam2):
     rep = verify_bottleneck(g, 2, mode="sampled", seed=1, count=5)
     assert rep.accepted and rep.pairs_checked == 0
     assert slim_triangle_delta(g, mode="sampled", seed=1, count=5).triples_checked == 0
-    with pytest.raises(ValueError):
-        verify_bottleneck(g, 2, mode="sampled", seed=1, count=-3)
-    with pytest.raises(ValueError):
-        slim_triangle_delta(g, mode="sampled", seed=1, count=-3)
-    with pytest.raises(ValueError):
-        certify_two_hyperbolic_gamma0(build_gamma0(fam2, 3), 1, -3)
+    g0 = build_gamma0(fam2, 3)
+    qi = QuasiMap(g, g, [(Vertex(0), Vertex(0))])
+    # the four certificates share one wording for each bad argument
+    checks = [
+        lambda mode, seed, count: verify_quasi_isometry(qi, 1, mode, seed, count),
+        lambda mode, seed, count: slim_triangle_delta(g, mode, seed, count),
+        lambda mode, seed, count: verify_bottleneck(g, 2, None, mode, seed, count),
+        lambda mode, seed, count: certify_two_hyperbolic_gamma0(g0, seed, count),
+    ]
+    bad = {
+        "sample count must be >= 0": ("sampled", 1, -3),
+        "sampled mode needs a seed and a count": ("sampled", None, 5),
+    }
+    for message, args in bad.items():
+        for check in checks:
+            with pytest.raises(ValueError) as err:
+                check(*args)
+            assert str(err.value) == message
+    for check in checks[:3]:
+        with pytest.raises(ValueError) as err:
+            check("fast", 1, 5)
+        assert str(err.value) == "unknown mode 'fast'"

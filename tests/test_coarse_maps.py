@@ -140,6 +140,20 @@ def test_sampled_mode_is_seeded(g0_d3, g1_d3):
         verify_quasi_isometry(f, 2, mode="sampled", seed=11)
     with pytest.raises(ValueError):
         verify_quasi_isometry(f, 2, mode="sampled", count=40)
+    # recorded values, so that a change in draw order fails: one moved
+    # image breaks many pairs, and the draws decide which comes first
+    pairs = list(f.assignments)
+    pairs[5] = (pairs[5][0], pairs[-1][1])
+    m = QuasiMap(f.source, f.target, pairs)
+    cases = [
+        (1, 139, Vertex(2), Vertex(5), Fraction(1), Fraction(9, 2)),
+        (3, 114, Interior(31, H), Vertex(5), Fraction(9, 2), Fraction(0)),
+    ]
+    for seed, checked, x, y, ds, dt in cases:
+        cert = verify_quasi_isometry(m, 2, mode="sampled", seed=seed, count=200)
+        (v,) = cert.violations
+        assert (v.x, v.y, v.d_source, v.d_target) == (x, y, ds, dt)
+        assert cert.pairs_checked == checked
 
 
 # -- the pair kernel against the oracles ------------------------------------

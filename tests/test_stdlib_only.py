@@ -1,5 +1,5 @@
-"""The runtime depends on the standard library alone, and every module
-uses what it imports."""
+"""The runtime depends on the standard library alone, every module uses
+what it imports, and every private helper has a caller."""
 
 import ast
 import sys
@@ -45,4 +45,24 @@ def test_modules_use_every_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in bound.items()
                    if name not in used]
+    assert not unused, unused
+
+
+def test_private_helpers_are_used():
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [f"{where}: {name}" for name, where in defined.items() if name not in used]
+    assert defined
     assert not unused, unused
