@@ -20,7 +20,6 @@ from .coarse_maps import _check_sampling, _draws
 from .errors import DisconnectedGraph
 from .metric_graph import (
     HALF,
-    ONE,
     ZERO,
     GraphPoint,
     Interior,
@@ -30,7 +29,6 @@ from .metric_graph import (
     _farthest,
     canonical_geodesic,
     distance,
-    geodesic_segments,
     half_net,
     point_along,
 )
@@ -161,9 +159,23 @@ class BottleneckReport:
     witness: Optional[BottleneckWitness]
 
 
-def _pair_stream(g, mode, seed, count):
+def _first_avoidable(g, mode, seed, count, r, probes):
+    """(pairs checked, probes checked, witness): for each drawn pair of
+    half-net points, each point that probes(geo) yields for their canonical
+    geodesic geo is tested for an avoiding path around its r-ball; the
+    first such path ends the loop as the witness."""
     pool = half_net(g)
-    return ((pool[i], pool[j]) for i, j in _draws(len(pool), 2, mode, seed, count))
+    pairs = checked = 0
+    for i, j in _draws(len(pool), 2, mode, seed, count):
+        pairs += 1
+        x, y = pool[i], pool[j]
+        geo = canonical_geodesic(g, x, y)
+        for w in probes(geo):
+            checked += 1
+            path = _avoiding_path(g, w, r, x, y)
+            if path is not None:
+                return pairs, checked, BottleneckWitness(x, y, w, geo.length, tuple(path))
+    return pairs, checked, None
 
 
 def verify_bottleneck(
@@ -188,17 +200,9 @@ def verify_bottleneck(
     _check_sampling(mode, ("exhaustive", "sampled"), seed, count)
     if not g.is_connected():
         raise DisconnectedGraph("bottleneck check needs a connected graph")
-    checked = 0
-    for x, y in _pair_stream(g, mode, seed, count):
-        checked += 1
-        m = midpoint(g, x, y)
-        path = _avoiding_path(g, m, r, x, y)
-        if path is not None:
-            return BottleneckReport(
-                False, delta, r, mode, seed, count, checked,
-                BottleneckWitness(x, y, m, distance(g, x, y), tuple(path)),
-            )
-    return BottleneckReport(True, delta, r, mode, seed, count, checked, None)
+    checked, _, witness = _first_avoidable(
+        g, mode, seed, count, r, lambda geo: (point_along(g, geo, geo.length / 2),))
+    return BottleneckReport(witness is None, delta, r, mode, seed, count, checked, witness)
 
 
 @dataclass(frozen=True)
@@ -218,28 +222,17 @@ def certify_two_hyperbolic_gamma0(g0, seed, count) -> SeparationReport:
     geodesic of each sampled pair, every probe point farther than 2 from
     both ends has an unavoidable 2-ball.
 
-    Probes are the geodesic's vertex hits and the midpoints of the whole
-    edges it crosses.
+    Probes are the geodesic's vertex hits, then the midpoints of its hop
+    edges.
     """
     _check_sampling("sampled", ("sampled",), seed, count)
     g = g0.graph
     two = Fraction(2)
-    pairs = probes = 0
-    for x, y in _pair_stream(g, "sampled", seed, count):
-        pairs += 1
-        geo = canonical_geodesic(g, x, y)
-        cand = [Vertex(v) for v in geo.vertices]
-        for e, lo, hi in geodesic_segments(g, geo):
-            if (lo, hi) in ((ZERO, ONE), (ONE, ZERO)):
-                cand.append(Interior(e.id, HALF))
-        for w in cand:
-            if distance(g, x, w) <= two or distance(g, y, w) <= two:
-                continue
-            probes += 1
-            path = _avoiding_path(g, w, two, x, y)
-            if path is not None:
-                return SeparationReport(
-                    False, two, seed, count, pairs, probes,
-                    BottleneckWitness(x, y, w, distance(g, x, y), tuple(path)),
-                )
-    return SeparationReport(True, two, seed, count, pairs, probes, None)
+
+    def probes(geo):
+        hits = [Vertex(v) for v in geo.vertices] + [Interior(e, HALF) for e in geo.edges]
+        return (w for w in hits
+                if distance(g, geo.start, w) > two and distance(g, geo.end, w) > two)
+
+    pairs, checked, witness = _first_avoidable(g, "sampled", seed, count, two, probes)
+    return SeparationReport(witness is None, two, seed, count, pairs, checked, witness)

@@ -9,6 +9,9 @@ Schemas:
   gamma   graph keys plus {"kind":"gamma0"|"gamma1","depth":int,"family":...}
   map     {"source":path,"target":path,"N":int?,
            "assign":[{"from":point,"to":point},...]}
+  reports {field:value,...} by dataclass field name: rationals "p/q", points
+          as above, tuples as arrays, nested reports alike; plus "accepted",
+          "rounds_run", a violation's "kind", the choice pairs as objects
 
 Rationals always travel as reduced "p/q" strings, and every emitted file is
 canonical JSON (sorted keys, two-space indent, trailing newline), so a rerun
@@ -17,6 +20,7 @@ with identical inputs is byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -349,120 +353,61 @@ def file_digest(path) -> str:
 # -- reports and certificates -------------------------------------------------
 
 
+def _value_doc(x):
+    if isinstance(x, Fraction):
+        return rational_str(x)
+    if isinstance(x, (Vertex, Interior)):
+        return point_doc(x)
+    if isinstance(x, tuple):
+        return [_value_doc(item) for item in x]
+    if dataclasses.is_dataclass(x):
+        return _report_doc(x)
+    return x
+
+
+def _report_doc(obj, **extra) -> dict:
+    """A report's fields by name, each serialized by _value_doc, then
+    extra's keys added or overridden."""
+    doc = {f.name: _value_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    doc.update(extra)
+    return doc
+
+
 def violation_doc(v) -> dict:
     if isinstance(v, PairViolation):
-        return {
-            "kind": "pair",
-            "x": point_doc(v.x),
-            "y": point_doc(v.y),
-            "d_source": rational_str(v.d_source),
-            "d_target": rational_str(v.d_target),
-            "lower_bound": rational_str(v.lower_bound),
-            "upper_bound": rational_str(v.upper_bound),
-        }
+        return _report_doc(v, kind="pair")
     if isinstance(v, SurjectivityViolation):
-        return {
-            "kind": "surjectivity",
-            "point": point_doc(v.point),
-            "dist": rational_str(v.dist),
-            "bound": rational_str(v.bound),
-        }
+        return _report_doc(v, kind="surjectivity")
     raise TypeError(f"not a violation: {v!r}")
 
 
 def qi_certificate_doc(cert) -> dict:
-    return {
-        "accepted": cert.accepted,
-        "constant": cert.constant,
-        "mode": cert.mode,
-        "seed": cert.seed,
-        "count": cert.count,
-        "pairs_checked": cert.pairs_checked,
-        "surjectivity_radius": rational_str(cert.surjectivity_radius),
-        "violations": [violation_doc(v) for v in cert.violations],
-    }
+    return _report_doc(cert, accepted=cert.accepted,
+                       violations=[violation_doc(v) for v in cert.violations])
 
 
 def delta_report_doc(rep) -> dict:
-    witness = None
-    if rep.witness is not None:
-        witness = {
-            "side": list(rep.witness.side),
-            "apex": rep.witness.apex,
-            "point": point_doc(rep.witness.point),
-            "dist": rational_str(rep.witness.dist),
-        }
-    return {
-        "delta_upper_observed": rational_str(rep.delta_upper_observed),
-        "mode": rep.mode,
-        "seed": rep.seed,
-        "count": rep.count,
-        "triples_checked": rep.triples_checked,
-        "triples_skipped": rep.triples_skipped,
-        "sampling_slack": rational_str(rep.sampling_slack),
-        "witness": witness,
-    }
-
-
-def _bottleneck_witness_doc(w) -> dict:
-    return {
-        "x": point_doc(w.x),
-        "y": point_doc(w.y),
-        "probe": point_doc(w.probe),
-        "distance": rational_str(w.distance),
-        "avoiding_path": None if w.avoiding_path is None else list(w.avoiding_path),
-    }
+    return _report_doc(rep)
 
 
 def bottleneck_report_doc(rep) -> dict:
-    return {
-        "accepted": rep.accepted,
-        "delta_param": rational_str(rep.delta_param),
-        "radius": rational_str(rep.radius),
-        "mode": rep.mode,
-        "seed": rep.seed,
-        "count": rep.count,
-        "pairs_checked": rep.pairs_checked,
-        "witness": None if rep.witness is None else _bottleneck_witness_doc(rep.witness),
-    }
+    return _report_doc(rep)
 
 
 def separation_report_doc(rep) -> dict:
-    return {
-        "accepted": rep.accepted,
-        "radius": rational_str(rep.radius),
-        "seed": rep.seed,
-        "count": rep.count,
-        "pairs_checked": rep.pairs_checked,
-        "probes_checked": rep.probes_checked,
-        "witness": None if rep.witness is None else _bottleneck_witness_doc(rep.witness),
-    }
+    return _report_doc(rep)
 
 
 def prune_trace_doc(trace) -> dict:
-    return {
-        "rounds_requested": trace.rounds_requested,
-        "rounds_run": trace.rounds_run,
-        "stages": [list(stage) for stage in trace.stages],
-        "empty": trace.empty,
-    }
+    return _report_doc(trace, rounds_run=trace.rounds_run)
 
 
 def choice_certificate_doc(cert, inputs=None) -> dict:
-    doc = {
-        "constant": cert.constant,
-        "rounds": cert.rounds,
-        "root": cert.root,
-        "frontier": list(cert.frontier),
-        "arm_assignment": [
-            {"set": name, "vertex": vid} for name, vid in cert.arm_assignment
-        ],
-        "h_values": [
-            {"vertex": vid, "element": elem} for vid, elem in cert.h_values
-        ],
-        "transversal": list(cert.transversal),
-        "verified": cert.verified,
-    }
+    doc = _report_doc(
+        cert,
+        arm_assignment=[{"set": name, "vertex": vid} for name, vid in cert.arm_assignment],
+        h_values=[{"vertex": vid, "element": elem} for vid, elem in cert.h_values],
+    )
     if inputs is not None:
         doc["inputs"] = inputs
     return doc

@@ -120,15 +120,11 @@ class LabeledMetricGraph:
         parsed = []
         seen_eids = set()
         for item in edges:
-            if isinstance(item, Edge):
-                e = item
-            else:
-                if len(item) == 4:
-                    eid, u, v, ln = item
-                    lab = None
-                else:
-                    eid, u, v, ln, lab = item
-                e = Edge(eid, u, v, Fraction(ln), lab)
+            try:
+                e = item if isinstance(item, Edge) else Edge(*item)
+            except TypeError:
+                raise GraphStructureError(
+                    f"edge {item!r} is not (id, u, v, length[, label])") from None
             if not isinstance(e.length, Fraction):
                 e = Edge(e.id, e.u, e.v, Fraction(e.length), e.label)
             if e.id in seen_eids:
@@ -731,11 +727,8 @@ def complement_component_of(idx: ComplementIndex, p: GraphPoint):
 
 def is_separated(g, x: GraphPoint, y: GraphPoint, w: GraphPoint, r) -> bool:
     """True iff every path from x to y meets the closed ball around w of
-    radius r."""
-    validate_point(g, x)
-    validate_point(g, y)
-    label = _ball_cut(g, w, r)[1]
-    return (lx := label(x)) is None or lx != label(y)
+    radius r: no avoiding path exists."""
+    return _avoiding_path(g, w, r, x, y) is None
 
 
 def _avoiding_path(g, center, radius, x, y):

@@ -13,7 +13,11 @@ from coarsegeom import (
     QuasiMap,
     Vertex,
     build_gamma0,
+    canonical_geodesic,
     certify_two_hyperbolic_gamma0,
+    distance,
+    geodesic_segments,
+    half_net,
     midpoint,
     scale_metric,
     slim_triangle_delta,
@@ -138,6 +142,28 @@ def test_bottleneck_radius_validation():
 def test_long_cycles_fail_bottleneck():
     for n in (16, 20, 24):
         assert not verify_bottleneck(cycle_graph(n), 3).accepted
+
+
+def test_whole_segments_are_the_hop_edges(fam2):
+    # the probe loop reads a geodesic's whole segments off its hop edges
+    graphs = (build_gamma0(fam2, 3).graph, random_graph(2, 8, extra=3, rational=True),
+              random_graph(5, 9, extra=4, rational=True))
+    for g in graphs:
+        net = half_net(g)
+        for i, x in enumerate(net):
+            for y in net[i + 1:]:
+                geo = canonical_geodesic(g, x, y)
+                whole = [e.id for e, lo, hi in geodesic_segments(g, geo)
+                         if (lo, hi) in ((0, 1), (1, 0))]
+                assert whole == list(geo.edges), (x, y)
+
+
+def test_bottleneck_witness_distance_is_the_metric():
+    for g, kw in ((cycle_graph(16), {}), (cycle_graph(24), {}),
+                  (cycle_graph(24), {"mode": "sampled", "seed": 3, "count": 40}),
+                  (random_graph(0, 14, extra=6, rational=True), {})):
+        w = verify_bottleneck(g, 3, **kw).witness
+        assert w is not None and w.distance == distance(g, w.x, w.y)
 
 
 def test_twentyfour_cycle_witness():

@@ -7,20 +7,29 @@ from fractions import Fraction
 import pytest
 
 from coarsegeom import (
+    BottleneckWitness,
     Interior,
     LabeledMetricGraph,
+    QuasiMap,
     SchemaError,
     SetFamily,
     Vertex,
     build_gamma0,
+    SeparationReport,
     build_gamma1,
+    certify_two_hyperbolic_gamma0,
     distance,
+    extract_choice,
+    prune_k,
     section_map,
     slim_triangle_delta,
+    verify_bottleneck,
     verify_quasi_isometry,
 )
 from coarsegeom.documents import (
+    bottleneck_report_doc,
     canonical_dumps,
+    choice_certificate_doc,
     delta_report_doc,
     family_doc,
     gamma0_doc,
@@ -36,10 +45,13 @@ from coarsegeom.documents import (
     parse_point,
     parse_rational,
     point_doc,
+    prune_trace_doc,
     qi_certificate_doc,
     rational_str,
+    separation_report_doc,
+    violation_doc,
 )
-from conftest import random_graph, random_tree
+from conftest import cycle_graph, path_graph, random_graph, random_tree
 
 
 def test_rational_strings():
@@ -291,3 +303,103 @@ def test_report_docs_use_rational_strings(fam2):
     assert cdoc["accepted"] is True
     assert cdoc["surjectivity_radius"].count("/") == 1
     json.dumps(cdoc)
+
+
+# -- report documents, pinned whole ------------------------------------------
+# Each dict below is a document as first recorded, literal so that a changed
+# key, value or shape fails.
+
+H = Fraction(1, 2)
+
+
+def test_qi_certificate_docs_pinned():
+    p5 = path_graph(5)
+    pts = [(Vertex(i), Vertex(i)) for i in range(5)]
+    pts += [(Interior(i, H), Interior(i, H)) for i in range(3)]
+    pts.append((Interior(3, H), Interior(0, Fraction(1, 3))))
+    assert qi_certificate_doc(verify_quasi_isometry(QuasiMap(p5, p5, pts), 1)) == {
+        "accepted": False, "constant": 1, "mode": "exhaustive", "seed": None,
+        "count": None, "pairs_checked": 8, "surjectivity_radius": "1/2",
+        "violations": [{
+            "kind": "pair", "x": {"vertex": 0}, "y": {"edge": 3, "offset": "1/2"},
+            "d_source": "7/2", "d_target": "1/3",
+            "lower_bound": "5/2", "upper_bound": "9/2",
+        }],
+    }
+    far = QuasiMap(path_graph(2), path_graph(9),
+                   [(Vertex(0), Vertex(0)), (Vertex(1), Interior(0, H))])
+    cert = verify_quasi_isometry(far, 2)
+    assert qi_certificate_doc(cert) == {
+        "accepted": False, "constant": 2, "mode": "exhaustive", "seed": None,
+        "count": None, "pairs_checked": 0, "surjectivity_radius": "15/2",
+        "violations": [{"kind": "surjectivity", "point": {"vertex": 8},
+                        "dist": "15/2", "bound": "2/1"}],
+    }
+    with pytest.raises(TypeError):
+        violation_doc(cert)
+
+
+def test_delta_report_docs_pinned():
+    rep = slim_triangle_delta(random_graph(4, 7, extra=3, rational=True))
+    assert delta_report_doc(rep) == {
+        "delta_upper_observed": "1/1", "mode": "exhaustive", "seed": None,
+        "count": None, "triples_checked": 35, "triples_skipped": 0,
+        "sampling_slack": "1/1",
+        "witness": {"side": [2, 4], "apex": 0, "point": {"vertex": 6}, "dist": "1/1"},
+    }
+    assert delta_report_doc(slim_triangle_delta(path_graph(4), "sampled", 3, 4)) == {
+        "delta_upper_observed": "0/1", "mode": "sampled", "seed": 3, "count": 4,
+        "triples_checked": 4, "triples_skipped": 0, "sampling_slack": "1/2",
+        "witness": None,
+    }
+
+
+def test_bottleneck_report_doc_pinned():
+    assert bottleneck_report_doc(verify_bottleneck(cycle_graph(24), 3)) == {
+        "accepted": False, "delta_param": "3/1", "radius": "2/1",
+        "mode": "exhaustive", "seed": None, "count": None, "pairs_checked": 5,
+        "witness": {
+            "x": {"vertex": 0}, "y": {"vertex": 5},
+            "probe": {"edge": 2, "offset": "1/2"}, "distance": "5/1",
+            "avoiding_path": [0, *range(23, 4, -1)],
+        },
+    }
+
+
+def test_separation_report_docs_pinned(fam2):
+    rep = certify_two_hyperbolic_gamma0(build_gamma0(fam2, 6), 1, 10)
+    assert separation_report_doc(rep) == {
+        "accepted": True, "radius": "2/1", "seed": 1, "count": 10,
+        "pairs_checked": 10, "probes_checked": 27, "witness": None,
+    }
+    # Γ0 accepts, so the witness shape is pinned on a built report
+    witness = BottleneckWitness(Vertex(0), Interior(3, Fraction(1, 3)), Vertex(2),
+                                Fraction(7, 3), (0, 1))
+    rep = SeparationReport(False, Fraction(2), 1, 3, 2, 5, witness)
+    assert separation_report_doc(rep) == {
+        "accepted": False, "radius": "2/1", "seed": 1, "count": 3,
+        "pairs_checked": 2, "probes_checked": 5,
+        "witness": {"x": {"vertex": 0}, "y": {"edge": 3, "offset": "1/3"},
+                    "probe": {"vertex": 2}, "distance": "7/3",
+                    "avoiding_path": [0, 1]},
+    }
+
+
+def test_prune_trace_doc_pinned():
+    assert prune_trace_doc(prune_k(path_graph(4), 3)[1]) == {
+        "rounds_requested": 3, "rounds_run": 2, "stages": [[0, 3], [1, 2]],
+        "empty": True,
+    }
+
+
+def test_choice_certificate_doc_pinned(pipe2):
+    g0, g1 = pipe2
+    cert = extract_choice(section_map(g0, mode="seeded", seed=3, g1=g1), g0, 4)
+    inputs = {"depth": 1000, "constant": 4, "family": "ab"}
+    assert choice_certificate_doc(cert, inputs) == {
+        "constant": 4, "rounds": 112, "root": 0, "frontier": [224, 1224],
+        "arm_assignment": [{"set": "X0", "vertex": 224}, {"set": "X1", "vertex": 1224}],
+        "h_values": [{"vertex": 224, "element": "b"}, {"vertex": 1224, "element": "c"}],
+        "transversal": ["b", "c"], "verified": True, "inputs": inputs,
+    }
+    assert "inputs" not in choice_certificate_doc(cert)

@@ -83,6 +83,21 @@ def test_rejects_label_not_endpoint():
         LabeledMetricGraph([0, 1, 2], [Edge(0, 0, 1, Fraction(1), 2)])
 
 
+def test_edge_forms_and_malformed_tuples():
+    # 4-tuples, 5-tuples and Edges, with int or Fraction lengths, are one graph
+    forms = (
+        [(0, 0, 1, 2), (1, 1, 2, Fraction(1, 2))],
+        [(0, 0, 1, 2, None), (1, 1, 2, Fraction(1, 2), None)],
+        [Edge(0, 0, 1, 2), Edge(1, 1, 2, Fraction(1, 2))],
+    )
+    sigs = {LabeledMetricGraph([0, 1, 2], edges).signature() for edges in forms}
+    assert len(sigs) == 1
+    assert LabeledMetricGraph([0, 1, 2], forms[2]).edge(0).length == Fraction(2)
+    for bad in ((0, 0, 1), (0, 0, 1, 1, None, 7)):
+        with pytest.raises(GraphStructureError, match="edge"):
+            LabeledMetricGraph([0, 1], [bad])
+
+
 def test_rejects_unknown_basepoint():
     with pytest.raises(GraphStructureError):
         LabeledMetricGraph([0, 1], [(0, 0, 1, 1)], basepoint=7)
