@@ -77,9 +77,8 @@ EXHAUSTIVE_GUARD = 4000
 
 def _emit(args, doc):
     text = canonical_dumps(doc)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -310,10 +309,6 @@ def _cmd_verify_transversal(args):
     return 0 if ok else 1
 
 
-def _add_out(sp):
-    sp.add_argument("--out", help="write the JSON document here instead of stdout")
-
-
 def _add_mode(sp, modes=("exhaustive", "sampled")):
     sp.add_argument("--mode", choices=modes, default="exhaustive")
     sp.add_argument("--seed", type=int, help="RNG seed (required when sampled)")
@@ -331,19 +326,16 @@ def _build_parser():
     sp = sub.add_parser("gamma0", help="build the doubled-edge graph of a family")
     sp.add_argument("--family", required=True)
     sp.add_argument("--depth", type=int, required=True)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_gamma0)
 
     sp = sub.add_parser("gamma1", help="build the quotient tree of a family")
     sp.add_argument("--family", required=True)
     sp.add_argument("--depth", type=int, required=True)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_gamma1)
 
     sp = sub.add_parser("collapse", help="the arm-collapsing map as a map document")
     sp.add_argument("--gamma0", required=True)
     sp.add_argument("--gamma1", required=True)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_collapse)
 
     sp = sub.add_parser("check-qi", help="verify a map document at a constant")
@@ -355,19 +347,16 @@ def _build_parser():
         action="store_true",
         help=f"run exhaustively past the {EXHAUSTIVE_GUARD}-point guard",
     )
-    _add_out(sp)
     sp.set_defaults(func=_cmd_check_qi)
 
     sp = sub.add_parser("min-qi", help="smallest accepted constant of a map")
     sp.add_argument("--map", required=True)
     sp.add_argument("--cap", type=int, default=None)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_min_qi)
 
     sp = sub.add_parser("delta", help="slim-triangle thinness of a graph")
     sp.add_argument("--graph", required=True)
     _add_mode(sp)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_delta)
 
     sp = sub.add_parser("bottleneck", help="midpoint bottleneck verification")
@@ -375,7 +364,6 @@ def _build_parser():
     sp.add_argument("--delta", required=True, help='thinness parameter, "p/q"')
     sp.add_argument("--radius", help='ball radius, "p/q" (default delta - 1)')
     _add_mode(sp)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_bottleneck)
 
     sp = sub.add_parser(
@@ -384,7 +372,6 @@ def _build_parser():
     sp.add_argument("--gamma0", required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--count", type=int, required=True)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_separation)
 
     sp = sub.add_parser("profile", help="level profiles of all geodesics x..y")
@@ -392,7 +379,6 @@ def _build_parser():
     sp.add_argument("--x", required=True, help='point JSON, e.g. {"vertex":3}')
     sp.add_argument("--y", required=True)
     sp.add_argument("--cap", type=int, default=1000)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_profile)
 
     sp = sub.add_parser("witness", help="a far vertex pinned behind y")
@@ -400,13 +386,11 @@ def _build_parser():
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--bound", required=True, help='distance bound, "p/q"')
-    _add_out(sp)
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("prune", help="simultaneous leaf removal, k rounds")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--rounds", type=int, required=True)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_prune)
 
     sp = sub.add_parser("median", help="median of three points in a tree")
@@ -414,7 +398,6 @@ def _build_parser():
     sp.add_argument("--z", required=True, help="root point JSON")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_median)
 
     sp = sub.add_parser(
@@ -423,7 +406,6 @@ def _build_parser():
     sp.add_argument("--map", required=True)
     sp.add_argument("--constant", type=int, required=True)
     sp.add_argument("--root", help="root point JSON (default smallest vertex)")
-    _add_out(sp)
     sp.set_defaults(func=_cmd_quasi_inverse)
 
     sp = sub.add_parser(
@@ -434,7 +416,6 @@ def _build_parser():
     sp.add_argument("--constant", type=int, required=True)
     sp.add_argument("--section", required=True, help="section spec JSON file")
     sp.add_argument("--adversarial-seed", type=int, default=None)
-    _add_out(sp)
     sp.set_defaults(func=_cmd_extract_choice)
 
     sp = sub.add_parser(
@@ -442,9 +423,10 @@ def _build_parser():
     )
     sp.add_argument("--family", required=True)
     sp.add_argument("--elements", required=True, help="JSON file of element names")
-    _add_out(sp)
     sp.set_defaults(func=_cmd_verify_transversal)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="write the JSON document here instead of stdout")
     return p
 
 

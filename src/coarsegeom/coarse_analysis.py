@@ -4,10 +4,12 @@ bottleneck separation certificates.
 All quantities are exact rationals.  Triangle corners are vertices; for a
 pair of corners the full union of geodesics between them is represented by
 its carrier (the vertices and whole edges that some geodesic runs through).
-Distances from one side to the other two are probed at half-edge
-resolution: carrier vertices plus midpoints of carrier edges.  The probe
-grid can miss the true supremum by at most half the longest edge, and that
-residue is reported as sampling_slack next to the observed value.
+Each carrier is searched once for every vertex's distance to it, and a
+side's distance to the other two is the lesser of their carriers' rows,
+probed at half-edge resolution: carrier vertices plus midpoints of carrier
+edges.  The probe grid can miss the true supremum by at most half the
+longest edge, and that residue is reported as sampling_slack next to the
+observed value.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class DeltaReport:
 
 
 def _carrier(g, a, b):
-    """Vertices and whole edges lying on some geodesic from a to b."""
+    """Vertices and whole edges lying on some geodesic from a to b, and
+    every vertex's integer distance to those vertices, by index."""
     ix, ilen = g._index, g._ilen
     row_a = g._row(a)
     row_b = g._row(b)
@@ -67,24 +70,7 @@ def _carrier(g, a, b):
         if row_a[ix[e.u]] + ilen[e.id] + row_b[ix[e.v]] == dab
         or row_a[ix[e.v]] + ilen[e.id] + row_b[ix[e.u]] == dab
     )
-    return verts, edges
-
-
-def _side_sup(g, probe, union):
-    """Largest probed distance from the probe carrier to the union carrier,
-    with the point realizing it.
-
-    Probes are the carrier vertices and the midpoints of carrier edges not
-    in the union.  A midpoint must exit its edge through an endpoint, and
-    the nearest union point is always a union vertex, so its distance is
-    exactly len/2 + min over the two endpoints.  The search stays at
-    scale 1, where it reuses the graph's adjacency.
-    """
-    pverts, pedges = probe
-    uverts, uedges = union
-    ueids = {e.id for e in uedges}
-    du = g._search([(0, g._index[v]) for v in uverts])
-    return _farthest(g, 1, du, {}, pverts, [e for e in pedges if e.id not in ueids])
+    return verts, edges, g._search([(0, ix[v]) for v in verts])
 
 
 def _triple_roles(a, b, c):
@@ -122,11 +108,15 @@ def slim_triangle_delta(
     for i, j, k in _draws(len(ids), 3, mode, seed, count):
         checked += 1
         for (p, q), apex in _triple_roles(ids[i], ids[j], ids[k]):
-            pv, pe = carrier(p, q)
-            c1 = carrier(p, apex)
-            c2 = carrier(apex, q)
-            union = (c1[0] + c2[0], c1[1] + c2[1])
-            val, point = _side_sup(g, (pv, pe), union)
+            pv, pe, _ = carrier(p, q)
+            _, e1, r1 = carrier(p, apex)
+            _, e2, r2 = carrier(apex, q)
+            # the distance to a union is the lesser of the distances to its
+            # parts; a probe midpoint leaves its edge through an endpoint,
+            # and the nearest union point is a union vertex
+            du = [x if x < y else y for x, y in zip(r1, r2)]
+            ueids = {e.id for e in e1 + e2}
+            val, point = _farthest(g, 1, du, {}, pv, [e for e in pe if e.id not in ueids])
             if val > best:
                 best, witness = val, DeltaWitness((p, q), apex, point, val)
     return DeltaReport(best, mode, seed, count, checked, 0, slack, witness)

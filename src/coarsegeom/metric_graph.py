@@ -127,6 +127,8 @@ class LabeledMetricGraph:
                     f"edge {item!r} is not (id, u, v, length[, label])") from None
             if not isinstance(e.length, Fraction):
                 e = Edge(e.id, e.u, e.v, Fraction(e.length), e.label)
+            if not (isinstance(e.id, int) and isinstance(e.u, int) and isinstance(e.v, int)):
+                raise GraphStructureError(f"edge {e.id!r}: id and endpoints must be integers")
             if e.id in seen_eids:
                 raise GraphStructureError(f"duplicate edge id {e.id}")
             seen_eids.add(e.id)

@@ -85,6 +85,17 @@ def test_out_flag_and_byte_identical_reruns(capsys, tmp_path, fam_file):
     capsys.readouterr()
     assert open(a, "rb").read() == open(b, "rb").read()
     assert open(a).read().endswith("\n")
+    # every command takes --out, last, and it writes exactly stdout's bytes
+    sub = next(x for x in cli._build_parser()._actions if x.dest == "command")
+    assert len(sub.choices) == 15
+    for name, sp in sub.choices.items():
+        assert sp._actions[-1].option_strings == ["--out"], name
+    gp, o = graph_file(tmp_path, cycle_graph(8), "c8.json"), str(tmp_path / "d.json")
+    assert main(["delta", "--graph", gp]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["delta", "--graph", gp, "--out", o]) == 0
+    assert capsys.readouterr().out == ""
+    assert open(o, encoding="utf-8").read() == stdout
 
 
 def test_collapse_and_min_qi(capsys, tmp_path, fam_file):

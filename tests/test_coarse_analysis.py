@@ -1,6 +1,7 @@
 """Slim triangles, midpoints, bottleneck certificates, separation."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,7 @@ from coarsegeom import (
     verify_bottleneck,
     verify_quasi_isometry,
 )
+from coarsegeom.coarse_analysis import _carrier
 
 H = Fraction(1, 2)
 
@@ -106,6 +108,30 @@ def test_delta_sampled_mode_seeded():
         r = slim_triangle_delta(g, mode="sampled", seed=7, count=25)
         assert (r.delta_upper_observed, r.witness) == (witness.dist, witness)
         assert r.triples_checked == 25
+
+
+def test_carrier_rows_match_floyd_warshall():
+    """_carrier's vertices are those on some geodesic, and its row holds
+    each vertex's least distance to them, in units of 1/L."""
+    for g in (cycle_graph(8), random_graph(3, 10, extra=8, rational=True),
+              random_graph(7, 9, extra=5, rational=True)):
+        fw, ids = oracles.floyd_warshall(g), g.vertex_ids()
+        for a, b in combinations(ids, 2):
+            verts, _, row = _carrier(g, a, b)
+            assert verts == tuple(w for w in ids if fw[a][w] + fw[w][b] == fw[a][b])
+            for w in ids:
+                least = min(fw[w][v] for v in verts)
+                assert row[g._index[w]] == least * g._scale
+
+
+def test_delta_searches_once_per_carrier():
+    """Exhaustive delta runs one search per vertex row and one per
+    carrier, V + C(V, 2), however many triples share a carrier."""
+    g = random_graph(3, 10, extra=8, rational=True)
+    search, calls = g._search, []
+    g._search = lambda *args: calls.append(args) or search(*args)
+    slim_triangle_delta(g)
+    assert len(calls) == 10 + 45
 
 
 def test_gamma0_observes_small_delta(g0_8):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -96,6 +97,12 @@ def test_edge_forms_and_malformed_tuples():
     for bad in ((0, 0, 1), (0, 0, 1, 1, None, 7)):
         with pytest.raises(GraphStructureError, match="edge"):
             LabeledMetricGraph([0, 1], [bad])
+    # ids and endpoints must be ints, as vertex ids must: 1.0 == 1 would
+    # otherwise pass the endpoint lookup and leak a float into geodesics
+    for bad in (("a", 0, 1, 1), (0, 0, 1.0, 1), (0, 0.0, 1, 1), (Fraction(0), 0, 1, 1)):
+        msg = re.escape(f"edge {bad[0]!r}: id and endpoints must be integers")
+        with pytest.raises(GraphStructureError, match=msg):
+            LabeledMetricGraph([0, 1, 2], [bad, (1, 1, 2, 1)])
 
 
 def test_rejects_unknown_basepoint():
