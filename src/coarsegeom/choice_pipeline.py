@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coarse_maps import QuasiMap, _distance_rows, restrict_map, verify_quasi_isometry
 from .errors import (
@@ -129,9 +128,8 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
             f"an accepted constant-{n} certificate rules out"
         )
 
-    row = pruned.vertex_row(root)
-    reach = Fraction(2 * k)
-    frontier = sorted(u for u in pruned.vertex_ids() if row[u] == reach)
+    reach = 2 * k * pruned._scale  # integer rows count in units of 1/L
+    frontier = [u for u, d in zip(pruned.vertex_ids(), pruned._row(root)) if d == reach]
     if not frontier:
         raise DepthError(f"no vertices at tree distance {2 * k} from the root")
 
@@ -219,12 +217,17 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
     elif not _is_gamma1(g1, g0.family, depth):
         raise GraphMismatch("supplied quotient tree does not match the family")
     graph0 = g0.graph
+    least = {}  # the least id of the edges joining each pair of vertices
+    for e in graph0.edges:
+        ends = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+        if least.setdefault(ends, e.id) > e.id:
+            least[ends] = e.id
 
     def edge_between(a, b):
-        for nb, e in graph0.edges_at(a):
-            if nb == b:
-                return e.id
-        raise LabelError(f"no edge joins {a} and {b}")
+        eid = least.get((a, b) if a < b else (b, a))
+        if eid is None:
+            raise LabelError(f"no edge joins {a} and {b}")
+        return eid
 
     assignments = [(Vertex(0), Vertex(0))]
     for si in range(len(g0.family.sets)):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .coarse_maps import _check_sampling, _draws
@@ -29,8 +30,9 @@ from .metric_graph import (
     Vertex,
     _avoiding_path,
     _farthest,
+    _point_scale,
+    _scaled_point,
     canonical_geodesic,
-    distance,
     half_net,
     point_along,
 )
@@ -217,12 +219,24 @@ def certify_two_hyperbolic_gamma0(g0, seed, count) -> SeparationReport:
     """
     _check_sampling("sampled", ("sampled",), seed, count)
     g = g0.graph
-    two = Fraction(2)
+    pairs, checked, witness = _first_avoidable(
+        g, "sampled", seed, count, Fraction(2), lambda geo: _separation_probes(g, geo))
+    return SeparationReport(witness is None, Fraction(2), seed, count, pairs, checked, witness)
 
-    def probes(geo):
-        hits = [Vertex(v) for v in geo.vertices] + [Interior(e, HALF) for e in geo.edges]
-        return (w for w in hits
-                if distance(g, geo.start, w) > two and distance(g, geo.end, w) > two)
 
-    pairs, checked, witness = _first_avoidable(g, "sampled", seed, count, two, probes)
-    return SeparationReport(witness is None, two, seed, count, pairs, checked, witness)
+def _separation_probes(g, geo):
+    """The vertex hits, then the hop-edge midpoints, of a geodesic that lie
+    farther than 2 from both of its ends.  A subpath of a geodesic is one,
+    so a probe's distance to the start is its arc length, counted here in
+    doubled units of 1/(k*L) to keep midpoints whole."""
+    vs, es = geo.vertices, geo.edges
+    if not vs:
+        return []
+    k = _point_scale(g, (geo.start, geo.end))
+    hops = [2 * k * g._ilen[e] for e in es]
+    at = list(accumulate(hops, initial=2 * dict(_scaled_point(g, geo.start, k)[1])[vs[0]]))
+    total = at[-1] + 2 * dict(_scaled_point(g, geo.end, k)[1])[vs[-1]]
+    far = 4 * k * g._scale  # the radius 2, in doubled units
+    hits = [(Vertex(v), a) for v, a in zip(vs, at)]
+    hits += [(Interior(e, HALF), a + h // 2) for e, a, h in zip(es, at, hops)]
+    return [w for w, a in hits if far < a < total - far]

@@ -16,6 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations
 from math import lcm
 from typing import Optional
@@ -57,16 +58,20 @@ class QuasiMap:
         self.source = source
         self.target = target
         pairs = sorted(assignments, key=lambda pq: point_key(pq[0]))
-        seen = set()
+        # equal points have equal keys, so a duplicate follows its twin
+        prev = None
         for p, q in pairs:
             validate_point(source, p)
             validate_point(target, q)
-            if p in seen:
+            if p == prev:
                 raise DomainNotNet(f"duplicate domain point {p}")
-            seen.add(p)
+            prev = p
         self.assignments = tuple(pairs)
         self.asserted_constant = asserted_constant
-        self._image = dict(pairs)
+
+    @cached_property
+    def _image(self):
+        return dict(self.assignments)
 
     def domain(self):
         return tuple(p for p, _ in self.assignments)
@@ -143,7 +148,7 @@ def _require_connected(m: QuasiMap):
 
 
 def _require_vertex_cover(m: QuasiMap):
-    have = {p.id for p in m._image if isinstance(p, Vertex)}
+    have = {p.id for p, _ in m.assignments if isinstance(p, Vertex)}
     for vid in m.source.vertex_ids():
         if vid not in have:
             raise DomainNotNet(f"domain does not cover source vertex {vid}")

@@ -6,7 +6,9 @@ metrically interchangeable but carry distinct ids (and possibly distinct
 labels), so routes through them count as distinct geodesics.  Points are
 either vertices or interior points of an edge, and every computation here
 (distances, geodesics, ball complements) is exact; no floating point is
-used anywhere.
+used anywhere.  Every edge and point is checked with integer tests on
+numerators and denominators, and the adjacency lists are built on first
+use, so a graph that is only built, mapped and dumped never sorts them.
 
 Vertex distances come from one engine: a Dijkstra over integer edge
 weights in units of 1/L, L the lcm of the edge-length denominators, whose
@@ -27,6 +29,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -117,8 +120,7 @@ class LabeledMetricGraph:
             if vid in labels:
                 raise GraphStructureError(f"duplicate vertex id {vid}")
             labels[vid] = lab
-        parsed = []
-        seen_eids = set()
+        by_id = {}
         for item in edges:
             try:
                 e = item if isinstance(item, Edge) else Edge(*item)
@@ -129,55 +131,62 @@ class LabeledMetricGraph:
                 e = Edge(e.id, e.u, e.v, Fraction(e.length), e.label)
             if not (isinstance(e.id, int) and isinstance(e.u, int) and isinstance(e.v, int)):
                 raise GraphStructureError(f"edge {e.id!r}: id and endpoints must be integers")
-            if e.id in seen_eids:
+            if e.id in by_id:
                 raise GraphStructureError(f"duplicate edge id {e.id}")
-            seen_eids.add(e.id)
+            by_id[e.id] = e
             if e.u not in labels or e.v not in labels:
                 raise GraphStructureError(f"edge {e.id} references a missing vertex")
             if e.u == e.v:
                 raise GraphStructureError(f"edge {e.id} is a self-loop")
-            if e.length <= 0:
+            # a Fraction's denominator is positive: its sign is its numerator's
+            if e.length.numerator <= 0:
                 raise GraphStructureError(f"edge {e.id} has non-positive length")
             if e.label is not None and e.label not in (e.u, e.v):
                 raise GraphStructureError(f"edge {e.id} label is not an endpoint")
-            parsed.append(e)
         if basepoint is not None and basepoint not in labels:
             raise GraphStructureError(f"basepoint {basepoint} is not a vertex")
         self.vertex_labels = labels
-        self.edges = tuple(parsed)
+        self.edges = tuple(by_id.values())
         self.basepoint = basepoint
 
         self._ids = tuple(sorted(labels))
         self._index = {vid: i for i, vid in enumerate(self._ids)}
-        self._edge_by_id = {e.id: e for e in self.edges}
-        adj = {vid: [] for vid in self._ids}
-        for e in self.edges:
-            adj[e.u].append((e.v, e))
-            adj[e.v].append((e.u, e))
-        # sorted by (neighbor id, edge id): geodesic enumeration relies on it
-        self._adj = {
-            vid: tuple(sorted(pairs, key=lambda t: (t[0], t[1].id)))
-            for vid, pairs in adj.items()
-        }
+        self._edge_by_id = by_id
         # the distance engine works in integer units of 1/L, L the lcm of
         # the edge-length denominators: _ilen is each edge's length in
-        # those units, _iadj the shortest edge to each neighbor by index
+        # those units
         self._scale = lcm(*(e.length.denominator for e in self.edges))
         self._ilen = {e.id: e.length.numerator * (self._scale // e.length.denominator)
                       for e in self.edges}
-        nbr_min = [{} for _ in self._ids]
-        for e in self.edges:
-            w = self._ilen[e.id]
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                d = nbr_min[self._index[a]]
-                j = self._index[b]
-                if j not in d or w < d[j]:
-                    d[j] = w
-        self._iadj = [tuple(sorted(d.items())) for d in nbr_min]
         self._rows = {}
         # closed-form distances, attached by the builders of graphs whose
         # metric has one (ids 0..V-1, so vertex ids index its rows)
         self._closed_form = None
+
+    @cached_property
+    def _adj(self):
+        """Each vertex's (neighbor id, edge) pairs, sorted by (neighbor id,
+        edge id): geodesic enumeration relies on it."""
+        adj = {vid: [] for vid in self._ids}
+        for e in self.edges:
+            adj[e.u].append((e.v, e))
+            adj[e.v].append((e.u, e))
+        return {vid: tuple(sorted(pairs, key=lambda t: (t[0], t[1].id)))
+                for vid, pairs in adj.items()}
+
+    @cached_property
+    def _iadj(self):
+        """Sorted (neighbor index, shortest edge's integer length) pairs by vertex index."""
+        nbr_min = [{} for _ in self._ids]
+        ix, ilen = self._index, self._ilen
+        for e in self.edges:
+            w = ilen[e.id]
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                d = nbr_min[ix[a]]
+                j = ix[b]
+                if j not in d or w < d[j]:
+                    d[j] = w
+        return [tuple(sorted(d.items())) for d in nbr_min]
 
     # -- basic accessors -------------------------------------------------
 
@@ -231,8 +240,6 @@ class LabeledMetricGraph:
         index) pairs.  Returns the distance to every vertex by index, in
         units of 1/(k*L), with -1 where no seed reaches."""
         adj = self._iadj
-        if k != 1:
-            adj = [[(j, w * k) for j, w in nb] for nb in adj]
         dist = [-1] * len(adj)
         heap = list(seeds)
         heapq.heapify(heap)
@@ -244,7 +251,7 @@ class LabeledMetricGraph:
             dist[i] = d
             for j, w in adj[i]:
                 if dist[j] < 0:
-                    push(heap, (d + w, j))
+                    push(heap, (d + w * k, j))
         return dist
 
     def _row(self, src):
@@ -297,7 +304,7 @@ def validate_point(g: LabeledMetricGraph, p: GraphPoint):
         e = g.edge(p.edge)
         if not isinstance(p.offset, Fraction):
             raise InvalidPoint("interior offset must be a Fraction")
-        if not (0 < p.offset < 1):
+        if not 0 < p.offset.numerator < p.offset.denominator:
             raise InvalidPoint(
                 f"interior offset {p.offset} of edge {e.id} is outside (0, 1)"
             )

@@ -231,6 +231,26 @@ def brute_quasi_inverse(f, n, z):
     return out
 
 
+def brute_prune(g, k):
+    """(surviving vertex ids, stages) of k simultaneous leaf-removal
+    rounds, each round rescanning every surviving vertex's valence over
+    the edges left between survivors."""
+    alive = set(g.vertex_ids())
+    stages = []
+    for _ in range(k):
+        valence = {v: 0 for v in alive}
+        for e in g.edges:
+            if e.u in alive and e.v in alive:
+                valence[e.u] += 1
+                valence[e.v] += 1
+        leaves = sorted(v for v in alive if valence[v] == 1)
+        if not leaves:
+            break
+        alive -= set(leaves)
+        stages.append(tuple(leaves))
+    return alive, tuple(stages)
+
+
 def surviving_vertex_partition(g, center, radius):
     """Components of vertices outside the closed ball, by DFS reachability.
 

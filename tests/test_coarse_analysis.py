@@ -1,5 +1,6 @@
 """Slim triangles, midpoints, bottleneck certificates, separation."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from coarsegeom import (
     verify_bottleneck,
     verify_quasi_isometry,
 )
-from coarsegeom.coarse_analysis import _carrier
+from coarsegeom.coarse_analysis import _carrier, _separation_probes
 
 H = Fraction(1, 2)
 
@@ -245,6 +246,24 @@ def test_separation_certificate(fam2):
     assert r.probes_checked == 85
     assert r.witness is None
     assert certify_two_hyperbolic_gamma0(g0, seed=5, count=60) == r
+
+
+def test_separation_probes_read_arc_lengths(fam2):
+    """A probe's distance to either end is its position along the
+    geodesic, so the filter matches one that asks the metric."""
+
+    def by_distance(g, geo):
+        hits = [Vertex(v) for v in geo.vertices] + [Interior(e, H) for e in geo.edges]
+        return [w for w in hits
+                if distance(g, geo.start, w) > 2 and distance(g, geo.end, w) > 2]
+
+    rng = random.Random(17)
+    for g in (build_gamma0(fam2, 8).graph, random_graph(3, 12, extra=5, rational=True)):
+        pool = half_net(g)
+        for _ in range(60):
+            x, y = rng.sample(pool, 2)
+            geo = canonical_geodesic(g, x, y)
+            assert _separation_probes(g, geo) == by_distance(g, geo)
 
 
 def test_sampled_modes_on_tiny_pools(fam2):

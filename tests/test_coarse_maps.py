@@ -56,6 +56,19 @@ def test_duplicate_domain_point_rejected():
         QuasiMap(g, g, [(Vertex(0), Vertex(0)), (Vertex(0), Vertex(1)), (Vertex(1), Vertex(1)), (Vertex(2), Vertex(2))])
 
 
+def test_duplicates_out_of_order_name_the_point():
+    # sorting puts equal points side by side, whatever order they came in
+    g = path_graph(3)
+    pts = [Interior(1, H), Vertex(2), Vertex(0), Interior(1, Fraction(2, 4)), Vertex(1)]
+    with pytest.raises(DomainNotNet) as err:
+        QuasiMap(g, g, [(p, Vertex(0)) for p in pts])
+    assert str(err.value) == "duplicate domain point Interior(edge=1, offset=Fraction(1, 2))"
+    pts = [Vertex(2), Vertex(0), Interior(0, H), Vertex(1), Vertex(2)]
+    with pytest.raises(DomainNotNet) as err:
+        QuasiMap(g, g, [(p, Vertex(0)) for p in pts])
+    assert str(err.value) == "duplicate domain point Vertex(id=2)"
+
+
 def test_image_of_unknown_point():
     g = path_graph(3)
     m = identity_map(g)

@@ -346,3 +346,23 @@ def test_far_witness_single_set_family():
     # a genuinely different arm is required once the pair is far apart
     with pytest.raises(NoAlternateArm):
         find_far_witness(g0, Vertex(a("a", 9)), Vertex(a("a", 2)), 2)
+
+
+def test_build_collapse_and_dump_build_no_adjacency(fam2):
+    """Adjacency is built on first use, and a graph that is only built,
+    collapsed and dumped never uses it."""
+    g0, g1 = build_gamma0(fam2, 12), build_gamma1(fam2, 12)
+    m = build_collapse_map(g0, g1)
+    documents.canonical_dumps(gamma0_doc(g0))
+    documents.canonical_dumps(gamma1_doc(g1, fam2, 12))
+    documents.canonical_dumps(documents.map_doc(m, "gamma0.json", "gamma1.json"))
+    for g in (g0.graph, g1):
+        assert "_adj" not in vars(g) and "_iadj" not in vars(g)
+
+
+def test_builder_and_parsed_graphs_share_adjacency(fam2):
+    for g in (build_gamma0(fam2, 5).graph, build_gamma1(fam2, 5)):
+        parsed = parse_graph(graph_doc(g))
+        assert parsed.same_structure(g)
+        assert [parsed.edges_at(v) for v in g.vertex_ids()] == [
+            g.edges_at(v) for v in g.vertex_ids()]

@@ -79,6 +79,15 @@ def test_rejects_nonpositive_length():
         LabeledMetricGraph([0, 1], [(0, 0, 1, 0)])
 
 
+def test_nonpositive_lengths_keep_their_message():
+    # the sign test reads the numerator: Fraction(0, 5) normalizes to 0/1
+    for length in (0, Fraction(-1, 2), Fraction(0, 5)):
+        for edge in ((0, 0, 1, length), Edge(0, 0, 1, length)):
+            with pytest.raises(GraphStructureError) as err:
+                LabeledMetricGraph([0, 1], [edge])
+            assert str(err.value) == "edge 0 has non-positive length"
+
+
 def test_rejects_label_not_endpoint():
     with pytest.raises(GraphStructureError):
         LabeledMetricGraph([0, 1, 2], [Edge(0, 0, 1, Fraction(1), 2)])
@@ -115,6 +124,17 @@ def test_parallel_edges_are_distinct():
     assert g.n_edges == 2
     assert g.degree(0) == 2
     assert g.edge(0) != g.edge(1)
+
+
+def test_adjacency_order_ignores_edge_order():
+    # geodesic enumeration walks edges_at by (neighbor id, edge id)
+    g = random_graph(7, 12, extra=10, rational=True)
+    flipped = LabeledMetricGraph(g.vertex_ids(), [
+        (e.id, e.v, e.u, e.length) for e in reversed(g.edges)])
+    for v in g.vertex_ids():
+        pairs = [(nb, e.id) for nb, e in flipped.edges_at(v)]
+        assert pairs == sorted(pairs) == [(nb, e.id) for nb, e in g.edges_at(v)]
+        assert flipped.degree(v) == g.degree(v) == len(pairs)
 
 
 def test_signature_detects_label_changes():
@@ -211,6 +231,17 @@ def test_validate_point_rejects_bad_offsets():
         validate_point(g, Interior(9, H))
     with pytest.raises(InvalidPoint):
         validate_point(g, Vertex(17))
+
+
+def test_bad_offsets_keep_their_messages():
+    g = path_graph(3)
+    for offset in (Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(InvalidPoint) as err:
+            validate_point(g, Interior(1, offset))
+        assert str(err.value) == f"interior offset {offset} of edge 1 is outside (0, 1)"
+    with pytest.raises(InvalidPoint) as err:
+        validate_point(g, Interior(1, 0.5))
+    assert str(err.value) == "interior offset must be a Fraction"
 
 
 def test_point_on_edge_normalizes_endpoints():

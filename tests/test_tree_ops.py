@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import path_graph, random_tree
+from conftest import path_graph, random_graph, random_tree
 from coarsegeom import (
     EmptyPreimage,
     GraphMismatch,
     Interior,
     LabeledMetricGraph,
     NotATree,
+    PruneTrace,
     QuasiMap,
     SetFamily,
     Vertex,
@@ -75,6 +76,24 @@ def test_prune_removed_were_leaves():
             assert cur.degree(v) == 1
         cur, _ = prune_once(cur)
     assert oracles.label_shape(cur) == oracles.label_shape(out)
+
+
+def test_prune_matches_round_by_round_rescan():
+    """Each round's leaves are found among the last round's neighbors;
+    a full rescan per round finds the same stages and the same graph."""
+    graphs = [random_tree(seed, 5 + 4 * seed, rational=True) for seed in range(8)]
+    graphs += [random_graph(seed, 14, extra=4) for seed in range(4)]  # cycles, parallels
+    graphs.append(LabeledMetricGraph(range(3), [(0, 0, 1, 1), (1, 0, 1, 2), (2, 1, 2, 1)],
+                                     basepoint=2))
+    for g in graphs:
+        for k in (0, 1, 2, 5, 100):
+            out, tr = prune_k(g, k)
+            alive, stages = oracles.brute_prune(g, k)
+            assert tr == PruneTrace(k, stages, not alive)
+            base = g.basepoint if g.basepoint in alive else None
+            assert out.same_structure(LabeledMetricGraph(
+                [(v, g.vertex_labels[v]) for v in sorted(alive)],
+                [e for e in g.edges if e.u in alive and e.v in alive], basepoint=base))
 
 
 def test_prune_keeps_treeness_and_shrinks():
@@ -198,6 +217,32 @@ def test_quasi_inverse_scaled_trees():
         assert res.certificate.accepted
         assert res.minimal_constant <= res.bound
         assert round_trip_max(f, res.map) <= 3 * n * n
+
+
+def test_quasi_inverse_certificate_is_the_check():
+    """An inverse whose minimal constant is within 9n^2 gets its
+    certificate without a second scan: it is the one the check gives."""
+    for seed, n in ((3, 1), (4, 2), (5, 3), (6, 2)):
+        t = random_tree(40 + seed, 12 + seed, rational=True)
+        f = QuasiMap(t, scale_metric(t, n), [(p, p) for p in half_net(t)], asserted_constant=n)
+        res = quasi_inverse(f, n)
+        assert res.minimal_constant <= res.bound
+        assert res.certificate == verify_quasi_isometry(res.map, res.bound)
+
+
+def test_quasi_inverse_of_a_non_qi_fails_at_the_bound():
+    # a path of length 12 crushed onto one end of an edge: every target
+    # point's preimage cloud is the whole path, whose meet is the root, so
+    # the inverse lands on vertex 0 and misses the far end by 12 > 9
+    p = path_graph(13)
+    edge = path_graph(2)
+    f = QuasiMap(p, edge, [(Vertex(i), Vertex(0)) for i in range(13)])
+    res = quasi_inverse(f, 1)
+    assert {q for _, q in res.map.assignments} == {Vertex(0)}
+    assert res.minimal_constant == 12
+    assert not res.certificate.accepted
+    assert res.certificate == verify_quasi_isometry(res.map, 9)
+    assert res.certificate.surjectivity_radius == 12
 
 
 def test_round_trip_max_needs_maps_that_compose():
