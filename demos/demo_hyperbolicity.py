@@ -18,8 +18,7 @@ from coarsegeom import (
     build_gamma0,
     certify_two_hyperbolic_gamma0,
     is_separated,
-    point_along,
-    canonical_geodesic,
+    midpoint,
     slim_triangle_delta,
     verify_bottleneck,
 )
@@ -63,8 +62,7 @@ print(f"    swings {w.distance} away from the midpoint {w.probe}")
 print("\nseparation by deleting a ball around a geodesic's middle:")
 x = Vertex(g0.vertex_of("a", 7))
 y = Vertex(g0.vertex_of("c", 7))
-geo = canonical_geodesic(g0.graph, x, y)
-mid = point_along(g0.graph, geo, geo.length / 2)
+mid = midpoint(g0.graph, x, y)
 print(f"  x=a@7, y=c@7, middle of a geodesic between them: {mid}")
 print(f"  deleting the radius-2 ball there parts x from y:",
       is_separated(g0.graph, x, y, mid, 2))

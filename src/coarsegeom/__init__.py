@@ -34,7 +34,6 @@ from .coarse_maps import (
     compose,
     minimal_qi_constant,
     restrict_map,
-    snap_to_domain,
     surjectivity_radius,
     verify_quasi_isometry,
 )
@@ -90,7 +89,6 @@ from .metric_graph import (
     GraphPoint,
     Interior,
     LabeledMetricGraph,
-    Rational,
     Vertex,
     ball_complement_components,
     canonical_geodesic,
@@ -105,16 +103,13 @@ from .metric_graph import (
     point_key,
     point_on_edge,
     scale_metric,
-    surviving_vertex_path,
     validate_point,
 )
 from .tree_ops import (
     PruneTrace,
     QuasiInverseResult,
     assert_tree,
-    meet_fold,
     prune_k,
-    prune_once,
     quasi_inverse,
     round_trip_max,
     tree_median,

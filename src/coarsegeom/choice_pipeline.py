@@ -28,6 +28,7 @@ from .gamma_spaces import (
     _is_gamma1,
     build_gamma1,
     classify_point,
+    gamma1_edge_id,
     gamma1_vertex_id,
 )
 from .metric_graph import HALF, Interior, Vertex, distance
@@ -115,14 +116,17 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     r = restrict_map(m, pruned)
     unit, rows = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in r.assignments])
     near = set()
-    for (w, _), d in zip(r.assignments, next(rows)):
+    images = {}  # vertex id -> image, so no point of the map is hashed
+    for (w, q), d in zip(r.assignments, next(rows)):
+        if isinstance(w, Vertex):
+            images[w.id] = q
         if d <= n * unit:
             near.update(_half_vertex_candidates(pruned, w))
     if not near:
         raise DepthError("no surviving domain point maps within the constant "
                          "of the base")
     root = min(near)
-    if distance(g0.graph, r.image_of(Vertex(root)), Vertex(0)) > 3 * n:
+    if distance(g0.graph, images[root], Vertex(0)) > 3 * n:
         raise NotQuasiIsometry(
             "root image strays beyond three constants from the base, which "
             f"an accepted constant-{n} certificate rules out"
@@ -136,7 +140,7 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     h_values = []
     owner = {}
     for u in frontier:
-        img = r.image_of(Vertex(u))
+        img = images[u]
         cls = classify_point(g0, img)
         if cls.is_base:
             raise LabelError(f"frontier vertex {u} maps into the base region")
@@ -192,58 +196,39 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
     share one graph object; the tree build_gamma1 made for this family
     and depth is accepted without a second build.
     """
-    if mode not in ("first", "alternating", "seeded"):
+    rng = random.Random(seed if mode == "seeded" else 0)
+    # the index of the element lifted at a level, among a set's k elements
+    pick = {"first": lambda lev, k: 0,
+            "alternating": lambda lev, k: (lev - 1) % k,
+            "seeded": lambda lev, k: rng.randrange(k)}.get(mode)
+    if pick is None:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "seeded" and seed is None:
         raise ValueError("seeded mode needs a seed")
     depth = g0.depth
-    rng = random.Random(seed) if mode == "seeded" else None
-    chosen = []
-    for s in g0.family.sets:
-        members = s.elements
-        row = [None]  # level 0 is the base, no choice there
-        for lev in range(1, depth + 1):
-            if mode == "first":
-                i = 0
-            elif mode == "alternating":
-                i = (lev - 1) % len(members)
-            else:
-                i = rng.randrange(len(members))
-            row.append(members[i])
-        chosen.append(row)
-
     if g1 is None:
         g1 = build_gamma1(g0.family, depth)
     elif not _is_gamma1(g1, g0.family, depth):
         raise GraphMismatch("supplied quotient tree does not match the family")
     graph0 = g0.graph
-    least = {}  # the least id of the edges joining each pair of vertices
+    # build_gamma0 makes every GammaZeroGraph and doubles each adjacency with
+    # two consecutive edge ids, lower level first: the first one seen is least
+    least = {}
     for e in graph0.edges:
-        ends = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-        if least.setdefault(ends, e.id) > e.id:
-            least[ends] = e.id
+        least.setdefault((e.u, e.v), e.id)
 
-    def edge_between(a, b):
-        eid = least.get((a, b) if a < b else (b, a))
-        if eid is None:
-            raise LabelError(f"no edge joins {a} and {b}")
-        return eid
-
-    assignments = [(Vertex(0), Vertex(0))]
-    for si in range(len(g0.family.sets)):
+    lifts, mids = [(Vertex(0), Vertex(0))], []
+    for si, s in enumerate(g0.family.sets):
+        below = 0  # the lift one level down; level 0 is the base, no choice there
         for lev in range(1, depth + 1):
-            assignments.append((
-                Vertex(gamma1_vertex_id(depth, si, lev)),
-                Vertex(g0.vertex_of(chosen[si][lev], lev)),
-            ))
-    for e in g1.edges:
-        lower, upper = min(e.u, e.v), max(e.u, e.v)  # lower level comes first
-        si = (upper - 1) // depth
-        lev = (upper - 1) % depth + 1
-        a = 0 if lower == 0 else g0.vertex_of(chosen[si][lev - 1], lev - 1)
-        b = g0.vertex_of(chosen[si][lev], lev)
-        assignments.append((Interior(e.id, HALF), Interior(edge_between(a, b), HALF)))
-    return QuasiMap(g1, graph0, assignments, asserted_constant=2)
+            v = g0.vertex_of(s.elements[pick(lev, len(s.elements))], lev)
+            # _is_gamma1 holds, so g1's edge ids are gamma1_edge_id's
+            lifts.append((Vertex(gamma1_vertex_id(depth, si, lev)), Vertex(v)))
+            mids.append((Interior(gamma1_edge_id(depth, si, lev), HALF),
+                         Interior(least[below, v], HALF)))
+            below = v
+    # vertices, then midpoints, by id: QuasiMap's sort finds two sorted runs
+    return QuasiMap(g1, graph0, lifts + mids, asserted_constant=2)
 
 
 def verify_transversal(a, family) -> bool:

@@ -117,10 +117,6 @@ class QiCertificate:
     def accepted(self) -> bool:
         return not self.violations
 
-    @property
-    def certifying(self) -> bool:
-        return self.mode in ("exhaustive", "vertex-exhaustive")
-
 
 def _check_sampling(mode, modes, seed, count):
     """The argument checks of every exhaustive-or-sampled certificate."""
@@ -346,21 +342,11 @@ def _distance_rows(g, sources, targets):
 
 
 def _snap(g, queries, points):
-    """snap_to_domain for every query: each row's first least entry in point_key order."""
+    """The nearest of ``points`` to each query: each row's first least entry in point_key order."""
     net = sorted(points, key=point_key)
     if queries and not net:
         raise InvalidPoint("cannot snap onto an empty net")
     return [net[row.index(min(row))] for row in _distance_rows(g, queries, net)[1]]
-
-
-def snap_to_domain(g: LabeledMetricGraph, q: GraphPoint, points) -> GraphPoint:
-    """Nearest of ``points`` to q in g on a row of integer distances; ties
-    break toward the smaller point in the canonical point order.  Raises
-    DisconnectedGraph when q and a point lie in different components."""
-    points = list(points)
-    for p in (q, *points):
-        validate_point(g, p)
-    return _snap(g, [q], points)[0]
 
 
 def compose(m2: QuasiMap, m1: QuasiMap) -> QuasiMap:

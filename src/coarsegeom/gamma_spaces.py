@@ -167,10 +167,6 @@ class GammaZeroGraph:
         }
         self._brow = None
 
-    @property
-    def basepoint(self) -> int:
-        return 0
-
     def vertex_of(self, element: str, level: int) -> int:
         if level < 1 or level > self.depth or element not in self._elem_pos:
             raise KeyError((element, level))

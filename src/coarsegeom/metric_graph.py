@@ -42,7 +42,6 @@ from .errors import (
     NotAGeodesic,
 )
 
-Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -778,14 +777,6 @@ def _avoiding_path(g, center, radius, x, y):
             if w not in prev and e.id != center_edge and label(Vertex(w)) is not None:
                 prev[w] = v
                 q.append(w)
-
-
-def surviving_vertex_path(g, idx: ComplementIndex, x: GraphPoint, y: GraphPoint):
-    """A vertex path joining x to y inside the ball complement, as evidence
-    that they are not separated.  Returns a (possibly empty) vertex id list,
-    or None when no such path exists.  Every vertex of the path lies
-    outside the closed ball."""
-    return _avoiding_path(g, idx.center, idx.radius, x, y)
 
 
 def multi_source_vertex_distances(g, seeds):

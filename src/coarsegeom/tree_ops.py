@@ -51,10 +51,6 @@ class PruneTrace:
     def rounds_run(self):
         return len(self.stages)
 
-    @property
-    def removed(self):
-        return tuple(v for stage in self.stages for v in stage)
-
 
 def prune_k(g: LabeledMetricGraph, k: int):
     """Remove every valence-1 vertex, simultaneously, k times over.
@@ -91,12 +87,6 @@ def prune_k(g: LabeledMetricGraph, k: int):
     return out, PruneTrace(k, tuple(stages), not alive)
 
 
-def prune_once(g: LabeledMetricGraph):
-    """One simultaneous leaf-removal round; returns (new graph, removed ids)."""
-    out, trace = prune_k(g, 1)
-    return out, set(trace.removed)
-
-
 def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoint) -> GraphPoint:
     """The unique point lying on all three pairwise geodesics of a tree.
 
@@ -110,23 +100,6 @@ def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoi
 def _median(g, z, a, b):
     s = (distance(g, z, a) + distance(g, z, b) - distance(g, a, b)) / 2
     return point_along(g, canonical_geodesic(g, z, a), s)
-
-
-def meet_fold(g: LabeledMetricGraph, z: GraphPoint, points) -> GraphPoint:
-    """Fold the median with root z over the points.
-
-    The median is associative and commutative in its last two slots, so
-    the order of the points does not matter: the result is the deepest
-    point shared by every path from z to one of them.
-    """
-    assert_tree(g)
-    seq = list(points)
-    if not seq:
-        raise ValueError("meet fold needs at least one point")
-    m = seq[0]
-    for p in seq[1:]:
-        m = _median(g, z, m, p)
-    return m
 
 
 def tree_meet(g: LabeledMetricGraph, x: GraphPoint, y: GraphPoint, base=None) -> GraphPoint:
@@ -167,6 +140,8 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     unit, rows = _distance_rows(f.target, net, [q for _, q in f.assignments])
     assignments = []
     for x, row in zip(net, rows):
+        # the median with root z is associative and commutative in its last
+        # two slots, so the fold's order does not change the meet
         m = None
         for (y, _), d in zip(f.assignments, row):
             if d <= n * unit:

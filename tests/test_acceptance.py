@@ -5,6 +5,7 @@ asserted too.
 Run with -v (or -rA) to see one line per check.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -41,7 +42,6 @@ from coarsegeom import (
 )
 from coarsegeom.cli import main as cli_main
 from coarsegeom.documents import canonical_dumps, family_doc, graph_doc, map_doc
-from coarsegeom.tree_ops import meet_fold
 from conftest import (
     cycle_graph,
     path_graph,
@@ -261,7 +261,9 @@ def test_08_quasi_inverse():
                              if distance(big, fy, x) <= n]
                     for _ in range(3):
                         rng.shuffle(cloud)
-                        assert meet_fold(tree, z, cloud) == hx
+                        fold = functools.reduce(
+                            lambda m, y: tree_median(tree, z, m, y), cloud)
+                        assert fold == hx
 
 
 def test_09_oracle_agreement(fam2, fam3):

@@ -154,6 +154,20 @@ def test_extraction_caches_no_rows():
     assert g0.graph._rows == {} and g1._rows == {}
 
 
+def test_extraction_reads_images_off_its_root_search(pipe2, monkeypatch):
+    """The root and frontier images come from the assignments the root
+    search walks, so no image dict over the map's points is built."""
+    g0, g1 = pipe2
+    m = section_map(g0, mode="seeded", seed=99, g1=g1)
+
+    def no_lookup(self, p):
+        raise AssertionError(f"image_of({p}) called")
+
+    monkeypatch.setattr(QuasiMap, "image_of", no_lookup)
+    cert = extract_choice(m, g0, 4)
+    assert cert.verified and cert.transversal == ("a", "c")
+
+
 def test_extraction_at_constant_5(fam3):
     """Constant 5 needs depth 1820: the three-set family's plain and
     seeded sections both yield a verified transversal there."""

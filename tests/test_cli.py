@@ -22,6 +22,7 @@ from coarsegeom import (
     build_gamma1,
     gamma1_vertex_id,
     quasi_inverse,
+    required_gamma0_depth,
     slim_triangle_delta,
     tree_median,
     verify_bottleneck,
@@ -260,21 +261,29 @@ def test_profile_deep_pair(capsys, tmp_path):
     assert code == 3 and "CapExceeded" in err
 
 
-def test_oversized_inputs_exit_2_quickly(capsys, tmp_path):
-    """Ten bytes of exponent and a declared depth of 10**9 are refused
-    before any work sized by them is done."""
+def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
+    """Ten bytes of exponent and a declared or requested depth of 10**9
+    are refused before any work sized by them is done."""
     cp = graph_file(tmp_path, cycle_graph(6), "c6.json")
     huge = tmp_path / "huge.json"
     huge.write_text(canonical_dumps({"kind": "gamma0", "depth": 10**9,
                                      "family": FAM2, "vertices": [], "edges": []}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(canonical_dumps({"mode": "first"}))
+    deep = ("--family", fam_file, "--depth", str(10**9))
     for argv in (
         ("bottleneck", "--graph", cp, "--delta", "1e10000000"),
         ("separation", "--gamma0", str(huge), "--seed", "1", "--count", "1"),
+        ("gamma0", *deep),
+        ("gamma1", *deep),
+        ("extract-choice", *deep, "--constant", "4", "--section", str(spec)),
     ):
         start = time.perf_counter()
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: ")
         assert time.perf_counter() - start < 1
+    # the budget admits extraction at constant 16 on three sets of two
+    assert 1 + 6 * required_gamma0_depth(16) == 347_521 <= cli.VERTEX_BUDGET
 
 
 def test_witness_frozen(capsys, tmp_path):

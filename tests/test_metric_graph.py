@@ -34,13 +34,13 @@ from coarsegeom import (
     point_along,
     point_key,
     scale_metric,
-    surviving_vertex_path,
     validate_point,
 )
 from coarsegeom.coarse_maps import _distance_rows, _kernel_side
 from coarsegeom.metric_graph import (
     ComplementIndex,
     Fragment,
+    _avoiding_path,
     _point_rows,
     _point_scale,
     _scaled_point,
@@ -655,8 +655,7 @@ def test_separation_on_cycle():
     g = cycle_graph(12)
     # radius 2 around vertex 3 cuts the short arc but not the long one
     assert not is_separated(g, Vertex(0), Vertex(6), Vertex(3), 2)
-    idx = ball_complement_components(g, Vertex(3), Fraction(2))
-    path = surviving_vertex_path(g, idx, Vertex(0), Vertex(6))
+    path = _avoiding_path(g, Vertex(3), Fraction(2), Vertex(0), Vertex(6))
     assert path is not None
     row = g.vertex_row(3)
     assert all(row[v] > 2 for v in path)
@@ -668,8 +667,7 @@ def test_surviving_path_needs_surviving_ends():
     # the closed ball of radius 1 around the middle vertex holds both
     # midpoints, so no path joins them outside it
     g = path_graph(3)
-    idx = ball_complement_components(g, Vertex(1), 1)
-    assert surviving_vertex_path(g, idx, Interior(0, H), Interior(1, H)) is None
+    assert _avoiding_path(g, Vertex(1), 1, Interior(0, H), Interior(1, H)) is None
 
 
 @st.composite
@@ -689,7 +687,7 @@ def avoiding_path_queries(draw):
 @given(avoiding_path_queries())
 def test_surviving_path_matches_point_oracle(query):
     g, fw, x, y, w, r = query
-    path = surviving_vertex_path(g, ball_complement_components(g, w, r), x, y)
+    path = _avoiding_path(g, w, r, x, y)
     assert (path is None) == oracles.point_separated(g, x, y, w, r)
     if path is None:
         return

@@ -1,5 +1,6 @@
 """The runtime depends on the standard library alone, every module uses
-what it imports, and every private helper has a caller."""
+what it imports, every private helper has a caller, and every exported
+function has a caller in the package, the demos or the benchmark."""
 
 import ast
 import sys
@@ -66,3 +67,36 @@ def test_private_helpers_are_used():
     unused = [f"{where}: {name}" for name, where in defined.items() if name not in used]
     assert defined
     assert not unused, unused
+
+
+def test_exported_functions_have_a_system_caller():
+    """Each function the package exports is read by another function of
+    the package, by a demo or by the benchmark; the names that the
+    benchmark's tracer wraps, listed as strings, count as read."""
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    root = SRC.parent.parent
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    functions, used = {}, set()
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            if isinstance(top, ast.FunctionDef):
+                names.discard(top.name)  # a recursive call is not a caller
+                if path.parent == SRC and top.name in exported:
+                    functions[top.name] = f"{path.name}:{top.lineno}"
+            used |= names
+    tracer = ast.parse((root / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    used |= {part for node in ast.walk(tracer)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for part in node.value.split(".")}
+    uncalled = [f"{where}: {name}" for name, where in functions.items() if name not in used]
+    assert functions
+    assert not uncalled, uncalled

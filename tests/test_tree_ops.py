@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -19,9 +20,7 @@ from coarsegeom import (
     build_gamma1,
     compose,
     half_net,
-    meet_fold,
     prune_k,
-    prune_once,
     quasi_inverse,
     round_trip_max,
     scale_metric,
@@ -55,14 +54,13 @@ def test_prune_rounds():
     assert tr.rounds_requested == 3
     assert tr.stages == ((0, 3, 4, 5, 6), (1, 2))
     assert tr.rounds_run == 2
-    assert tr.removed == (0, 3, 4, 5, 6, 1, 2)
     assert tr.empty
     assert out.n_vertices == 0
 
 
 def test_prune_once():
-    out, removed = prune_once(caterpillar())
-    assert removed == {0, 3, 4, 5, 6}
+    out, tr = prune_k(caterpillar(), 1)
+    assert tr.stages == ((0, 3, 4, 5, 6),) and not tr.empty
     assert sorted(out.vertex_ids()) == [1, 2]
 
 
@@ -74,7 +72,7 @@ def test_prune_removed_were_leaves():
     for stage in tr.stages:
         for v in stage:
             assert cur.degree(v) == 1
-        cur, _ = prune_once(cur)
+        cur, _ = prune_k(cur, 1)
     assert oracles.label_shape(cur) == oracles.label_shape(out)
 
 
@@ -145,13 +143,15 @@ def test_median_matches_intersection_oracle():
             assert tree_median(t, z, a, b) == oracles.brute_tree_median(t, z, a, b)
 
 
+def meet_fold(t, z, points):
+    """The fold quasi_inverse runs over a preimage cloud: the median with
+    root z, taken point by point."""
+    return functools.reduce(lambda m, p: tree_median(t, z, m, p), points)
+
+
 def test_meet_fold():
     p = path_graph(10)
-    pts = [Vertex(7), Vertex(3), Vertex(5)]
-    m = meet_fold(p, Vertex(0), pts)
-    assert m == Vertex(3)
-    with pytest.raises(ValueError):
-        meet_fold(p, Vertex(0), [])
+    assert meet_fold(p, Vertex(0), [Vertex(7), Vertex(3), Vertex(5)]) == Vertex(3)
 
 
 def test_meet_fold_order_independent():
