@@ -28,6 +28,7 @@ from .gamma_spaces import (
     _is_gamma1,
     build_gamma1,
     classify_point,
+    gamma0_edge_id,
     gamma1_edge_id,
     gamma1_vertex_id,
 )
@@ -210,13 +211,6 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
         g1 = build_gamma1(g0.family, depth)
     elif not _is_gamma1(g1, g0.family, depth):
         raise GraphMismatch("supplied quotient tree does not match the family")
-    graph0 = g0.graph
-    # build_gamma0 makes every GammaZeroGraph and doubles each adjacency with
-    # two consecutive edge ids, lower level first: the first one seen is least
-    least = {}
-    for e in graph0.edges:
-        least.setdefault((e.u, e.v), e.id)
-
     lifts, mids = [(Vertex(0), Vertex(0))], []
     for si, s in enumerate(g0.family.sets):
         below = 0  # the lift one level down; level 0 is the base, no choice there
@@ -225,10 +219,10 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
             # _is_gamma1 holds, so g1's edge ids are gamma1_edge_id's
             lifts.append((Vertex(gamma1_vertex_id(depth, si, lev)), Vertex(v)))
             mids.append((Interior(gamma1_edge_id(depth, si, lev), HALF),
-                         Interior(least[below, v], HALF)))
+                         Interior(gamma0_edge_id(g0, below, v), HALF)))
             below = v
     # vertices, then midpoints, by id: QuasiMap's sort finds two sorted runs
-    return QuasiMap(g1, graph0, lifts + mids, asserted_constant=2)
+    return QuasiMap(g1, g0.graph, lifts + mids, asserted_constant=2)
 
 
 def verify_transversal(a, family) -> bool:

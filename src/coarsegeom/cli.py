@@ -130,22 +130,15 @@ def _cmd_check_qi(args):
     m = load_map_file(args.map)
     mode, seed, count = args.mode, args.seed, args.count
     if mode == "exhaustive" and len(m.assignments) > EXHAUSTIVE_GUARD and not args.force:
-        if seed is not None and count is not None:
-            print(
-                f"note: {len(m.assignments)} net points exceed the exhaustive "
-                f"guard of {EXHAUSTIVE_GUARD}; switching to sampled mode "
-                "(--force overrides)",
-                file=sys.stderr,
-            )
-            mode = "sampled"
-        else:
-            print(
-                f"error: {len(m.assignments)} net points exceed the exhaustive "
-                f"guard of {EXHAUSTIVE_GUARD}; pass --force, or --seed and "
-                "--count for sampled mode",
-                file=sys.stderr,
-            )
+        over = (f"{len(m.assignments)} net points exceed the exhaustive guard "
+                f"of {EXHAUSTIVE_GUARD}")
+        if seed is None or count is None:
+            print(f"error: {over}; pass --force, or --seed and --count for "
+                  "sampled mode", file=sys.stderr)
             return 2
+        print(f"note: {over}; switching to sampled mode (--force overrides)",
+              file=sys.stderr)
+        mode = "sampled"
     cert = verify_quasi_isometry(m, args.constant, mode=mode, seed=seed, count=count)
     _emit(args, qi_certificate_doc(cert))
     return 0 if cert.accepted else 1

@@ -24,7 +24,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from .coarse_maps import PairViolation, QuasiMap, SurjectivityViolation
 from .errors import CoarseGeomError, NotATree, SchemaError
@@ -77,8 +79,11 @@ def _expect_obj(value, what):
 
 def rational_str(x) -> str:
     """Reduced "p/q" form; integers keep an explicit /1 denominator."""
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+_PLAIN_PQ = re.compile(r"(-?[0-9]+)/([0-9]+)").fullmatch  # as rational_str writes
 
 
 def parse_rational(value) -> Fraction:
@@ -89,6 +94,8 @@ def parse_rational(value) -> Fraction:
         if "e" in value.lower():
             _fail(f"bad rational {value!r}: exponent notation is not accepted")
         try:
+            if pq := _PLAIN_PQ(value):
+                return Fraction(int(pq[1]), int(pq[2]))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational {value!r}: {exc}") from exc
@@ -212,19 +219,32 @@ def parse_family(doc) -> SetFamily:
 
 
 def gamma0_doc(g0: GammaZeroGraph) -> dict:
-    doc = graph_doc(g0.graph)
-    doc["kind"] = "gamma0"
-    doc["depth"] = g0.depth
-    doc["family"] = family_doc(g0.family)
-    return doc
+    return {**graph_doc(g0.graph), "kind": "gamma0", "depth": g0.depth,
+            "family": family_doc(g0.family)}
 
 
 def gamma1_doc(g1: LabeledMetricGraph, family: SetFamily, depth: int) -> dict:
-    doc = graph_doc(g1, tree=True)
-    doc["kind"] = "gamma1"
-    doc["depth"] = depth
-    doc["family"] = family_doc(family)
-    return doc
+    return {**graph_doc(g1, tree=True), "kind": "gamma1", "depth": depth,
+            "family": family_doc(family)}
+
+
+def _json_alike(a, b):
+    """Whether json writes b as it writes a, given b == a and a document a
+    of dicts, lists, strings, ints and True: == equates 1, 1.0 and True."""
+    if isinstance(a, list):
+        return isinstance(b, list) and all(map(_json_alike, a, b))
+    if not isinstance(a, dict):
+        return isinstance(b, type(a)) and isinstance(b, bool) == isinstance(a, bool)
+    if not isinstance(b, dict):
+        return False
+    for k, v in a.items():
+        w, t = b[k], type(v)
+        if t is int or t is str:  # inline, as a call per leaf doubles the walk
+            if not isinstance(w, t) or isinstance(w, bool):
+                return False
+        elif not _json_alike(v, w):
+            return False
+    return True
 
 
 def _parse_gamma(doc, kind):
@@ -247,9 +267,8 @@ def _parse_gamma(doc, kind):
         _fail("embedded graph does not match the declared family and depth")
     built = build_gamma0(family, depth) if gamma0 else build_gamma1(family, depth)
     canonical = gamma0_doc(built) if gamma0 else gamma1_doc(built, family, depth)
-    # == keeps odd keys from the text compare, which tells 1 from 1.0 and True
-    if ((doc != canonical or json.dumps(doc, sort_keys=True, default=repr)
-         != json.dumps(canonical, sort_keys=True))
+    # the builder's own document, down to json's leaf types, stands unparsed
+    if (not (doc == canonical and _json_alike(canonical, doc))
             and not parse_graph(doc).same_structure(built.graph if gamma0 else built)):
         _fail("embedded graph does not match the declared family and depth")
     return built, family, depth
@@ -338,8 +357,54 @@ def load_map_file(path) -> QuasiMap:
     return parse_map(load_json(path), os.path.dirname(os.path.abspath(path)))
 
 
+def _write_json(o, nl, out, open_ids):
+    """Append json's sorted, two-space indented text of o to out: o starts on
+    newline-and-indent nl, open_ids holds the containers being written."""
+    put = out.append
+    if isinstance(o, str):
+        put(_escape(o))
+    elif not isinstance(o, (list, tuple, dict)):
+        put(json.dumps(o))  # json's own scalars, and its TypeError
+    elif not o:
+        put("{}" if isinstance(o, dict) else "[]")
+    elif id(o) in open_ids:
+        raise ValueError("Circular reference detected")
+    else:
+        open_ids.add(id(o))
+        inner = nl + "  "
+        sep = "," + inner
+        start = len(out)  # where the first separator goes: it becomes the bracket
+        if isinstance(o, dict):
+            for k, v in sorted(o.items()):
+                put(sep)
+                # json coerces any other key itself, or raises its TypeError
+                put(_escape(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+                put(": ")
+                if type(v) is str:  # common leaves inline: a call each costs more
+                    put(_escape(v))
+                elif type(v) is int:
+                    put(int.__repr__(v))
+                else:
+                    _write_json(v, inner, out, open_ids)
+            out[start] = "{" + inner
+            put(nl + "}")
+        else:
+            for v in o:
+                put(sep)
+                _write_json(v, inner, out, open_ids)
+            out[start] = "[" + inner
+            put(nl + "]")
+        open_ids.remove(id(o))
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, written by
+    one recursive function that escapes with json's C string encoder: given
+    an indent, json itself writes through pure-Python generators."""
+    out = []
+    _write_json(obj, "\n", out, set())
+    out.append("\n")
+    return "".join(out)
 
 
 def file_digest(path) -> str:

@@ -166,6 +166,12 @@ class GammaZeroGraph:
             e: si for si, s in enumerate(family.sets) for e in s.elements
         }
         self._brow = None
+        # per set, the index of its first element and its first in-arm edge
+        self._set_starts, first, edge = [], 0, 2 * len(self._elems)
+        for s in family.sets:
+            k = len(s.elements)
+            self._set_starts.append((first, edge))
+            first, edge = first + k, edge + depth * k * (k - 1) + (depth - 1) * 2 * k * k
 
     def vertex_of(self, element: str, level: int) -> int:
         if level < 1 or level > self.depth or element not in self._elem_pos:
@@ -230,6 +236,22 @@ def gamma1_vertex_id(depth: int, set_index: int, level: int) -> int:
 def gamma1_edge_id(depth: int, set_index: int, upper_level: int) -> int:
     """Id of the tree edge joining levels upper_level-1 and upper_level."""
     return set_index * depth + (upper_level - 1)
+
+
+def gamma0_edge_id(g0: GammaZeroGraph, lower: int, upper: int) -> int:
+    """Least id of the doubled edge from arm vertex upper down to lower, in
+    its set one level below (the base below level 1): build_gamma0 numbers
+    two base edges per element, then per set of k elements and per level
+    k(k-1) edges within the level and 2k^2 up to the next."""
+    i, rem = divmod(upper - 1, g0.depth)
+    if rem == 0:
+        return 2 * i
+    si = g0._elem_set[g0._elems[i]]
+    first, offset = g0._set_starts[si]
+    k = len(g0.family.sets[si].elements)
+    i_below = (lower - 1) // g0.depth - first
+    return (offset + (rem - 1) * (k * (k - 1) + 2 * k * k) + k * (k - 1)
+            + 2 * (i_below * k + i - first))
 
 
 def build_gamma1(family: SetFamily, depth: int) -> LabeledMetricGraph:

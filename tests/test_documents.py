@@ -1,10 +1,15 @@
 """JSON document round trips and schema rejection."""
 
+import gc
+import importlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsegeom import (
     BottleneckWitness,
@@ -26,6 +31,7 @@ from coarsegeom import (
     verify_bottleneck,
     verify_quasi_isometry,
 )
+from coarsegeom import documents
 from coarsegeom.documents import (
     bottleneck_report_doc,
     canonical_dumps,
@@ -65,7 +71,8 @@ def test_rational_strings():
         with pytest.raises(SchemaError):
             parse_rational(bad)
     # exponents would let ten bytes ask for a 33-million-bit integer
-    for bad in ("1e10000000", "1E5", "2.5e-3", "1/1e3"):
+    # Fraction reads "1e3" as 1000
+    for bad in ("1e10000000", "1E5", "2.5e-3", "1/1e3", "1e3"):
         with pytest.raises(SchemaError, match="exponent"):
             parse_rational(bad)
 
@@ -75,6 +82,42 @@ def test_rational_round_trip_loop():
     for _ in range(200):
         x = Fraction(rng.randrange(-500, 500), rng.randrange(1, 60))
         assert parse_rational(rational_str(x)) == x
+
+
+# (spelling, its value, or None where Fraction refuses it)
+RATIONAL_SPELLINGS = [
+    ("1/2", Fraction(1, 2)),
+    ("2/4", Fraction(1, 2)),
+    ("-3/4", Fraction(-3, 4)),
+    ("-0/1", Fraction(0)),
+    ("007/014", Fraction(1, 2)),
+    (" 1/2", Fraction(1, 2)),
+    ("+1/2", Fraction(1, 2)),
+    ("0.5", Fraction(1, 2)),
+    ("\u0661/\u0662", Fraction(1, 2)),  # Arabic-Indic digits
+    ("1_0/3", Fraction(10, 3)),
+    ("1/0", None),
+    ("-5/0", None),
+    ("1/-2", None),
+    ("9" * 5000 + "/1", None),  # past the int string-conversion limit
+]
+
+
+@pytest.mark.parametrize("text, value", RATIONAL_SPELLINGS)
+def test_parse_rational_reads_each_spelling_as_fraction_does(text, value):
+    """Plain "p/q" strings skip Fraction's own parser; every spelling still
+    gives Fraction's value, or its refusal in the same words."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        assert value is None
+        with pytest.raises(SchemaError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"bad rational {text!r}: {exc}"
+    else:
+        assert want == value
+        got = parse_rational(text)
+        assert got == value and type(got) is Fraction
 
 
 def test_point_docs():
@@ -126,6 +169,77 @@ def test_canonical_dumps_is_stable():
     assert a.endswith("\n")
     # key order in the input dict must not leak into the output
     assert canonical_dumps({"b": 1, "a": 2}) == canonical_dumps({"a": 2, "b": 1})
+
+
+def _json_dumps(x):
+    return json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+def _outcome(dump, x):
+    try:
+        return dump(x)
+    except Exception as exc:  # the type is what the writers must share
+        return type(exc)
+
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-(10**60), max_value=10**60)
+            | st.floats() | st.text() | st.text(st.characters(max_codepoint=0x1f)))
+_keys = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_keys, inner, max_size=4)
+                   # one key type per dict, so most dicts sort
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_canonical_dumps_is_json_dumps(x):
+    """canonical_dumps is json.dumps(sort_keys=True, indent=2) and a newline,
+    or json's exception type where json refuses the value."""
+    assert _outcome(canonical_dumps, x) == _outcome(_json_dumps, x)
+
+
+def test_canonical_dumps_refuses_what_json_refuses():
+    cycle = []
+    cycle.append(cycle)
+    for bad in (Fraction(1, 2), {1, 2}, {"a": 1, 2: 3}, [{"a": Fraction(1)}],
+                {(1, 2): 0}, {Fraction(1): 0}, cycle, {"deep": {"k": cycle}}):
+        got = _outcome(canonical_dumps, bad)
+        assert got in (TypeError, ValueError)
+        assert got == _outcome(_json_dumps, bad)
+    assert canonical_dumps({}) == "{}\n" and canonical_dumps(()) == "[]\n"
+    mixed = {True: [None, 1.5, float("nan")], 2: {}, 0.5: "\u00e9\x01", 10**40: ()}
+    assert canonical_dumps(mixed) == _json_dumps(mixed)
+
+
+def test_canonical_dumps_leaves_no_cycle_behind():
+    """The written chunks are freed on return, not at a later full
+    collection, as they would be if a reference cycle held them."""
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_dumps({"a": [{"b": i, "c": [i, str(i)]} for i in range(50)]})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cli_chain_files_are_json_dumps(monkeypatch, tmp_path):
+    """Every file the benchmark's cli chain writes for pool entry 0 is
+    already what json.dumps(sort_keys=True, indent=2) writes of it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    cli = importlib.import_module("workloads").WORKLOADS["cli"](str(tmp_path))
+    ctx = cli.prepare(0)
+    assert cli.op(ctx) == [0] * len(cli.outputs)
+    for name in cli.outputs + ("family.json",):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text == _json_dumps(json.loads(text)), name
 
 
 def test_graph_schema_rejections():
@@ -214,6 +328,73 @@ def test_gamma_docs_accept_other_spellings(fam2):
             other[key] = value
             with pytest.raises(SchemaError, match="basepoint must be an integer"):
                 parse(other)
+
+
+def _one_leaf_changed(doc):
+    """(name, copy of doc with one leaf respelled): ints as floats or
+    bools, and the tree flag as 1, which == alone may not tell apart."""
+    def edited(change):
+        other = json.loads(canonical_dumps(doc))
+        change(other)
+        return other
+
+    edge = next(i for i, e in enumerate(doc["edges"]) if e["u"] == 1)
+    yield "tree 1", edited(lambda d: d.update(tree=1))
+    yield "depth 3.0", edited(lambda d: d.update(depth=3.0))
+    yield "depth True", edited(lambda d: d.update(depth=True))
+    yield "u 1.0", edited(lambda d: d["edges"][edge].update(u=1.0))
+    yield "id True", edited(lambda d: d["vertices"][1].update(id=True))
+    yield "label 1.0", edited(lambda d: d["edges"][0].update(label=1.0))
+
+
+# what each respelled leaf gave before the == check: a message, or None
+# for a graph of the builder's structure
+GAMMA_LEAF_OUTCOMES = {
+    "gamma0": {
+        "tree 1": 'graph marked "tree" is not one: 32 edges on 10 vertices cannot be a tree',
+        "depth 3.0": "depth must be an integer, got 3.0",
+        "depth True": "depth must be an integer, got True",
+        "u 1.0": 'edge 6 "u" must be an integer, got 1.0',
+        "id True": "vertex id must be an integer, got True",
+        "label 1.0": "edge 0 label must be an integer, got 1.0",
+    },
+    "gamma1": {
+        "tree 1": None,
+        "depth 3.0": "depth must be an integer, got 3.0",
+        "depth True": "depth must be an integer, got True",
+        "u 1.0": 'edge 1 "u" must be an integer, got 1.0',
+        "id True": "vertex id must be an integer, got True",
+        "label 1.0": "edge 0 label must be an integer, got 1.0",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["gamma0", "gamma1"])
+def test_gamma_fast_accept_is_as_strict_as_json_text(fam2, kind, monkeypatch):
+    """Only the builder's own document, leaf types included, is accepted
+    without parsing; a leaf that is == but written differently by json is
+    parsed, and gives the message or the graph it always gave."""
+    if kind == "gamma0":
+        built = build_gamma0(fam2, 3).graph
+        doc, parse = gamma0_doc(build_gamma0(fam2, 3)), lambda d: parse_gamma0(d).graph
+    else:
+        built = build_gamma1(fam2, 3)
+        doc, parse = gamma1_doc(built, fam2, 3), lambda d: parse_gamma1(d)[0]
+    parsed = []
+    real_parse_graph = documents.parse_graph
+    monkeypatch.setattr(documents, "parse_graph",
+                        lambda d: parsed.append(d) or real_parse_graph(d))
+    assert parse(json.loads(canonical_dumps(doc))).same_structure(built)
+    assert parsed == []
+    for name, other in _one_leaf_changed(doc):
+        want = GAMMA_LEAF_OUTCOMES[kind][name]
+        if want is None:
+            assert parse(other).same_structure(built)
+            assert parsed[-1] is other
+        else:
+            with pytest.raises(SchemaError) as info:
+                parse(other)
+            assert str(info.value) == want
 
 
 @pytest.mark.parametrize("kind", ["gamma0", "gamma1"])

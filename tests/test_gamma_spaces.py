@@ -26,6 +26,7 @@ from coarsegeom import (
     distance,
     enumerate_geodesics,
     find_far_witness,
+    gamma0_edge_id,
     gamma1_edge_id,
     gamma1_vertex_id,
     half_net,
@@ -277,6 +278,34 @@ def test_gamma1_shape(g1_d3, fam2):
     e = g1_d3.edge(gamma1_edge_id(3, 0, 1))
     assert {e.u, e.v} == {0, gamma1_vertex_id(3, 0, 1)}
     assert all(e.length == 1 for e in g1_d3.edges)
+
+
+@pytest.mark.parametrize("lists", [[["a", "b"], ["c"]],
+                                   [["a", "b"], ["c"], ["d", "e", "f"]],
+                                   [["p"], ["q", "r", "s", "t"], ["u", "v"]]])
+def test_gamma0_edge_id_is_the_least_scanned_id(lists):
+    """The closed form names, for every adjacency a section can lift (base
+    to level 1, and level n to n + 1 within a set), the least id that a
+    scan of the built edges finds."""
+    family = SetFamily.of_lists(lists)
+    for depth in (1, 2, 5):
+        g0 = build_gamma0(family, depth)
+        least = {}
+        for e in g0.graph.edges:
+            least.setdefault((e.u, e.v), e.id)
+        lifted = 0
+        for s in family.sets:
+            for lev in range(1, depth + 1):
+                for y in s.elements:
+                    upper = g0.vertex_of(y, lev)
+                    below = [0] if lev == 1 else [g0.vertex_of(x, lev - 1)
+                                                  for x in s.elements]
+                    for lower in below:
+                        assert gamma0_edge_id(g0, lower, upper) == least[lower, upper]
+                        lifted += 1
+        # that was every adjacency between two levels
+        level = {vid: 0 if vid == 0 else g0.info(vid)[2] for vid in g0.graph.vertex_ids()}
+        assert lifted == sum(level[v] == level[u] + 1 for u, v in least)
 
 
 def test_collapse_map_shape(g0_d3, g1_d3):
