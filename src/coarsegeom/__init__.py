@@ -96,13 +96,11 @@ from .metric_graph import (
     check_geodesic,
     distance,
     enumerate_geodesics,
-    geodesic_segments,
     half_net,
     is_separated,
     multi_source_vertex_distances,
     point_along,
     point_key,
-    point_on_edge,
     scale_metric,
     validate_point,
 )

@@ -99,6 +99,8 @@ def _inline_point(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"bad point {text!r}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("bad point: JSON nested too deeply") from None
     return parse_point(doc)
 
 
@@ -267,6 +269,8 @@ def _cmd_extract_choice(args):
     if not isinstance(sec, dict) or "mode" not in sec:
         raise SchemaError('a section spec is {"mode":...} with optional "seed"')
     mode, seed = sec["mode"], sec.get("seed")
+    if not isinstance(mode, str):
+        raise SchemaError(f'a section "mode" must be a string, got {mode!r}')
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise SchemaError(f'a section "seed" must be an integer, got {seed!r}')
     if args.adversarial_seed is not None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
 from .coarse_maps import _check_sampling, _draws
@@ -28,10 +27,9 @@ from .metric_graph import (
     Interior,
     LabeledMetricGraph,
     Vertex,
+    _arc,
     _avoiding_path,
     _farthest,
-    _point_scale,
-    _scaled_point,
     canonical_geodesic,
     half_net,
     point_along,
@@ -227,16 +225,13 @@ def certify_two_hyperbolic_gamma0(g0, seed, count) -> SeparationReport:
 def _separation_probes(g, geo):
     """The vertex hits, then the hop-edge midpoints, of a geodesic that lie
     farther than 2 from both of its ends.  A subpath of a geodesic is one,
-    so a probe's distance to the start is its arc length, counted here in
-    doubled units of 1/(k*L) to keep midpoints whole."""
-    vs, es = geo.vertices, geo.edges
+    so a probe's distance to the start is its arc length, read off _arc
+    and doubled here to keep midpoints whole."""
+    vs = geo.vertices
     if not vs:
         return []
-    k = _point_scale(g, (geo.start, geo.end))
-    hops = [2 * k * g._ilen[e] for e in es]
-    at = list(accumulate(hops, initial=2 * dict(_scaled_point(g, geo.start, k)[1])[vs[0]]))
-    total = at[-1] + 2 * dict(_scaled_point(g, geo.end, k)[1])[vs[-1]]
-    far = 4 * k * g._scale  # the radius 2, in doubled units
-    hits = [(Vertex(v), a) for v, a in zip(vs, at)]
-    hits += [(Interior(e, HALF), a + h // 2) for e, a, h in zip(es, at, hops)]
-    return [w for w, a in hits if far < a < total - far]
+    k, at = _arc(g, geo)
+    far, end = 4 * k * g._scale, 2 * at[-1]  # the radius 2 and the length, doubled
+    probes = [(Vertex(v), 2 * a) for v, a in zip(vs, at)]
+    probes += [(Interior(e, HALF), a + b) for e, a, b in zip(geo.edges, at, at[1:])]
+    return [w for w, a in probes if far < a < end - far]

@@ -113,15 +113,14 @@ def point_doc(p: GraphPoint) -> dict:
 
 def parse_point(doc) -> GraphPoint:
     _expect_obj(doc, "point")
-    keys = set(doc)
-    if keys == {"vertex"}:
+    if len(doc) == 1 and "vertex" in doc:
         return Vertex(_expect_int(doc["vertex"], "vertex id"))
-    if keys == {"edge", "offset"}:
+    if len(doc) == 2 and "edge" in doc and "offset" in doc:
         return Interior(
             _expect_int(doc["edge"], "edge id"), parse_rational(doc["offset"])
         )
     _fail('a point is {"vertex":id} or {"edge":id,"offset":"p/q"}, '
-          f"got keys {sorted(keys)}")
+          f"got keys {sorted(doc)}")
 
 
 # -- graphs ----------------------------------------------------------------
@@ -340,6 +339,8 @@ def load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def load_graph_file(path) -> LabeledMetricGraph:

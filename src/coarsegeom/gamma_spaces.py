@@ -165,7 +165,6 @@ class GammaZeroGraph:
         self._elem_set = {
             e: si for si, s in enumerate(family.sets) for e in s.elements
         }
-        self._brow = None
         # per set, the index of its first element and its first in-arm edge
         self._set_starts, first, edge = [], 0, 2 * len(self._elems)
         for s in family.sets:
@@ -185,11 +184,6 @@ class GammaZeroGraph:
         i, rem = divmod(vid - 1, self.depth)
         element = self._elems[i]
         return (element, self._elem_set[element], rem + 1)
-
-    def base_row(self):
-        if self._brow is None:
-            self._brow = self.graph.vertex_row(0)
-        return self._brow
 
 
 def build_gamma0(family: SetFamily, depth: int) -> GammaZeroGraph:
@@ -407,8 +401,7 @@ def level_profile(g0: GammaZeroGraph, geo: Geodesic) -> LevelProfile:
     turn at level 0; anything else fails validation.
     """
     check_geodesic(g0.graph, geo)
-    row = g0.base_row()
-    levels = [int(row[v]) for v in geo.vertices]
+    levels = [g0.info(v)[2] if v else 0 for v in geo.vertices]
     if len(levels) <= 2:
         return LevelProfile.SHORT
     steps = [b - a for a, b in zip(levels, levels[1:])]

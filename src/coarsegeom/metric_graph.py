@@ -18,18 +18,22 @@ by a factor that makes the points' offsets whole, and Fractions appear
 only where results leave the engine.  One builder, _point_rows, turns
 engine rows into a point's row to every vertex and to the interior
 points of a net, and one sweep, _farthest, finds the farthest vertex or
-edge midpoint on a given row.  One cut, _ball_cut, decides what survives
-a closed ball, for separation, the component index and the avoiding
-path, every vertex of which lies outside the ball.
+edge midpoint on a given row.  One table, _arc, gives the integer arc
+length of each vertex a geodesic hits, and points along it are read off
+that table.  One cut, _ball_cut, decides what survives a closed ball,
+for separation, the component index and the avoiding path, every vertex
+of which lies outside the ball.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -311,20 +315,6 @@ def validate_point(g: LabeledMetricGraph, p: GraphPoint):
     raise InvalidPoint(f"not a graph point: {p!r}")
 
 
-def point_on_edge(g: LabeledMetricGraph, eid: int, offset) -> GraphPoint:
-    """Point at the given length-fraction along an edge; offsets 0 and 1
-    normalize to the endpoints."""
-    e = g.edge(eid)
-    t = Fraction(offset)
-    if t == 0:
-        return Vertex(e.u)
-    if t == 1:
-        return Vertex(e.v)
-    if not (0 < t < 1):
-        raise InvalidPoint(f"offset {t} outside [0, 1]")
-    return Interior(eid, t)
-
-
 def _point_scale(g, points):
     """The least k such that every entry cost of the points is a whole
     number of units of 1/(k*L)."""
@@ -517,29 +507,6 @@ def canonical_geodesic(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint) -> G
     return next(_geodesics(g, p, q))
 
 
-def geodesic_segments(g, geo: Geodesic):
-    """The geodesic as (edge, from_offset, to_offset) runs, offsets being
-    length-fractions in the edge's own orientation."""
-    segs = []
-    vs = geo.vertices
-    if isinstance(geo.start, Interior):
-        e = g.edge(geo.start.edge)
-        if not vs:
-            # both endpoints interior to one edge
-            return [(e, geo.start.offset, geo.end.offset)]
-        first = vs[0]
-        segs.append((e, geo.start.offset, ZERO if first == e.u else ONE))
-    for k, eid in enumerate(geo.edges):
-        e = g.edge(eid)
-        a = vs[k]
-        segs.append((e, ZERO, ONE) if a == e.u else (e, ONE, ZERO))
-    if isinstance(geo.end, Interior):
-        e = g.edge(geo.end.edge)
-        last = vs[-1]
-        segs.append((e, ZERO if last == e.u else ONE, geo.end.offset))
-    return segs
-
-
 def check_geodesic(g, geo: Geodesic):
     """Validate a geodesic against the metric; raises NotAGeodesic.  Its
     vertices must run from an entry vertex of the start along each hop's
@@ -577,6 +544,18 @@ def check_geodesic(g, geo: Geodesic):
         )
 
 
+def _arc(g, geo):
+    """(k, at): the arc length from a geodesic's start to each vertex it
+    hits, then to its end, in integer units of 1/(k*L).  The geodesic must
+    hit a vertex."""
+    vs = geo.vertices
+    k = _point_scale(g, (geo.start, geo.end))
+    first = dict(_scaled_point(g, geo.start, k)[1])[vs[0]]
+    at = list(accumulate((g._ilen[e] * k for e in geo.edges), initial=first))
+    at.append(at[-1] + dict(_scaled_point(g, geo.end, k)[1])[vs[-1]])
+    return k, at
+
+
 def point_along(g, geo: Geodesic, s) -> GraphPoint:
     """The point at arc length s along a geodesic (0 <= s <= length)."""
     s = Fraction(s)
@@ -586,15 +565,25 @@ def point_along(g, geo: Geodesic, s) -> GraphPoint:
         return geo.start
     if s == geo.length:
         return geo.end
-    walked = ZERO
-    for e, a, b in geodesic_segments(g, geo):
-        seg_len = abs(b - a) * e.length
-        if walked + seg_len >= s:
-            local = (s - walked) / e.length
-            t = a + local if b > a else a - local
-            return point_on_edge(g, e.id, t)
-        walked += seg_len
-    return geo.end
+    vs = geo.vertices
+    if not vs:  # inside one edge
+        a, b = geo.start.offset, geo.end.offset
+        local = s / g.edge(geo.start.edge).length
+        return Interior(geo.start.edge, a + local if b > a else a - local)
+    k, at = _arc(g, geo)
+    x = s * (k * g._scale)
+    i = bisect_left(at, x)
+    if at[i] == x:
+        return Vertex(vs[i])
+    # x lies inside an edge: before the first hit on the start's edge,
+    # else past hit i - 1 on hop i - 1 or, after the last hit, the end's
+    if i == 0:
+        eid, a, d = geo.start.edge, vs[0], at[0] - x
+    else:
+        eid = geo.edges[i - 1] if i < len(vs) else geo.end.edge
+        a, d = vs[i - 1], x - at[i - 1]
+    t = d / (g._ilen[eid] * k)
+    return Interior(eid, t if a == g.edge(eid).u else 1 - t)
 
 
 # -- ball complements and separation ----------------------------------------

@@ -98,8 +98,8 @@ def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoi
 
 
 def _median(g, z, a, b):
-    s = (distance(g, z, a) + distance(g, z, b) - distance(g, a, b)) / 2
-    return point_along(g, canonical_geodesic(g, z, a), s)
+    geo = canonical_geodesic(g, z, a)
+    return point_along(g, geo, (geo.length + distance(g, z, b) - distance(g, a, b)) / 2)
 
 
 def tree_meet(g: LabeledMetricGraph, x: GraphPoint, y: GraphPoint, base=None) -> GraphPoint:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from coarsegeom.metric_graph import Interior, Vertex
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def floyd_warshall(g):
@@ -118,6 +119,37 @@ def enumerate_geodesics_dfs(g, p, q, fw=None):
 
 def count_geodesics_dfs(g, u, v, fw=None):
     return len(enumerate_geodesics_dfs(g, u, v, fw))
+
+
+def point_along_walk(g, geo, s):
+    """The point at arc length s along a geodesic, walked in Fractions over
+    its runs (edge, from offset, to offset), offsets being length-fractions
+    in the edge's own orientation; offsets 0 and 1 are the edge's ends."""
+    s = Fraction(s)
+    if s == 0:
+        return geo.start
+    vs, segs = geo.vertices, []
+    if isinstance(geo.start, Interior):
+        e = g.edge(geo.start.edge)
+        if not vs:  # both ends inside one edge
+            segs.append((e, geo.start.offset, geo.end.offset))
+        else:
+            segs.append((e, geo.start.offset, ZERO if vs[0] == e.u else ONE))
+    for a, eid in zip(vs, geo.edges):
+        e = g.edge(eid)
+        segs.append((e, ZERO, ONE) if a == e.u else (e, ONE, ZERO))
+    if vs and isinstance(geo.end, Interior):
+        e = g.edge(geo.end.edge)
+        segs.append((e, ZERO if vs[-1] == e.u else ONE, geo.end.offset))
+    walked = ZERO
+    for e, a, b in segs:
+        seg_len = abs(b - a) * e.length
+        if walked + seg_len >= s:
+            local = (s - walked) / e.length
+            t = a + local if b > a else a - local
+            return Vertex(e.u) if t == 0 else Vertex(e.v) if t == 1 else Interior(e.id, t)
+        walked += seg_len
+    return geo.end
 
 
 def brute_delta(g):

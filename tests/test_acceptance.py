@@ -102,7 +102,7 @@ def test_02_level_motion(g0_20):
     with Budget("02 level-motion", 120):
         rng = random.Random(202)
         ids = sorted(g0_20.graph.vertex_ids())
-        row0 = g0_20.base_row()
+        row0 = g0_20.graph.vertex_row(0)
         seen = set()
         for _ in range(500):
             u, v = rng.sample(ids, 2)

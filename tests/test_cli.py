@@ -286,6 +286,21 @@ def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
     assert 1 + 6 * required_gamma0_depth(16) == 347_521 <= cli.VERTEX_BUDGET
 
 
+def test_deep_json_exits_2(capsys, tmp_path, fam_file):
+    # JSON nested past the recursion limit is malformed input, not a defect
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    g0p = str(tmp_path / "g0.json")
+    main(["gamma0", "--family", fam_file, "--depth", "2", "--out", g0p])
+    for argv in (("delta", "--graph", str(deep)),
+                 ("gamma0", "--family", str(deep), "--depth", "2"),
+                 ("profile", "--gamma0", g0p, "--x", "[" * 200_000, "--y", '{"vertex": 0}')):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
+
 def test_witness_frozen(capsys, tmp_path):
     fam = {"sets": [{"name": "X0", "elements": ["a"]},
                     {"name": "X1", "elements": ["c"]}]}
@@ -392,6 +407,14 @@ def test_extract_choice_paths(capsys, tmp_path, fam_file):
                            "--depth", "20", "--constant", "4", "--section", str(bad))
         assert code == 2
         assert err == f'error: a section "seed" must be an integer, got {seed!r}\n'
+
+    # so is a mode that is not a string, which could not be looked up
+    for mode in ([], {}, 1):
+        bad.write_text(canonical_dumps({"mode": mode}))
+        code, _, err = run(capsys, "extract-choice", "--family", fam_file,
+                           "--depth", "20", "--constant", "4", "--section", str(bad))
+        assert code == 2
+        assert err == f'error: a section "mode" must be a string, got {mode!r}\n'
 
     code, doc, _ = run(capsys, "extract-choice", "--family", fam_file,
                        "--depth", "944", "--constant", "4", "--section", str(sec))

@@ -27,7 +27,6 @@ from coarsegeom import (
     check_geodesic,
     distance,
     enumerate_geodesics,
-    geodesic_segments,
     half_net,
     is_separated,
     multi_source_vertex_distances,
@@ -45,7 +44,6 @@ from coarsegeom.metric_graph import (
     _point_scale,
     _scaled_point,
     complement_component_of,
-    point_on_edge,
 )
 
 H = Fraction(1, 2)
@@ -244,13 +242,6 @@ def test_bad_offsets_keep_their_messages():
     assert str(err.value) == "interior offset must be a Fraction"
 
 
-def test_point_on_edge_normalizes_endpoints():
-    g = path_graph(3)
-    assert point_on_edge(g, 1, 0) == Vertex(1)
-    assert point_on_edge(g, 1, 1) == Vertex(2)
-    assert point_on_edge(g, 1, H) == Interior(1, H)
-
-
 def test_half_net_is_vertices_plus_midpoints():
     g = cycle_graph(5)
     net = half_net(g)
@@ -387,10 +378,27 @@ def test_point_along_and_segments():
     assert point_along(g, geo, geo.length) == Vertex(4)
     assert point_along(g, geo, H) == Vertex(1)
     assert point_along(g, geo, 1) == Interior(1, H)
-    segs = geodesic_segments(g, geo)
-    assert sum((hi - lo) * g.edge(e.id).length for e, lo, hi in segs) == geo.length
     with pytest.raises(InvalidPoint):
         point_along(g, geo, 4)
+
+
+def test_point_along_matches_the_segment_walk():
+    # ends are the half-net and the 1/3 points, so some geodesics run inside
+    # one edge, in both directions; 13 arc lengths per geodesic
+    inside = set()
+    for seed in range(12):
+        g = random_graph(seed, 5, extra=2, rational=True)
+        pts = half_net(g) + [Interior(e.id, Fraction(1, 3)) for e in g.edges]
+        for x in pts:
+            for y in pts:
+                geo = canonical_geodesic(g, x, y)
+                if not geo.vertices:
+                    inside.add(x.offset < y.offset)
+                for j in range(13):
+                    s = geo.length * j / 12
+                    assert point_along(g, geo, s) == oracles.point_along_walk(g, geo, s), \
+                        (seed, x, y, s)
+    assert inside == {True, False}
 
 
 def test_scale_metric_scales_distances():
