@@ -25,6 +25,7 @@ from coarsegeom import (
     verify_quasi_isometry,
 )
 from coarsegeom.coarse_analysis import _carrier, _separation_probes
+from coarsegeom.metric_graph import _arc
 
 H = Fraction(1, 2)
 
@@ -167,6 +168,30 @@ def test_bottleneck_radius_validation():
 def test_long_cycles_fail_bottleneck():
     for n in (16, 20, 24):
         assert not verify_bottleneck(cycle_graph(n), 3).accepted
+
+
+def test_whole_segments_are_the_hop_edges(fam2):
+    # the probe loop reads a geodesic's whole segments off its hop edges:
+    # hop i joins hits i and i + 1, and the arc table steps by its length
+    graphs = (build_gamma0(fam2, 3).graph, random_graph(2, 8, extra=3, rational=True),
+              random_graph(5, 9, extra=4, rational=True))
+    for g in graphs:
+        net = half_net(g)
+        for i, x in enumerate(net):
+            for y in net[i + 1:]:
+                geo = canonical_geodesic(g, x, y)
+                vs = geo.vertices
+                if not vs:
+                    continue
+                k, at = _arc(g, geo)
+                unit = k * g._scale
+                assert len(at) == len(vs) + 1, (x, y)
+                assert Fraction(at[0], unit) == distance(g, x, Vertex(vs[0])), (x, y)
+                assert Fraction(at[-1], unit) == geo.length, (x, y)
+                for a, b, eid, lo, hi in zip(vs, vs[1:], geo.edges, at, at[1:]):
+                    e = g.edge(eid)
+                    assert {e.u, e.v} == {a, b}, (x, y)
+                    assert Fraction(hi - lo, unit) == e.length, (x, y)
 
 
 def test_bottleneck_witness_distance_is_the_metric():
