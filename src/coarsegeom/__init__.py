@@ -33,7 +33,6 @@ from .coarse_maps import (
     SurjectivityViolation,
     compose,
     minimal_qi_constant,
-    restrict_map,
     surjectivity_radius,
     verify_quasi_isometry,
 )

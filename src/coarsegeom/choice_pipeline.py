@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coarse_maps import QuasiMap, _distance_rows, restrict_map, verify_quasi_isometry
+from .coarse_maps import QuasiMap, _distance_rows, verify_quasi_isometry
 from .errors import (
     ArmCollision,
     ConstantTooSmall,
@@ -32,7 +32,7 @@ from .gamma_spaces import (
     gamma1_edge_id,
     gamma1_vertex_id,
 )
-from .metric_graph import HALF, Interior, Vertex, distance
+from .metric_graph import HALF, Interior, Vertex
 from .tree_ops import assert_tree, prune_k
 
 
@@ -114,20 +114,22 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     pruned, _trace = prune_k(m.source, k)
     if pruned.n_vertices == 0:
         raise DepthError(f"{k} pruning rounds emptied the domain tree")
-    r = restrict_map(m, pruned)
-    unit, rows = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in r.assignments])
+    eids = {e.id for e in pruned.edges}
+    kept = [(w, q) for w, q in m.assignments
+            if (pruned.has_vertex(w.id) if isinstance(w, Vertex) else w.edge in eids)]
+    unit, rows = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in kept])
     near = set()
-    images = {}  # vertex id -> image, so no point of the map is hashed
-    for (w, q), d in zip(r.assignments, next(rows)):
+    images = {}  # vertex id -> (image, its distance to the base), so no point is hashed
+    for (w, q), d in zip(kept, next(rows)):
         if isinstance(w, Vertex):
-            images[w.id] = q
+            images[w.id] = q, d
         if d <= n * unit:
             near.update(_half_vertex_candidates(pruned, w))
     if not near:
         raise DepthError("no surviving domain point maps within the constant "
                          "of the base")
     root = min(near)
-    if distance(g0.graph, images[root], Vertex(0)) > 3 * n:
+    if images[root][1] > 3 * n * unit:
         raise NotQuasiIsometry(
             "root image strays beyond three constants from the base, which "
             f"an accepted constant-{n} certificate rules out"
@@ -141,7 +143,7 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     h_values = []
     owner = {}
     for u in frontier:
-        img = images[u]
+        img = images[u][0]
         cls = classify_point(g0, img)
         if cls.is_base:
             raise LabelError(f"frontier vertex {u} maps into the base region")

@@ -13,6 +13,7 @@ error (a defect in coarsegeom, reported in one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -325,6 +326,7 @@ def _add_mode(sp, modes=("exhaustive", "sampled")):
     sp.add_argument("--count", type=int, help="sample count (required when sampled)")
 
 
+@functools.cache  # built on first use, not at import: one parser per process
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="coarsegeom",
@@ -443,7 +445,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the command is looked up by name when it runs, not taken from the
+        # parser built earlier, so one replaced on this module is the one run
+        return globals()[args.func.__name__](args)
     except (SchemaError, InvalidPoint, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .metric_graph import (
     GraphPoint,
-    LabeledMetricGraph,
     Vertex,
     _farthest,
     _point_rows,
@@ -359,17 +358,3 @@ def compose(m2: QuasiMap, m1: QuasiMap) -> QuasiMap:
     out = [(p, m2.image_of(x)) for (p, _), x in zip(m1.assignments, snapped)]
     return QuasiMap(m1.source, m2.target, out)
 
-
-def restrict_map(m: QuasiMap, new_source: LabeledMetricGraph) -> QuasiMap:
-    """The same assignments over a smaller source graph, dropping domain
-    points that no longer exist in it."""
-    eids = {e.id for e in new_source.edges}
-    kept = []
-    for p, q in m.assignments:
-        if isinstance(p, Vertex):
-            if not new_source.has_vertex(p.id):
-                continue
-        elif p.edge not in eids:
-            continue
-        kept.append((p, q))
-    return QuasiMap(new_source, m.target, kept, asserted_constant=m.asserted_constant)

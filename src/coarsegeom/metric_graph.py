@@ -20,9 +20,10 @@ engine rows into a point's row to every vertex and to the interior
 points of a net, and one sweep, _farthest, finds the farthest vertex or
 edge midpoint on a given row.  One table, _arc, gives the integer arc
 length of each vertex a geodesic hits, and points along it are read off
-that table.  One cut, _ball_cut, decides what survives a closed ball,
-for separation, the component index and the avoiding path, every vertex
-of which lies outside the ball.
+that table.  One cut, _ball_cut, gives what survives a closed ball, and
+one breadth-first search over the survivors, _reach, decides separation,
+gives the witness paths that avoid the ball and numbers the components
+of the complement.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from .errors import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+# The largest unit denominator L a graph may have: every engine row entry
+# is a multiple of 1/L, so L's size bounds the cost of each one.
+UNIT_LIMIT = 2**256
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +162,13 @@ class LabeledMetricGraph:
         # the distance engine works in integer units of 1/L, L the lcm of
         # the edge-length denominators: _ilen is each edge's length in
         # those units
-        self._scale = lcm(*(e.length.denominator for e in self.edges))
+        self._scale = 1
+        for den in {e.length.denominator for e in self.edges}:
+            self._scale = lcm(self._scale, den)
+            if self._scale > UNIT_LIMIT:
+                raise GraphStructureError(
+                    "the lcm of the edge-length denominators passes the unit "
+                    f"limit 2**{UNIT_LIMIT.bit_length() - 1}")
         self._ilen = {e.id: e.length.numerator * (self._scale // e.length.denominator)
                       for e in self.edges}
         self._rows = {}
@@ -620,13 +630,10 @@ class ComplementIndex:
 
 def _ball_cut(g, center, radius):
     """The closed ball around ``center`` deleted from g, in integer units
-    of 1/(k*L).  Returns (pieces, locate): pieces(e) yields the open
-    surviving parts of edge e, of length ln in these units, as
-    (a, b, ln, label); locate(p) is the label of the part holding the
-    point p, or None when the ball holds it.  A surviving vertex's label
-    is its root in a union-find joined across every edge with both ends
-    alive that does not hold the center; a part touching a surviving
-    endpoint takes that endpoint's label, any other part (edge id, a)."""
+    of 1/(k*L).  Returns (alive, pieces): alive[i] tells whether the vertex
+    of index i survives, and pieces(e) yields the open surviving parts of
+    edge e, of length ln in these units, as (a, b, ln, ends), ends the ids
+    of the surviving endpoints the part runs into."""
     validate_point(g, center)
     r = Fraction(radius)
     if r < 0:
@@ -640,20 +647,7 @@ def _ball_cut(g, center, radius):
     # how far the ball reaches past each vertex into its edges; < 0: alive
     reach = [rk - d for d in row]
     alive = [x < 0 for x in reach]
-    parent = list(range(len(reach)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
     idx = g._index
-    joined = None  # parallel edges come in runs: a pair just joined is skipped
-    for e in g.edges:
-        i, j = idx[e.u], idx[e.v]
-        if (e.u, e.v) != joined and alive[i] and alive[j] and e.id != center_edge:
-            parent[find(i)] = find(j)
-            joined = e.u, e.v
 
     def pieces(e):
         # the ball covers [0, reach[i]], [ln - reach[j], ln] and, on the
@@ -667,49 +661,53 @@ def _ball_cut(g, center, radius):
             parts = ((lo, min(hi, c - rk)), (max(lo, c + rk), hi))
         for a, b in parts:
             # a part ending exactly at a deleted vertex (a sphere point) is
-            # open there and does not connect through it
-            if a >= b:
-                continue
-            if a == 0 and alive[i]:
-                yield a, b, ln, find(i)
-            elif b == ln and alive[j]:
-                yield a, b, ln, find(j)
-            else:
-                yield a, b, ln, (e.id, a)
+            # open there and does not run into it
+            if a < b:
+                yield a, b, ln, tuple(v for v, end in ((e.u, a == 0 and alive[i]),
+                                                       (e.v, b == ln and alive[j])) if end)
 
-    def locate(p):
-        if isinstance(p, Vertex):
-            i = idx[p.id]
-            return find(i) if alive[i] else None
-        t = p.offset
-        for a, b, ln, label in pieces(g.edge(p.edge)):
-            if a * t.denominator < t.numerator * ln < b * t.denominator:
-                return label
-        return None
+    return alive, pieces
 
-    return pieces, locate
+
+def _reach(g, center, alive, seeds):
+    """Breadth-first search from the vertex ids seeds, in the order of
+    g._adj, over the edges that survive the ball whole: both ends alive
+    and the center not on them.  Yields each vertex reached with the
+    dict of predecessors so far."""
+    center_edge = center.edge if isinstance(center, Interior) else None
+    idx = g._index
+    prev = dict.fromkeys(seeds)
+    q = deque(prev)
+    while q:
+        v = q.popleft()
+        yield v, prev
+        for w, e in g._adj[v]:
+            if w not in prev and e.id != center_edge and alive[idx[w]]:
+                prev[w] = v
+                q.append(w)
 
 
 def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius):
     """Delete the closed ball around ``center`` exactly and return the
     connected components of what survives."""
-    pieces, locate = _ball_cut(g, center, radius)
-    first, labels = {}, {}
-    for vid in g._ids:
-        label = locate(Vertex(vid))
-        if label is not None:
-            labels[vid] = label
-            first.setdefault(label, (0, vid))
-    parts = []
+    alive, pieces = _ball_cut(g, center, radius)
+    vertex_component = {}
+    n = 0
+    for vid, ok in zip(g._ids, alive):
+        if ok and vid not in vertex_component:
+            for v, _ in _reach(g, center, alive, (vid,)):
+                vertex_component[v] = n
+            n += 1
+    fragments = []
     for e in sorted(g.edges, key=lambda e: e.id):
-        for a, b, ln, label in pieces(e):
-            first.setdefault(label, (1, e.id, a))
-            parts.append((e.id, ZERO if a == 0 else Fraction(a, ln),
-                          ONE if b == ln else Fraction(b, ln), label))
-    comp = {label: n for n, label in enumerate(sorted(first, key=first.get))}
-    vertex_component = {vid: comp[label] for vid, label in labels.items()}
-    fragments = tuple(Fragment(eid, a, b, comp[label]) for eid, a, b, label in parts)
-    return ComplementIndex(center, Fraction(radius), vertex_component, fragments, len(comp))
+        for a, b, ln, ends in pieces(e):
+            if ends:
+                c = vertex_component[ends[0]]
+            else:
+                c, n = n, n + 1
+            fragments.append(Fragment(e.id, ZERO if a == 0 else Fraction(a, ln),
+                                      ONE if b == ln else Fraction(b, ln), c))
+    return ComplementIndex(center, Fraction(radius), vertex_component, tuple(fragments), n)
 
 
 def complement_component_of(idx: ComplementIndex, p: GraphPoint):
@@ -731,41 +729,34 @@ def is_separated(g, x: GraphPoint, y: GraphPoint, w: GraphPoint, r) -> bool:
 def _avoiding_path(g, center, radius, x, y):
     """The vertex ids of a path from x to y outside the closed ball around
     center: [] when one vertex-free part holds both, None when the ball
-    separates them.  One breadth-first search from the vertices that x
-    reaches inside its edge, over the edges whose two ends survive and
-    that do not hold the center, in the order of g._adj."""
+    holds either point or separates them.  The search runs from the
+    surviving vertices that x reaches inside its edge to those of y."""
     validate_point(g, x)
     validate_point(g, y)
-    pieces, label = _ball_cut(g, center, radius)
-    if (lx := label(x)) is None or lx != label(y):
-        return None
-    if isinstance(lx, tuple):
-        return []
+    alive, pieces = _ball_cut(g, center, radius)
 
-    def anchors(p):
+    def part(p):
+        # (edge id, a, ends) of the part holding p, None when the ball does
         if isinstance(p, Vertex):
-            return [p.id]
-        e, t = g.edge(p.edge), p.offset
-        for a, b, ln, _ in pieces(e):
+            return (None, None, (p.id,)) if alive[g._index[p.id]] else None
+        t = p.offset
+        for a, b, ln, ends in pieces(g.edge(p.edge)):
             if a * t.denominator < t.numerator * ln < b * t.denominator:
-                return [v for v, end in ((e.u, a == 0), (e.v, b == ln))
-                        if end and label(Vertex(v)) is not None]
+                return p.edge, a, ends
+        return None
 
-    center_edge = center.edge if isinstance(center, Interior) else None
-    targets = set(anchors(y))
-    prev = dict.fromkeys(sorted(anchors(x)))
-    q = deque(prev)
-    while q:
-        v = q.popleft()
+    if (px := part(x)) is None or (py := part(y)) is None:
+        return None
+    if not px[2] or not py[2]:
+        return [] if px == py else None
+    targets = set(py[2])
+    for v, prev in _reach(g, center, alive, sorted(px[2])):
         if v in targets:
             path = [v]
             while prev[path[-1]] is not None:
                 path.append(prev[path[-1]])
             return path[::-1]
-        for w, e in g._adj[v]:
-            if w not in prev and e.id != center_edge and label(Vertex(w)) is not None:
-                prev[w] = v
-                q.append(w)
+    return None
 
 
 def multi_source_vertex_distances(g, seeds):

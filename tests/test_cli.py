@@ -271,8 +271,16 @@ def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
     spec = tmp_path / "spec.json"
     spec.write_text(canonical_dumps({"mode": "first"}))
     deep = ("--family", fam_file, "--depth", str(10**9))
+    # 40 KB of lengths 1/d, distinct 1000-digit d: their lcm, the engine's
+    # unit, would have about 39,000 digits
+    fine = tmp_path / "fine.json"
+    fine.write_text(canonical_dumps({
+        "vertices": [{"id": i} for i in range(40)],
+        "edges": [{"id": i, "u": i, "v": i + 1, "len": f"1/{10**999 + i}"} for i in range(39)],
+    }))
     for argv in (
         ("bottleneck", "--graph", cp, "--delta", "1e10000000"),
+        ("delta", "--graph", str(fine)),
         ("separation", "--gamma0", str(huge), "--seed", "1", "--count", "1"),
         ("gamma0", *deep),
         ("gamma1", *deep),
@@ -280,7 +288,7 @@ def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
     ):
         start = time.perf_counter()
         code, _, err = run(capsys, *argv)
-        assert code == 2 and err.startswith("error: ")
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
         assert time.perf_counter() - start < 1
     # the budget admits extraction at constant 16 on three sets of two
     assert 1 + 6 * required_gamma0_depth(16) == 347_521 <= cli.VERTEX_BUDGET
@@ -484,6 +492,32 @@ def test_internal_errors_exit_4(capsys, monkeypatch, tmp_path, fam_file):
                        "--bound", "3/1")
     assert code == 4
     assert err.startswith("error: internal: witness construction")
+
+
+def test_one_parser_serves_a_process(capsys, fam_file):
+    """The parser is built on first use and kept: a rejected argv between
+    two commands leaves their output as a freshly built parser gives it."""
+    argvs = (("gamma0", "--family", fam_file, "--depth", "2"),
+             ("gamma0", "--depth", "two"),
+             ("gamma1", "--family", fam_file, "--depth", "2"))
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli._build_parser.cache_clear()
+    shared = [outcome(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0]
 
 
 def test_missing_file_and_bad_subcommand(capsys, tmp_path):

@@ -27,7 +27,6 @@ from coarsegeom import (
     half_net,
     minimal_qi_constant,
     quasi_inverse,
-    restrict_map,
     round_trip_max,
     scale_metric,
     section_map,
@@ -567,17 +566,3 @@ def test_compose_transitivity_of_acceptance():
     n = minimal_qi_constant(rt)
     assert verify_quasi_isometry(rt, n).accepted
     assert n <= 2 * 2 + 2 + 2 + 2
-
-
-def test_restrict_map_keeps_survivors(g0_d3, g1_d3):
-    f = build_collapse_map(g0_d3, g1_d3)
-    keep = [v for v in g0_d3.graph.vertex_ids() if v != g0_d3.vertex_of("c", 3)]
-    edges = [e for e in g0_d3.graph.edges if g0_d3.vertex_of("c", 3) not in (e.u, e.v)]
-    sub = LabeledMetricGraph(
-        [(v, g0_d3.graph.vertex_labels[v]) for v in keep], edges, basepoint=0
-    )
-    r = restrict_map(f, sub)
-    assert r.source is sub
-    assert len(r.domain()) == len(sub.vertex_ids()) + sub.n_edges
-    for p, img in r.assignments:
-        assert f.image_of(p) == img

@@ -37,6 +37,7 @@ from coarsegeom import (
 )
 from coarsegeom.coarse_maps import _distance_rows, _kernel_side
 from coarsegeom.metric_graph import (
+    UNIT_LIMIT,
     ComplementIndex,
     Fragment,
     _avoiding_path,
@@ -84,6 +85,13 @@ def test_nonpositive_lengths_keep_their_message():
             with pytest.raises(GraphStructureError) as err:
                 LabeledMetricGraph([0, 1], [edge])
             assert str(err.value) == "edge 0 has non-positive length"
+
+
+def test_rejects_unit_past_limit():
+    # every row entry is a multiple of 1/L: L is capped, not the lengths
+    LabeledMetricGraph([0, 1], [(0, 0, 1, Fraction(3, UNIT_LIMIT))])
+    with pytest.raises(GraphStructureError, match="unit limit"):
+        LabeledMetricGraph([0, 1, 2], [(0, 0, 1, Fraction(1, UNIT_LIMIT)), (1, 1, 2, Fraction(1, 3))])
 
 
 def test_rejects_label_not_endpoint():
@@ -431,6 +439,12 @@ def test_complement_partition_matches_oracle():
                     if c is not None:
                         got.setdefault(c, set()).add(v)
                 assert frozenset(frozenset(s) for s in got.values()) == want
+                # components holding a vertex by least vertex id, then the
+                # vertex-free fragments by (edge id, lo)
+                assert sorted(got, key=lambda c: min(got[c])) == list(range(len(got)))
+                assert list(idx.fragments) == sorted(idx.fragments, key=lambda f: (f.edge, f.lo))
+                free = [f.component for f in idx.fragments if f.component not in got]
+                assert free == list(range(len(got), idx.n_components))
 
 
 # lengths above 2 make edges longer than twice most radii
