@@ -74,7 +74,6 @@ from .gamma_spaces import (
     build_gamma1,
     classify_point,
     find_far_witness,
-    gamma0_edge_id,
     gamma1_edge_id,
     gamma1_vertex_id,
     level_of,

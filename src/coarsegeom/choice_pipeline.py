@@ -28,7 +28,6 @@ from .gamma_spaces import (
     _is_gamma1,
     build_gamma1,
     classify_point,
-    gamma0_edge_id,
     gamma1_edge_id,
     gamma1_vertex_id,
 )
@@ -213,15 +212,16 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
         g1 = build_gamma1(g0.family, depth)
     elif not _is_gamma1(g1, g0.family, depth):
         raise GraphMismatch("supplied quotient tree does not match the family")
+    layout = g0.graph._closed_form
     lifts, mids = [(Vertex(0), Vertex(0))], []
     for si, s in enumerate(g0.family.sets):
         below = 0  # the lift one level down; level 0 is the base, no choice there
         for lev in range(1, depth + 1):
-            v = g0.vertex_of(s.elements[pick(lev, len(s.elements))], lev)
+            v = layout.vertex(s.elements[pick(lev, len(s.elements))], lev)
             # _is_gamma1 holds, so g1's edge ids are gamma1_edge_id's
             lifts.append((Vertex(gamma1_vertex_id(depth, si, lev)), Vertex(v)))
             mids.append((Interior(gamma1_edge_id(depth, si, lev), HALF),
-                         Interior(gamma0_edge_id(g0, below, v), HALF)))
+                         Interior(layout.up_edge(below, v), HALF)))
             below = v
     # vertices, then midpoints, by id: QuasiMap's sort finds two sorted runs
     return QuasiMap(g1, g0.graph, lifts + mids, asserted_constant=2)

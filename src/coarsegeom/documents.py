@@ -34,6 +34,7 @@ from .gamma_spaces import (
     GammaZeroGraph,
     NamedSet,
     SetFamily,
+    _ArmLayout,
     build_gamma0,
     build_gamma1,
 )
@@ -222,7 +223,12 @@ def gamma0_doc(g0: GammaZeroGraph) -> dict:
             "family": family_doc(g0.family)}
 
 
-def gamma1_doc(g1: LabeledMetricGraph, family: SetFamily, depth: int) -> dict:
+def gamma1_doc(g1: LabeledMetricGraph) -> dict:
+    """The document of a tree build_gamma1 made: it knows its family and depth."""
+    layout = g1._closed_form
+    if layout is None or layout.doubled:
+        raise ValueError("only a tree build_gamma1 made knows its family and depth")
+    _, family, depth = layout.key
     return {**graph_doc(g1, tree=True), "kind": "gamma1", "depth": depth,
             "family": family_doc(family)}
 
@@ -256,19 +262,21 @@ def _parse_gamma(doc, kind):
     depth = _expect_int(doc.get("depth"), "depth")
     if depth < 1:
         _fail("depth must be at least 1")
-    gamma0 = kind == "gamma0"
-    arms = len(family.all_elements()) if gamma0 else len(family.sets)
-    vertices = doc.get("vertices")
-    # a vertex list of the wrong length never matches: refuse it unbuilt, so
-    # a declared depth costs nothing the document does not hold
-    if not isinstance(vertices, list) or len(vertices) != 1 + arms * depth:
+    layout = _ArmLayout(kind, family, depth)
+    # lists of the wrong length never match: refuse them unbuilt, so a
+    # declared depth costs nothing the document does not hold
+    if not all(isinstance(doc.get(key), list) and len(doc[key]) == n for key, n in
+               (("vertices", layout.n_vertices), ("edges", layout.n_edges))):
         parse_graph(doc)  # a malformed graph keeps its own error
         _fail("embedded graph does not match the declared family and depth")
-    built = build_gamma0(family, depth) if gamma0 else build_gamma1(family, depth)
-    canonical = gamma0_doc(built) if gamma0 else gamma1_doc(built, family, depth)
+    try:
+        built = build_gamma0(family, depth) if layout.doubled else build_gamma1(family, depth)
+    except ValueError as exc:  # past the layout's budget
+        raise SchemaError(f"bad {kind} document: {exc}") from None
+    canonical = gamma0_doc(built) if layout.doubled else gamma1_doc(built)
     # the builder's own document, down to json's leaf types, stands unparsed
     if (not (doc == canonical and _json_alike(canonical, doc))
-            and not parse_graph(doc).same_structure(built.graph if gamma0 else built)):
+            and not parse_graph(doc).same_structure(built.graph if layout.doubled else built)):
         _fail("embedded graph does not match the declared family and depth")
     return built, family, depth
 

@@ -6,6 +6,10 @@ doubled edges inside each arm between elements of one set at levels that
 differ by at most one.  Collapsing each arm level to a single vertex gives
 a star-of-paths tree over the same family.  Everything is truncated at a
 finite depth and all lengths are 1.
+
+One private layout, ``_ArmLayout``, owns both graphs' vertex and edge ids,
+their closed-form counts and distances, and the size budget every build
+and every gamma document is held to; every reader of either graph asks it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, combinations, product
 from typing import Optional
 
 from .coarse_maps import QuasiMap
@@ -88,36 +93,124 @@ class SetFamily:
         raise KeyError(element)
 
 
-class _ArmMetric:
-    """Closed-form vertex distances of a star of unit-length arms.
+class _ArmLayout:
+    """The numbering, size and closed-form metric of a builder graph: a
+    star of unit-length arms on one base vertex.
 
-    Vertex 0 is the base and vertex ``1 + arm*depth + (level-1)`` sits on
-    an arm at a level in 1..depth.  Arms of one member set are joined at
-    every level and between adjacent levels (the doubled-edge graph's
-    elements); arms of different sets meet only at the base.  For arm
-    vertices (a, n) and (b, m) the distance is
+    Γ0 has one arm per element, Γ1 one per member set.  Vertex 0 is the
+    base and vertex ``1 + arm*depth + (level-1)`` sits on an arm at a
+    level in 1..depth.  Arms of one member set are joined at every level
+    and between adjacent levels (Γ0's elements); arms of different sets
+    meet only at the base.  For arm vertices (a, n) and (b, m) the
+    distance is
       - n from the base to (a, n);
       - |n - m| when a and b lie in one set and n != m;
       - 1 when a and b are different arms of one set and n == m;
       - n + m when a and b lie in different sets.
-    ``arm_sets`` gives each arm's set index; the quotient tree is the case
-    of one arm per set.  The formula holds only for the graphs that
-    build_gamma0 and build_gamma1 return, so only they may attach it; the
-    integer Dijkstra of LabeledMetricGraph serves every other graph.  Its
-    ``key`` (kind, family, depth) names the build, so a graph carrying it
-    is known to be that builder's graph without comparing structures.
+    The formula holds only for the graphs ``build`` returns, so only the
+    builders attach a layout; the integer Dijkstra of LabeledMetricGraph
+    serves every other graph.  Its ``key`` (kind, family, depth) names
+    the build, so a graph carrying it is known to be that builder's graph
+    without comparing structures.  Counting needs no allocation sized by
+    the depth, so a declared depth is weighed before anything is built.
     """
 
+    # the most vertices plus edges a build may make: extraction at
+    # constant 16 on {a,b},{c},{d,e,f} needs 347,521 + 2,085,104
+    budget = 2_500_000
+
     def __init__(self, kind, family, depth):
+        if depth < 1:
+            raise ValueError("depth must be at least 1")
         self.key = (kind, family, depth)
-        self.arm_sets = tuple(si for si, s in enumerate(family.sets)
-                              for _ in (s.elements if kind == "gamma0" else (s,)))
         self.depth = depth
-        self.n_vertices = 1 + len(self.arm_sets) * depth
+        self.doubled = kind == "gamma0"
+        # each arm's name (an element on Γ0, a set on Γ1) and set index
+        self.arms, self.arm_sets = zip(*(
+            (name, si) for si, s in enumerate(family.sets)
+            for name in (s.elements if self.doubled else (s.name,))))
+        self._arm = {name: a for a, name in enumerate(self.arms)}
+        # per set: its first arm, its k arms and, on Γ0, the id of its
+        # first edge above the base; Γ0 numbers two base edges per arm,
+        # then per set and level k(k-1) edges within the level and 2k^2
+        # up to the next; Γ1 counts as Γ0 would with k = 1, in single edges
+        self._blocks, first, edge = [], 0, 2 * len(self.arms)
+        for s in family.sets:
+            k = len(s.elements) if self.doubled else 1
+            self._blocks.append((first, k, edge))
+            first, edge = first + k, edge + depth * k * (k - 1) + (depth - 1) * 2 * k * k
+        self.n_vertices = 1 + len(self.arms) * depth
+        self.n_edges = edge if self.doubled else edge // 2
+
+    def vertex(self, name, level):
+        """Id of the vertex at a level of the named arm."""
+        if not 1 <= level <= self.depth or name not in self._arm:
+            raise KeyError((name, level))
+        return gamma1_vertex_id(self.depth, self._arm[name], level)
+
+    def locate(self, vid):
+        """(arm name, set index, level) of an arm vertex; None for the base."""
+        if vid == 0:
+            return None
+        a, rem = divmod(vid - 1, self.depth)
+        return self.arms[a], self.arm_sets[a], rem + 1
+
+    def up_edge(self, lower, upper):
+        """Least id of an edge from arm vertex upper down one level to
+        lower, in its set (the base below level 1); on Γ1, where one edge
+        runs below each arm vertex, that is upper - 1."""
+        if not self.doubled:
+            return upper - 1
+        a, rem = divmod(upper - 1, self.depth)
+        if rem == 0:
+            return 2 * a
+        first, k, edge = self._blocks[self.arm_sets[a]]
+        below = (lower - 1) // self.depth - first
+        return (edge + (rem - 1) * (k * (k - 1) + 2 * k * k) + k * (k - 1)
+                + 2 * (below * k + a - first))
+
+    def _links(self):
+        """Each edge's ends in id order, a parallel pair once."""
+        d = self.depth
+        if self.doubled:  # Γ0's base edges come first
+            yield from ((0, gamma1_vertex_id(d, a, 1)) for a in range(len(self.arms)))
+        for first, k, _ in self._blocks:
+            low = gamma1_vertex_id(d, first, 1)  # the set's first arm at level 1
+            if not self.doubled:
+                yield 0, low
+            # the links within a level, then those up to the next, as offsets
+            # from the set's first arm at that level
+            offsets = range(0, k * d, d)
+            inside = list(combinations(offsets, 2))
+            steps = inside + list(product(offsets, range(1, k * d + 1, d)))
+            for v in range(low, low + d):
+                for a, b in (steps if v < low + d - 1 else inside):
+                    yield v + a, v + b
+
+    def build(self) -> LabeledMetricGraph:
+        """The builder graph, with this layout attached: each link doubled
+        on Γ0, its two copies labeled with either end, and single on Γ1.
+        A build past the budget is refused before anything is allocated."""
+        if self.n_vertices + self.n_edges > self.budget:
+            raise ValueError(
+                f"depth {self.depth} makes {self.n_vertices} vertices and "
+                f"{self.n_edges} edges, past the budget of {self.budget} "
+                "vertices plus edges")
+        d, one = self.depth, Fraction(1)
+        labels = chain(("b" if self.doubled else "B",),
+                       (f"{name}@{n}" for name in self.arms for n in range(1, d + 1)))
+        if self.doubled:
+            edges = (e for i, (u, v) in enumerate(self._links())
+                     for e in ((2 * i, u, v, one, u), (2 * i + 1, u, v, one, v)))
+        else:
+            edges = ((i, u, v, one) for i, (u, v) in enumerate(self._links()))
+        graph = LabeledMetricGraph(enumerate(labels), edges, basepoint=0)
         # rows are cut from these two with memcpy-speed slices: _vee[k] is
         # |k - depth|, so one slice gives a level's distances along its arm
-        self._asc = array("i", range(2 * depth + 1))
-        self._vee = array("i", (abs(k - depth) for k in range(2 * depth + 1)))
+        self._asc = array("i", range(2 * d + 1))
+        self._vee = array("i", (abs(k - d) for k in range(2 * d + 1)))
+        graph._closed_form = self
+        return graph
 
     def distance(self, u, v):
         if u == v:
@@ -153,75 +246,24 @@ class _ArmMetric:
 
 
 class GammaZeroGraph:
-    """The level-0 graph of a family, truncated at a depth, plus the
-    element/level bookkeeping its operations need."""
+    """The level-0 graph of a family at a depth, as build_gamma0 made it;
+    its layout's info(vid) is (element, set index, level), None at the base."""
 
-    def __init__(self, graph: LabeledMetricGraph, family: SetFamily, depth: int):
+    def __init__(self, graph: LabeledMetricGraph):
+        layout = graph._closed_form
         self.graph = graph
-        self.family = family
-        self.depth = depth
-        self._elems = family.all_elements()
-        self._elem_pos = {e: i for i, e in enumerate(self._elems)}
-        self._elem_set = {
-            e: si for si, s in enumerate(family.sets) for e in s.elements
-        }
-        # per set, the index of its first element and its first in-arm edge
-        self._set_starts, first, edge = [], 0, 2 * len(self._elems)
-        for s in family.sets:
-            k = len(s.elements)
-            self._set_starts.append((first, edge))
-            first, edge = first + k, edge + depth * k * (k - 1) + (depth - 1) * 2 * k * k
-
-    def vertex_of(self, element: str, level: int) -> int:
-        if level < 1 or level > self.depth or element not in self._elem_pos:
-            raise KeyError((element, level))
-        return 1 + self._elem_pos[element] * self.depth + (level - 1)
-
-    def info(self, vid: int):
-        """(element, set index, level) for an arm vertex; None for the base."""
-        if vid == 0:
-            return None
-        i, rem = divmod(vid - 1, self.depth)
-        element = self._elems[i]
-        return (element, self._elem_set[element], rem + 1)
+        _, self.family, self.depth = layout.key
+        self.vertex_of, self.info = layout.vertex, layout.locate
 
 
 def build_gamma0(family: SetFamily, depth: int) -> GammaZeroGraph:
     """Construct the truncated doubled-edge graph with deterministic ids."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    elems = family.all_elements()
-    vertices = [(0, "b")]
-    for i, e in enumerate(elems):
-        for n in range(1, depth + 1):
-            vertices.append((1 + i * depth + (n - 1), f"{e}@{n}"))
-    vid = {e: {n: 1 + i * depth + (n - 1) for n in range(1, depth + 1)}
-           for i, e in enumerate(elems)}
-    one = Fraction(1)
-    edges = []
-
-    def doubled(u, v):
-        edges.append((len(edges), u, v, one, u))
-        edges.append((len(edges), u, v, one, v))
-
-    for e in elems:
-        doubled(0, vid[e][1])
-    for s in family.sets:
-        members = s.elements
-        for n in range(1, depth + 1):
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    doubled(vid[members[i]][n], vid[members[j]][n])
-            if n < depth:
-                for x in members:
-                    for y in members:
-                        doubled(vid[x][n], vid[y][n + 1])
-    graph = LabeledMetricGraph(vertices, edges, basepoint=0)
-    graph._closed_form = _ArmMetric("gamma0", family, depth)
-    return GammaZeroGraph(graph, family, depth)
+    return GammaZeroGraph(_ArmLayout("gamma0", family, depth).build())
 
 
 def gamma1_vertex_id(depth: int, set_index: int, level: int) -> int:
+    """Id of the vertex at a level of an arm of Γ1 (the base at level 0);
+    Γ0 numbers its element arms the same way."""
     if level == 0:
         return 0
     return 1 + set_index * depth + (level - 1)
@@ -229,45 +271,13 @@ def gamma1_vertex_id(depth: int, set_index: int, level: int) -> int:
 
 def gamma1_edge_id(depth: int, set_index: int, upper_level: int) -> int:
     """Id of the tree edge joining levels upper_level-1 and upper_level."""
-    return set_index * depth + (upper_level - 1)
-
-
-def gamma0_edge_id(g0: GammaZeroGraph, lower: int, upper: int) -> int:
-    """Least id of the doubled edge from arm vertex upper down to lower, in
-    its set one level below (the base below level 1): build_gamma0 numbers
-    two base edges per element, then per set of k elements and per level
-    k(k-1) edges within the level and 2k^2 up to the next."""
-    i, rem = divmod(upper - 1, g0.depth)
-    if rem == 0:
-        return 2 * i
-    si = g0._elem_set[g0._elems[i]]
-    first, offset = g0._set_starts[si]
-    k = len(g0.family.sets[si].elements)
-    i_below = (lower - 1) // g0.depth - first
-    return (offset + (rem - 1) * (k * (k - 1) + 2 * k * k) + k * (k - 1)
-            + 2 * (i_below * k + i - first))
+    return gamma1_vertex_id(depth, set_index, upper_level) - 1
 
 
 def build_gamma1(family: SetFamily, depth: int) -> LabeledMetricGraph:
     """The quotient tree: one path of unit edges per member set, all glued
     at a single base vertex."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    vertices = [(0, "B")]
-    edges = []
-    one = Fraction(1)
-    for si, s in enumerate(family.sets):
-        for n in range(1, depth + 1):
-            vertices.append((gamma1_vertex_id(depth, si, n), f"{s.name}@{n}"))
-            edges.append((
-                gamma1_edge_id(depth, si, n),
-                gamma1_vertex_id(depth, si, n - 1),
-                gamma1_vertex_id(depth, si, n),
-                one,
-            ))
-    graph = LabeledMetricGraph(vertices, sorted(edges), basepoint=0)
-    graph._closed_form = _ArmMetric("gamma1", family, depth)
-    return graph
+    return _ArmLayout("gamma1", family, depth).build()
 
 
 def _is_gamma1(g: LabeledMetricGraph, family: SetFamily, depth: int) -> bool:
@@ -302,13 +312,10 @@ def classify_point(g0: GammaZeroGraph, p: GraphPoint) -> PointClass:
     lev = level_of(g0, p)
     if lev == 0:
         return PointClass("base", None, 0)
-    if isinstance(p, Vertex):
-        _, si, _ = g0.info(p.id)
-    else:
+    if isinstance(p, Interior):
         e = g0.graph.edge(p.edge)
-        end = e.u if e.u != 0 else e.v
-        _, si, _ = g0.info(end)
-    return PointClass("arm", g0.family.sets[si].name, lev)
+        p = Vertex(e.u or e.v)  # the end off the base names the arm
+    return PointClass("arm", g0.family.sets[g0.info(p.id)[1]].name, lev)
 
 
 def build_collapse_map(g0: GammaZeroGraph, g1: LabeledMetricGraph) -> QuasiMap:
@@ -316,28 +323,17 @@ def build_collapse_map(g0: GammaZeroGraph, g1: LabeledMetricGraph) -> QuasiMap:
     the quotient tree."""
     if not _is_gamma1(g1, g0.family, g0.depth):
         raise FamilyMismatch("quotient tree does not match the family and depth")
-    depth = g0.depth
-    assignments = [(Vertex(0), Vertex(0))]
-    for e in g0._elems:
-        si = g0._elem_set[e]
-        for n in range(1, depth + 1):
-            assignments.append(
-                (Vertex(g0.vertex_of(e, n)), Vertex(gamma1_vertex_id(depth, si, n)))
-            )
-    for edge in g0.graph.edges:
-        mid = Interior(edge.id, HALF)
-        if edge.u == 0 or edge.v == 0:
-            other = edge.v if edge.u == 0 else edge.u
-            _, si, _ = g0.info(other)
-            target = Interior(gamma1_edge_id(depth, si, 1), HALF)
-        else:
-            _, si, nu = g0.info(edge.u)
-            _, _, nv = g0.info(edge.v)
-            if nu == nv:
-                target = Vertex(gamma1_vertex_id(depth, si, nu))
-            else:
-                target = Interior(gamma1_edge_id(depth, si, max(nu, nv)), HALF)
-        assignments.append((mid, target))
+    tree = _ArmLayout("gamma1", g0.family, g0.depth)
+    # a vertex goes to its set's arm at its level; an edge within a level
+    # to the image of its ends, and one between levels to the midpoint of
+    # the tree edge between the images of its ends
+    image = [0] + [tree.vertex(g0.family.sets[si].name, level)
+                   for _, si, level in map(g0.info, range(1, g0.graph.n_vertices))]
+    assignments = [(Vertex(v), Vertex(t)) for v, t in enumerate(image)]
+    for e in g0.graph.edges:
+        a, b = sorted((image[e.u], image[e.v]))
+        assignments.append((Interior(e.id, HALF),
+                            Vertex(a) if a == b else Interior(tree.up_edge(a, b), HALF)))
     return QuasiMap(g0.graph, g1, assignments, asserted_constant=2)
 
 

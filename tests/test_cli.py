@@ -278,6 +278,21 @@ def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
         "vertices": [{"id": i} for i in range(40)],
         "edges": [{"id": i, "u": i, "v": i + 1, "len": f"1/{10**999 + i}"} for i in range(39)],
     }))
+    # one set of 60 elements: at depth 6,000 its 360,001 vertices carry
+    # 64,432,920 edges, past the budget; at depth 40 a 7 KB document
+    # declares 422,520 edges and holds none
+    wide = {"sets": [{"name": "W", "elements": [f"w{i}" for i in range(60)]}]}
+    wide_file = tmp_path / "wide.json"
+    wide_file.write_text(canonical_dumps(wide))
+    docs = []
+    for depth in (6000, 40):
+        docs.append(tmp_path / f"wide{depth}.json")
+        docs[-1].write_text(canonical_dumps({
+            "kind": "gamma0", "depth": depth, "family": wide,
+            "vertices": [0] * (1 + 60 * depth), "edges": []}))
+    wide_deep = ("--family", str(wide_file), "--depth", "6000")
+    g0p = str(tmp_path / "g0.json")
+    main(["gamma0", "--family", fam_file, "--depth", "2", "--out", g0p])
     for argv in (
         ("bottleneck", "--graph", cp, "--delta", "1e10000000"),
         ("delta", "--graph", str(fine)),
@@ -285,13 +300,24 @@ def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
         ("gamma0", *deep),
         ("gamma1", *deep),
         ("extract-choice", *deep, "--constant", "4", "--section", str(spec)),
+        ("gamma0", *wide_deep),
+        ("extract-choice", *wide_deep, "--constant", "4", "--section", str(spec)),
+        *(("separation", "--gamma0", str(d), "--seed", "1", "--count", "1") for d in docs),
+        ("profile", "--gamma0", g0p, "--x", "x" * 100_000, "--y", '{"vertex": 0}'),
     ):
         start = time.perf_counter()
         code, _, err = run(capsys, *argv)
-        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
-        assert time.perf_counter() - start < 1
-    # the budget admits extraction at constant 16 on three sets of two
-    assert 1 + 6 * required_gamma0_depth(16) == 347_521 <= cli.VERTEX_BUDGET
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, argv[0]
+        assert len(err) < 300, err
+        assert time.perf_counter() - start < 1, argv[0]
+    # the budget, counted unbuilt, admits extraction at constant 16 on the
+    # 3-set family and on three sets of two
+    for lists, edges in (([["a", "b"], ["c"], ["d", "e", "f"]], 2_085_104),
+                         ([["a", "b"], ["c", "d"], ["e", "f"]], 1_737_588)):
+        layout = gamma_spaces._ArmLayout("gamma0", SetFamily.of_lists(lists),
+                                         required_gamma0_depth(16))
+        assert (layout.n_vertices, layout.n_edges) == (347_521, edges)
+        assert layout.n_vertices + layout.n_edges <= layout.budget
 
 
 def test_deep_json_exits_2(capsys, tmp_path, fam_file):

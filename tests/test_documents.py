@@ -288,9 +288,14 @@ def test_gamma_docs_round_trip(fam2):
     assert back.graph.same_structure(g0.graph)
 
     g1 = build_gamma1(fam2, 3)
-    t, fam, depth = parse_gamma1(json.loads(canonical_dumps(gamma1_doc(g1, fam2, 3))))
+    t, fam, depth = parse_gamma1(json.loads(canonical_dumps(gamma1_doc(g1))))
     assert (fam, depth) == (fam2, 3)
     assert t.same_structure(g1)
+    # the family and depth are the tree's own: a tree that does not carry
+    # them, or a doubled-edge graph, has no gamma1 document
+    for other in (parse_graph(graph_doc(g1, tree=True)), g0.graph):
+        with pytest.raises(ValueError, match="only a tree build_gamma1 made"):
+            gamma1_doc(other)
 
 
 def test_tampered_gamma0_is_rejected(fam2):
@@ -311,7 +316,7 @@ def test_gamma_docs_accept_other_spellings(fam2):
     graph still parse; ints standing in as bools or floats still fail."""
     for doc, parse in (
         (gamma0_doc(build_gamma0(fam2, 3)), lambda d: parse_gamma0(d).graph),
-        (gamma1_doc(build_gamma1(fam2, 3), fam2, 3), lambda d: parse_gamma1(d)[0]),
+        (gamma1_doc(build_gamma1(fam2, 3)), lambda d: parse_gamma1(d)[0]),
     ):
         canonical = parse(doc)
         for spell in ("1", 1):
@@ -379,7 +384,7 @@ def test_gamma_fast_accept_is_as_strict_as_json_text(fam2, kind, monkeypatch):
         doc, parse = gamma0_doc(build_gamma0(fam2, 3)), lambda d: parse_gamma0(d).graph
     else:
         built = build_gamma1(fam2, 3)
-        doc, parse = gamma1_doc(built, fam2, 3), lambda d: parse_gamma1(d)[0]
+        doc, parse = gamma1_doc(built), lambda d: parse_gamma1(d)[0]
     parsed = []
     real_parse_graph = documents.parse_graph
     monkeypatch.setattr(documents, "parse_graph",
@@ -409,12 +414,28 @@ def test_declared_depth_is_checked_before_building(fam2, kind):
         parse(doc)
 
 
+@pytest.mark.parametrize("kind", ["gamma0", "gamma1"])
+def test_gamma_documents_are_held_to_the_budget(fam2, kind, monkeypatch):
+    """A well-formed document whose build would pass the budget is refused
+    as malformed, unbuilt."""
+    if kind == "gamma0":
+        g0 = build_gamma0(fam2, 3)
+        doc, parse, layout = gamma0_doc(g0), parse_gamma0, g0.graph._closed_form
+    else:
+        g1 = build_gamma1(fam2, 3)
+        doc, parse, layout = gamma1_doc(g1), parse_gamma1, g1._closed_form
+    parse(doc)
+    monkeypatch.setattr(type(layout), "budget", layout.n_vertices + layout.n_edges - 1)
+    with pytest.raises(SchemaError, match="past the budget"):
+        parse(doc)
+
+
 def test_map_file_round_trip(tmp_path, fam2):
     g0 = build_gamma0(fam2, 3)
     m = section_map(g0, mode="alternating")
     (tmp_path / "g0.json").write_text(canonical_dumps(gamma0_doc(g0)))
     (tmp_path / "g1.json").write_text(
-        canonical_dumps(gamma1_doc(m.source, fam2, 3))
+        canonical_dumps(gamma1_doc(m.source))
     )
     doc = map_doc(m, "g1.json", "g0.json")
     assert doc["N"] == 2
@@ -465,7 +486,7 @@ def test_load_graph_file_dispatch(tmp_path, fam2):
     g1 = build_gamma1(fam2, 2)
     (tmp_path / "plain.json").write_text(canonical_dumps(graph_doc(plain)))
     (tmp_path / "g0.json").write_text(canonical_dumps(gamma0_doc(g0)))
-    (tmp_path / "g1.json").write_text(canonical_dumps(gamma1_doc(g1, fam2, 2)))
+    (tmp_path / "g1.json").write_text(canonical_dumps(gamma1_doc(g1)))
     assert load_graph_file(str(tmp_path / "plain.json")).same_structure(plain)
     assert load_graph_file(str(tmp_path / "g0.json")).same_structure(g0.graph)
     assert load_graph_file(str(tmp_path / "g1.json")).same_structure(g1)

@@ -26,7 +26,6 @@ from coarsegeom import (
     distance,
     enumerate_geodesics,
     find_far_witness,
-    gamma0_edge_id,
     gamma1_edge_id,
     gamma1_vertex_id,
     half_net,
@@ -174,7 +173,7 @@ def test_closed_form_only_on_builder_graphs(fam2):
     g0 = build_gamma0(fam2, 3)
     g1 = build_gamma1(fam2, 3)
     assert parse_gamma0(gamma0_doc(g0)).graph._closed_form is not None
-    assert parse_gamma1(gamma1_doc(g1, fam2, 3))[0]._closed_form is not None
+    assert parse_gamma1(gamma1_doc(g1))[0]._closed_form is not None
     for g in (g0.graph, g1):
         assert parse_graph(graph_doc(g))._closed_form is None
         assert scale_metric(g, 1)._closed_form is None
@@ -188,7 +187,7 @@ def test_builder_graphs_are_not_rebuilt(fam2, monkeypatch):
     its family and depth: no second build and no generic parse."""
     g0 = build_gamma0(fam2, 4)
     g1 = build_gamma1(fam2, 4)
-    doc0, doc1 = gamma0_doc(g0), gamma1_doc(g1, fam2, 4)
+    doc0, doc1 = gamma0_doc(g0), gamma1_doc(g1)
 
     def refuse(*args):
         raise AssertionError("rebuilt or reparsed")
@@ -284,28 +283,48 @@ def test_gamma1_shape(g1_d3, fam2):
                                    [["a", "b"], ["c"], ["d", "e", "f"]],
                                    [["p"], ["q", "r", "s", "t"], ["u", "v"]]])
 def test_gamma0_edge_id_is_the_least_scanned_id(lists):
-    """The closed form names, for every adjacency a section can lift (base
-    to level 1, and level n to n + 1 within a set), the least id that a
-    scan of the built edges finds."""
+    """The layout's up_edge names, for every adjacency a section can lift
+    or the collapse can cross (base to level 1, and level n to n + 1
+    within a set), the least id that a scan of the built edges finds, on
+    the doubled-edge graph and on the quotient tree."""
     family = SetFamily.of_lists(lists)
     for depth in (1, 2, 5):
-        g0 = build_gamma0(family, depth)
-        least = {}
-        for e in g0.graph.edges:
-            least.setdefault((e.u, e.v), e.id)
-        lifted = 0
-        for s in family.sets:
-            for lev in range(1, depth + 1):
-                for y in s.elements:
-                    upper = g0.vertex_of(y, lev)
-                    below = [0] if lev == 1 else [g0.vertex_of(x, lev - 1)
-                                                  for x in s.elements]
-                    for lower in below:
-                        assert gamma0_edge_id(g0, lower, upper) == least[lower, upper]
-                        lifted += 1
-        # that was every adjacency between two levels
-        level = {vid: 0 if vid == 0 else g0.info(vid)[2] for vid in g0.graph.vertex_ids()}
-        assert lifted == sum(level[v] == level[u] + 1 for u, v in least)
+        for g in (build_gamma0(family, depth).graph, build_gamma1(family, depth)):
+            layout = g._closed_form
+            least = {}
+            for e in g.edges:
+                least.setdefault((e.u, e.v), e.id)
+            lifted = 0
+            for upper in range(1, g.n_vertices):
+                _, si, lev = layout.locate(upper)
+                below = [0] if lev == 1 else [layout.vertex(x, lev - 1) for x, sx
+                                              in zip(layout.arms, layout.arm_sets) if sx == si]
+                for lower in below:
+                    assert layout.up_edge(lower, upper) == least[lower, upper]
+                    lifted += 1
+            # that was every adjacency between two levels
+            level = {vid: 0 if vid == 0 else layout.locate(vid)[2] for vid in g.vertex_ids()}
+            assert lifted == sum(level[v] == level[u] + 1 for u, v in least)
+
+
+@pytest.mark.parametrize("lists", [[["a"], ["b"]],
+                                   [["a", "b"], ["c"], ["d", "e", "f"]],
+                                   [["p", "q", "r", "s"]]])
+def test_layout_counts_and_numbers_the_builds(lists):
+    """The layout's closed-form counts are the built graph's, and vertex
+    and locate name every vertex as the builder labeled it."""
+    family = SetFamily.of_lists(lists)
+    for depth in (1, 2, 7):
+        for g in (build_gamma0(family, depth).graph, build_gamma1(family, depth)):
+            layout = g._closed_form
+            assert (layout.n_vertices, layout.n_edges) == (g.n_vertices, g.n_edges)
+            assert layout.locate(0) is None
+            for vid in range(1, g.n_vertices):
+                name, si, lev = layout.locate(vid)
+                assert layout.vertex(name, lev) == vid
+                assert g.vertex_labels[vid] == f"{name}@{lev}"
+                s = family.sets[si]
+                assert name in (s.elements if layout.doubled else (s.name,))
 
 
 def test_collapse_map_shape(g0_d3, g1_d3):
@@ -383,7 +402,7 @@ def test_build_collapse_and_dump_build_no_adjacency(fam2):
     g0, g1 = build_gamma0(fam2, 12), build_gamma1(fam2, 12)
     m = build_collapse_map(g0, g1)
     documents.canonical_dumps(gamma0_doc(g0))
-    documents.canonical_dumps(gamma1_doc(g1, fam2, 12))
+    documents.canonical_dumps(gamma1_doc(g1))
     documents.canonical_dumps(documents.map_doc(m, "gamma0.json", "gamma1.json"))
     for g in (g0.graph, g1):
         assert "_adj" not in vars(g) and "_iadj" not in vars(g)
