@@ -27,7 +27,6 @@ from .gamma_spaces import (
     GammaZeroGraph,
     _is_gamma1,
     build_gamma1,
-    classify_point,
     gamma1_edge_id,
     gamma1_vertex_id,
 )
@@ -74,25 +73,15 @@ def _half_vertex_candidates(tree, p):
     return out
 
 
-def _element_of_image(g0, img):
-    """The element a deep arm point singles out: a vertex names itself, an
-    interior point names the endpoint its edge is labeled with."""
-    if isinstance(img, Vertex):
-        return g0.info(img.id)[0]
-    e = g0.graph.edge(img.edge)
-    if e.u == 0 or e.v == 0:
-        raise LabelError("frontier image sits on a base edge")
-    if e.label is None:
-        raise LabelError(f"edge {e.id} carries no endpoint label")
-    return g0.info(e.label)[0]
-
-
 def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate:
     """Run the full extraction and certify the resulting transversal.
 
     Preconditions are checked in order: the constant (>= 4), the domain
     being a tree, the target graph, the truncation depth, then that m is
     an n-quasi-isometry on the tree's vertices (edge images unchecked).
+    Each frontier image is read once: its level from the distance to the
+    base that the root search found, its element from the graph's layout
+    (a vertex names itself, an edge point the end its edge is labeled with).
     """
     n = int(n)
     if n < 4:
@@ -142,27 +131,25 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     h_values = []
     owner = {}
     for u in frontier:
-        img = images[u][0]
-        cls = classify_point(g0, img)
-        if cls.is_base:
+        img, d = images[u]
+        level = d // unit
+        if level == 0:
             raise LabelError(f"frontier vertex {u} maps into the base region")
-        if cls.level < 10 * n:
+        if level < 10 * n:
             raise LabelError(
-                f"frontier vertex {u} maps to level {cls.level}, "
+                f"frontier vertex {u} maps to level {level}, "
                 f"below the guaranteed {10 * n}"
             )
-        elem = _element_of_image(g0, img)
-        si = g0.family.set_index_of(elem)
-        if g0.family.sets[si].name != cls.arm:
-            raise LabelError(
-                f"frontier vertex {u} decodes {elem!r} outside its arm"
-            )
-        if cls.arm in owner:
+        # above level 0 an edge joins two arms of one set, labeled by one end
+        elem, si, _ = g0.info(img.id if isinstance(img, Vertex)
+                              else g0.graph.edge(img.edge).label)
+        arm = g0.family.sets[si].name
+        if arm in owner:
             raise ArmCollision(
-                f"frontier vertices {owner[cls.arm]} and {u} both land on "
-                f"arm {cls.arm!r}"
+                f"frontier vertices {owner[arm]} and {u} both land on "
+                f"arm {arm!r}"
             )
-        owner[cls.arm] = u
+        owner[arm] = u
         h_values.append((u, elem))
     chosen = dict(h_values)
     assignment = []

@@ -86,12 +86,6 @@ class SetFamily:
     def all_elements(self):
         return tuple(e for s in self.sets for e in s.elements)
 
-    def set_index_of(self, element):
-        for i, s in enumerate(self.sets):
-            if element in s.elements:
-                return i
-        raise KeyError(element)
-
 
 class _ArmLayout:
     """The numbering, size and closed-form metric of a builder graph: a

@@ -501,11 +501,12 @@ def enumerate_geodesics(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint, cap
     """All distinct geodesics from p to q, in lexicographic order of hops:
     by first vertex, then by each hop's (next vertex id, edge id), with the
     geodesic inside one edge first.  Raises CapExceeded (carrying the
-    truncated list) if more than ``cap`` exist."""
+    truncated list, and quoting each end by at most 40 characters) if
+    more than ``cap`` exist."""
     out = []
     for geo in _geodesics(g, p, q):
         if len(out) >= cap:
-            raise CapExceeded(f"more than {cap} geodesics between {p} and {q}", out)
+            raise CapExceeded(f"more than {cap} geodesics between {p!s:.40} and {q!s:.40}", out)
         out.append(geo)
     return out
 

@@ -1,5 +1,6 @@
 """Finite metric trees: leaf pruning with an audit trail, medians and
-meets, and coarse inverses of quasi-isometries whose target is a tree."""
+meets, and coarse inverses of quasi-isometries out of a tree, which take
+one meet, one geodesic walk, per net point of the target."""
 
 from __future__ import annotations
 
@@ -94,12 +95,20 @@ def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoi
     along the geodesic toward a.
     """
     assert_tree(g)
-    return _median(g, z, a, b)
+    return _meet(g, z, (a, b))
 
 
-def _median(g, z, a, b):
-    geo = canonical_geodesic(g, z, a)
-    return point_along(g, geo, (geo.length + distance(g, z, b) - distance(g, a, b)) / 2)
+def _meet(g, z, points):
+    """Where the paths from z to the points of a tree part ways: on the
+    geodesic from z to the first point y1, at the least Gromov product
+    (y1|y)_z = (d(z,y1) + d(z,y) - d(y1,y)) / 2 over the points, which is
+    where the fold of medians with root z lands in any order."""
+    first, *rest = points
+    if not rest:
+        return first
+    geo = canonical_geodesic(g, z, first)
+    s = min(distance(g, z, y) - distance(g, first, y) for y in rest)
+    return point_along(g, geo, (geo.length + s) / 2)
 
 
 def tree_meet(g: LabeledMetricGraph, x: GraphPoint, y: GraphPoint, base=None) -> GraphPoint:
@@ -126,9 +135,10 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     image lies within n of x, read off one integer distance row per x
     (DisconnectedGraph where x and an image lie in different components),
     and is sent to the meet of that preimage cloud relative to the root z
-    (the smallest vertex by default).  The result's true minimal constant
-    is computed; at most 9n^2, it certifies the result at 9n^2 exhaustively,
-    and only a larger one runs the check at 9n^2 for its witness.
+    (the smallest vertex by default), found in one geodesic walk.  The
+    result's true minimal constant is computed; at most 9n^2, it certifies
+    the result at 9n^2 exhaustively, and only a larger one runs the check
+    at 9n^2 for its witness.
     """
     if n < 1:
         raise ValueError("constant must be >= 1")
@@ -140,15 +150,10 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     unit, rows = _distance_rows(f.target, net, [q for _, q in f.assignments])
     assignments = []
     for x, row in zip(net, rows):
-        # the median with root z is associative and commutative in its last
-        # two slots, so the fold's order does not change the meet
-        m = None
-        for (y, _), d in zip(f.assignments, row):
-            if d <= n * unit:
-                m = y if m is None else _median(tree, z, m, y)
-        if m is None:
+        cloud = [y for (y, _), d in zip(f.assignments, row) if d <= n * unit]
+        if not cloud:
             raise EmptyPreimage(f"no image within {n} of {x}")
-        assignments.append((x, m))
+        assignments.append((x, _meet(tree, z, cloud)))
     h = QuasiMap(f.target, tree, assignments)
     bound = 9 * n * n
     best = minimal_qi_constant(h)

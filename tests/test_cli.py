@@ -247,7 +247,7 @@ def test_profile(capsys, tmp_path, fam_file):
     assert code == 2
 
 
-def test_profile_deep_pair(capsys, tmp_path):
+def test_profile_deep_pair(capsys, tmp_path, fam_file):
     fp = tmp_path / "fam.json"
     fp.write_text(canonical_dumps(
         {"sets": [{"name": "X0", "elements": ["a"]},
@@ -259,6 +259,14 @@ def test_profile_deep_pair(capsys, tmp_path):
     code, _, err = run(capsys, "profile", "--gamma0", g0p,
                        "--x", '{"vertex": 0}', "--y", y, "--cap", "1")
     assert code == 3 and "CapExceeded" in err
+    # an end with a 3,001-digit offset is quoted by a prefix
+    g0p = str(tmp_path / "g0_6.json")
+    main(["gamma0", "--family", fam_file, "--depth", "6", "--out", g0p])
+    x = json.dumps({"edge": 3, "offset": f"1/{10**3000 + 1}"})
+    code, _, err = run(capsys, "profile", "--gamma0", g0p, "--cap", "1",
+                       "--x", x, "--y", '{"vertex": 12}')
+    assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 300
 
 
 def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):

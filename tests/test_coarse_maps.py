@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -533,6 +533,9 @@ def tree_maps(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(tree_maps())
+# a section's clouds hold many points: 42 net points on {a,b},{c} at depth 3
+@example((section_map(build_gamma0(SetFamily.of_lists([["a", "b"], ["c"]]), 3),
+                      mode="seeded", seed=7), 2, Vertex(0)))
 def test_quasi_inverse_matches_oracle(case):
     f, n, z = case
     want = oracles.brute_quasi_inverse(f, n, z)

@@ -62,7 +62,6 @@ def test_family_validation():
         SetFamily.of_lists([["a"], ["b"]], names=["X", "X"])
     fam = SetFamily.of_lists([["a", "b"], ["c"]])
     assert fam.all_elements() == ("a", "b", "c")
-    assert fam.set_index_of("c") == 1
 
 
 # -- the doubled-edge graph ---------------------------------------------------

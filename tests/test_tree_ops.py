@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import path_graph, random_graph, random_tree
+from coarsegeom import tree_ops
 from coarsegeom import (
     EmptyPreimage,
     GraphMismatch,
@@ -17,13 +18,19 @@ from coarsegeom import (
     SetFamily,
     Vertex,
     assert_tree,
+    build_collapse_map,
+    build_gamma0,
     build_gamma1,
+    canonical_geodesic,
     compose,
+    distance,
     half_net,
+    minimal_qi_constant,
     prune_k,
     quasi_inverse,
     round_trip_max,
     scale_metric,
+    section_map,
     tree_median,
     tree_meet,
     verify_quasi_isometry,
@@ -144,8 +151,8 @@ def test_median_matches_intersection_oracle():
 
 
 def meet_fold(t, z, points):
-    """The fold quasi_inverse runs over a preimage cloud: the median with
-    root z, taken point by point."""
+    """The fold of medians with root z over a preimage cloud, taken point
+    by point: where tree_ops._meet must land in one walk."""
     return functools.reduce(lambda m, p: tree_median(t, z, m, p), points)
 
 
@@ -165,6 +172,7 @@ def test_meet_fold_order_independent():
         for _ in range(4):
             rng.shuffle(chosen)
             assert meet_fold(t, z, chosen) == base
+            assert tree_ops._meet(t, z, chosen) == base
 
 
 def test_tree_meet_needs_base():
@@ -269,3 +277,35 @@ def test_quasi_inverse_root_override():
     assert res_a.map.image_of(Vertex(2)) == Vertex(1)
     assert res_b.map.image_of(Vertex(2)) == Vertex(3)
     assert res_a.certificate.accepted and res_b.certificate.accepted
+
+
+def test_quasi_inverse_walks_one_geodesic_per_net_point(fam2, monkeypatch):
+    s = section_map(build_gamma0(fam2, 3), mode="seeded", seed=7)
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return canonical_geodesic(*args)
+
+    monkeypatch.setattr(tree_ops, "canonical_geodesic", counted)
+    res = quasi_inverse(s, 2)
+    assert len(res.map) == 42
+    assert len(walks) <= 42
+
+
+def test_collapse_and_section_invert_each_other(fam3):
+    """Both directions of the first claim on one family: the collapse out
+    of the doubled-edge graph, its section, and the coarse inverse of the
+    section, which needs no choice."""
+    g0 = build_gamma0(fam3, 10)
+    f = build_collapse_map(g0, build_gamma1(fam3, 10))
+    s = section_map(g0, mode="seeded", seed=7, g1=f.target)
+    for m in (f, s):
+        assert verify_quasi_isometry(m, 2).accepted
+        assert minimal_qi_constant(m) == 2
+    assert round_trip_max(f, s) == 2
+    assert round_trip_max(s, f) == 0
+    res = quasi_inverse(s, 2)
+    assert res.minimal_constant == 2 and res.certificate.accepted
+    h = res.map
+    assert max(distance(f.target, h.image_of(x), y) for x, y in f.assignments) == 2
