@@ -297,8 +297,10 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
     All three acceptance conditions are monotone in the constant, so the
     minimum is the max of the per-pair and surjectivity minima: the scan
     raises the constant to each violating pair's minimum and resumes at
-    that pair.
+    that pair.  A cap below 1 is a ValueError, raised before any work.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     _require_connected(m)
     _require_vertex_cover(m)
     radius, _ = surjectivity_radius(m)

@@ -26,6 +26,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 
 from .coarse_maps import PairViolation, QuasiMap, SurjectivityViolation
@@ -103,6 +104,21 @@ def parse_rational(value) -> Fraction:
     _fail(f'rationals must be "p/q" strings or integers, got {value!r}')
 
 
+def _rational_reader():
+    """parse_rational for one document: each distinct string is read once,
+    and a bad one raises where it first occurs."""
+    memo = {}
+
+    def read(value):
+        if type(value) is str:
+            if (x := memo.get(value)) is None:
+                x = memo[value] = parse_rational(value)
+            return x
+        return parse_rational(value)
+
+    return read
+
+
 # -- points ----------------------------------------------------------------
 
 
@@ -113,12 +129,16 @@ def point_doc(p: GraphPoint) -> dict:
 
 
 def parse_point(doc) -> GraphPoint:
+    return _parse_point(doc, parse_rational)
+
+
+def _parse_point(doc, rational):
     _expect_obj(doc, "point")
     if len(doc) == 1 and "vertex" in doc:
         return Vertex(_expect_int(doc["vertex"], "vertex id"))
     if len(doc) == 2 and "edge" in doc and "offset" in doc:
         return Interior(
-            _expect_int(doc["edge"], "edge id"), parse_rational(doc["offset"])
+            _expect_int(doc["edge"], "edge id"), rational(doc["offset"])
         )
     _fail('a point is {"vertex":id} or {"edge":id,"offset":"p/q"}, '
           f"got keys {sorted(doc)}")
@@ -160,7 +180,7 @@ def parse_graph(doc) -> LabeledMetricGraph:
         if lab is not None:
             _expect_str(lab, "vertex label")
         vertices.append((vid, lab))
-    edges = []
+    edges, rational = [], _rational_reader()
     for item in _expect_list(doc["edges"], '"edges"'):
         _expect_obj(item, "edge entry")
         eid = _expect_int(item.get("id"), "edge id")
@@ -168,7 +188,7 @@ def parse_graph(doc) -> LabeledMetricGraph:
         v = _expect_int(item.get("v"), f'edge {eid} "v"')
         if "len" not in item:
             _fail(f'edge {eid} has no "len"')
-        ln = parse_rational(item["len"])
+        ln = rational(item["len"])
         lab = item.get("label")
         if lab is not None:
             _expect_int(lab, f"edge {eid} label")
@@ -326,12 +346,13 @@ def parse_map(doc, base_dir: str) -> QuasiMap:
     n = doc.get("N")
     if n is not None:
         n = _expect_int(n, '"N"')
-    pairs = []
+    pairs, rational = [], _rational_reader()
     for item in _expect_list(doc["assign"], '"assign"'):
         _expect_obj(item, "assignment entry")
         if "from" not in item or "to" not in item:
             _fail('each assignment needs "from" and "to"')
-        pairs.append((parse_point(item["from"]), parse_point(item["to"])))
+        pairs.append((_parse_point(item["from"], rational),
+                      _parse_point(item["to"], rational)))
     try:
         return QuasiMap(source, target, pairs, asserted_constant=n)
     except CoarseGeomError as exc:
@@ -366,6 +387,47 @@ def load_map_file(path) -> QuasiMap:
     return parse_map(load_json(path), os.path.dirname(os.path.abspath(path)))
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _records(rows, nl):
+    """json's sorted, two-space indented text of a list starting on nl whose
+    items are records: non-empty dicts with the same str keys in the same
+    order, each value a scalar of an exact type in _SCALARS or, for every
+    record alike, a non-empty dict of str keys to such scalars; None for
+    any other list.  Each key's column is one call of json's encoder, which
+    separates with a raw newline that no string can hold, and each record
+    is one %-template of its keys."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    keys = set(map(tuple, rows))
+    if len(keys) != 1:
+        return None
+    (keys,) = keys
+    if not keys or set(map(type, keys)) != {str}:
+        return None
+    inner, key_nl = nl + "  ", nl + "    "
+    sep = "," + key_nl + "  "  # the indent of a flat dict's keys
+    encode = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
+    slots, cols = [], []
+    for key, col in sorted(zip(keys, zip(*map(dict.values, rows)))):
+        types = set(map(type, col))
+        if types <= _SCALARS:
+            slot = "%s"
+            cols.append(encode(col)[1:-1].split(sep))
+        elif (types == {dict} and all(col)
+              and set(map(type, chain.from_iterable(col))) == {str}
+              and set(map(type, chain.from_iterable(map(dict.values, col)))) <= _SCALARS):
+            slot = "{" + sep[1:] + "%s" + key_nl + "}"
+            # "}," and a raw newline end a flat dict, and nothing else
+            cols.append(encode(col)[2:-2].split("}" + sep + "{"))
+        else:
+            return None
+        slots.append(key_nl + _escape(key).replace("%", "%%") + ": " + slot)
+    record = ("{" + ",".join(slots) + inner + "}").__mod__
+    return "[" + inner + ("," + inner).join(map(record, zip(*cols))) + nl + "]"
+
+
 def _write_json(o, nl, out, open_ids):
     """Append json's sorted, two-space indented text of o to out: o starts on
     newline-and-indent nl, open_ids holds the containers being written."""
@@ -376,6 +438,8 @@ def _write_json(o, nl, out, open_ids):
         put(json.dumps(o))  # json's own scalars, and its TypeError
     elif not o:
         put("{}" if isinstance(o, dict) else "[]")
+    elif not isinstance(o, dict) and (text := _records(o, nl)) is not None:
+        put(text)  # flat records hold no open container and only json's own types
     elif id(o) in open_ids:
         raise ValueError("Circular reference detected")
     else:
@@ -389,12 +453,7 @@ def _write_json(o, nl, out, open_ids):
                 # json coerces any other key itself, or raises its TypeError
                 put(_escape(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
                 put(": ")
-                if type(v) is str:  # common leaves inline: a call each costs more
-                    put(_escape(v))
-                elif type(v) is int:
-                    put(int.__repr__(v))
-                else:
-                    _write_json(v, inner, out, open_ids)
+                _write_json(v, inner, out, open_ids)
             out[start] = "{" + inner
             put(nl + "}")
         else:
@@ -408,8 +467,10 @@ def _write_json(o, nl, out, open_ids):
 
 def canonical_dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) plus a newline, written by
-    one recursive function that escapes with json's C string encoder: given
-    an indent, json itself writes through pure-Python generators."""
+    one recursive function that escapes with json's C string encoder, and
+    writes a list of flat records column by column, one call of json's
+    encoder per key: given an indent, json itself writes through
+    pure-Python generators."""
     out = []
     _write_json(obj, "\n", out, set())
     out.append("\n")

@@ -502,7 +502,9 @@ def enumerate_geodesics(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint, cap
     by first vertex, then by each hop's (next vertex id, edge id), with the
     geodesic inside one edge first.  Raises CapExceeded (carrying the
     truncated list, and quoting each end by at most 40 characters) if
-    more than ``cap`` exist."""
+    more than ``cap`` exist; a cap below 1 is a ValueError."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     out = []
     for geo in _geodesics(g, p, q):
         if len(out) >= cap:

@@ -102,13 +102,15 @@ def _meet(g, z, points):
     """Where the paths from z to the points of a tree part ways: on the
     geodesic from z to the first point y1, at the least Gromov product
     (y1|y)_z = (d(z,y1) + d(z,y) - d(y1,y)) / 2 over the points, which is
-    where the fold of medians with root z lands in any order."""
+    where the fold of medians with root z lands in any order; d(z,y) and
+    d(y1,y) come from two integer distance rows."""
     first, *rest = points
     if not rest:
         return first
     geo = canonical_geodesic(g, z, first)
-    s = min(distance(g, z, y) - distance(g, first, y) for y in rest)
-    return point_along(g, geo, (geo.length + s) / 2)
+    unit, (from_z, from_first) = _distance_rows(g, (z, first), rest)
+    s = min(map(int.__sub__, from_z, from_first))
+    return point_along(g, geo, (geo.length + Fraction(s, unit)) / 2)
 
 
 def tree_meet(g: LabeledMetricGraph, x: GraphPoint, y: GraphPoint, base=None) -> GraphPoint:

@@ -270,8 +270,8 @@ def test_profile_deep_pair(capsys, tmp_path, fam_file):
 
 
 def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
-    """Ten bytes of exponent and a declared or requested depth of 10**9
-    are refused before any work sized by them is done."""
+    """Ten bytes of exponent, a declared or requested depth of 10**9 and a
+    cap below 1 are refused before any work sized by them is done."""
     cp = graph_file(tmp_path, cycle_graph(6), "c6.json")
     huge = tmp_path / "huge.json"
     huge.write_text(canonical_dumps({"kind": "gamma0", "depth": 10**9,
@@ -299,8 +299,10 @@ def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
             "kind": "gamma0", "depth": depth, "family": wide,
             "vertices": [0] * (1 + 60 * depth), "edges": []}))
     wide_deep = ("--family", str(wide_file), "--depth", "6000")
-    g0p = str(tmp_path / "g0.json")
+    g0p, g1p, mp = (str(tmp_path / name) for name in ("g0.json", "g1.json", "map.json"))
     main(["gamma0", "--family", fam_file, "--depth", "2", "--out", g0p])
+    main(["gamma1", "--family", fam_file, "--depth", "2", "--out", g1p])
+    main(["collapse", "--gamma0", g0p, "--gamma1", g1p, "--out", mp])
     for argv in (
         ("bottleneck", "--graph", cp, "--delta", "1e10000000"),
         ("delta", "--graph", str(fine)),
@@ -312,6 +314,9 @@ def test_oversized_inputs_exit_2_quickly(capsys, tmp_path, fam_file):
         ("extract-choice", *wide_deep, "--constant", "4", "--section", str(spec)),
         *(("separation", "--gamma0", str(d), "--seed", "1", "--count", "1") for d in docs),
         ("profile", "--gamma0", g0p, "--x", "x" * 100_000, "--y", '{"vertex": 0}'),
+        ("min-qi", "--map", mp, "--cap", "-3"),
+        ("profile", "--gamma0", g0p, "--x", '{"vertex": 0}', "--y", '{"vertex": 4}',
+         "--cap", "-1"),
     ):
         start = time.perf_counter()
         code, _, err = run(capsys, *argv)

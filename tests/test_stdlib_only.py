@@ -1,6 +1,7 @@
-"""The runtime depends on the standard library alone, every module uses
-what it imports, every private helper has a caller, and every exported
-function has a caller in the package, the demos or the benchmark."""
+"""The runtime depends on the standard library alone, and on its public
+names, every module uses what it imports, every private helper has a
+caller, and every exported function has a caller in the package, the
+demos or the benchmark."""
 
 import ast
 import sys
@@ -10,6 +11,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "coarsegeom"
 
 
 def test_runtime_imports_only_the_standard_library():
+    """Only the standard library's public names: none beginning with _
+    (such as _json) and not json's c_make_encoder, so the package keeps to
+    json's public API, which works where json's C accelerator is missing."""
     modules = sorted(SRC.glob("*.py"))
     assert modules
     outside = []
@@ -18,12 +22,16 @@ def test_runtime_imports_only_the_standard_library():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue  # relative imports stay inside the package
             for name in names:
-                top = name.split(".")[0]
-                if top != "coarsegeom" and top not in sys.stdlib_module_names:
+                parts = name.split(".")
+                if parts[0] == "__future__":
+                    continue
+                if ((parts[0] != "coarsegeom" and parts[0] not in sys.stdlib_module_names)
+                        or any(part.startswith("_") for part in parts)
+                        or name == "json.encoder.c_make_encoder"):
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside, outside
 
