@@ -62,15 +62,14 @@ class ChoiceCertificate:
 
 
 def _half_vertex_candidates(tree, p):
+    """The ends of p's edge within 1/2 of p, or p's own vertex."""
     if isinstance(p, Vertex):
         return [p.id]
-    e = tree.edge(p.edge)
-    out = []
-    if p.offset * e.length <= HALF:
-        out.append(e.u)
-    if (1 - p.offset) * e.length <= HALF:
-        out.append(e.v)
-    return out
+    i, t = tree._epos[p.edge], p.offset
+    # p lies t * ln from u and (1 - t) * ln from v, ln in units of 1/L
+    ln, half = tree._elen[i], t.denominator * tree._scale
+    ends = (tree._eu[i], t.numerator), (tree._ev[i], t.denominator - t.numerator)
+    return [w for w, c in ends if 2 * c * ln <= half]
 
 
 def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate:
@@ -102,13 +101,12 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     pruned, _trace = prune_k(m.source, k)
     if pruned.n_vertices == 0:
         raise DepthError(f"{k} pruning rounds emptied the domain tree")
-    eids = {e.id for e in pruned.edges}
     kept = [(w, q) for w, q in m.assignments
-            if (pruned.has_vertex(w.id) if isinstance(w, Vertex) else w.edge in eids)]
-    unit, rows = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in kept])
+            if (pruned.has_vertex(w.id) if isinstance(w, Vertex) else w.edge in pruned._epos)]
+    unit, row = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in kept])
     near = set()
     images = {}  # vertex id -> (image, its distance to the base), so no point is hashed
-    for (w, q), d in zip(kept, next(rows)):
+    for (w, q), d in zip(kept, row(Vertex(0))):
         if isinstance(w, Vertex):
             images[w.id] = q, d
         if d <= n * unit:
@@ -142,7 +140,7 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
             )
         # above level 0 an edge joins two arms of one set, labeled by one end
         elem, si, _ = g0.info(img.id if isinstance(img, Vertex)
-                              else g0.graph.edge(img.edge).label)
+                              else g0.graph._elab[g0.graph._epos[img.edge]])
         arm = g0.family.sets[si].name
         if arm in owner:
             raise ArmCollision(

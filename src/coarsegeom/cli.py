@@ -305,12 +305,6 @@ def _cmd_verify_transversal(args):
     return 0 if ok else 1
 
 
-def _add_mode(sp, modes=("exhaustive", "sampled")):
-    sp.add_argument("--mode", choices=modes, default="exhaustive")
-    sp.add_argument("--seed", type=int, help="RNG seed (required when sampled)")
-    sp.add_argument("--count", type=int, help="sample count (required when sampled)")
-
-
 @functools.cache  # built on first use, not at import: one parser per process
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -319,111 +313,60 @@ def _build_parser():
         "trees, and quasi-isometries between them.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    req, num = {"required": True}, {"type": int, "required": True}
+    family = ("--family", req), ("--depth", num)
 
-    sp = sub.add_parser("gamma0", help="build the doubled-edge graph of a family")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.set_defaults(func=_cmd_gamma0)
+    def mode(*modes):
+        return (("--mode", {"choices": modes, "default": "exhaustive"}),
+                ("--seed", {"type": int, "help": "RNG seed (required when sampled)"}),
+                ("--count", {"type": int, "help": "sample count (required when sampled)"}))
 
-    sp = sub.add_parser("gamma1", help="build the quotient tree of a family")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.set_defaults(func=_cmd_gamma1)
-
-    sp = sub.add_parser("collapse", help="the arm-collapsing map as a map document")
-    sp.add_argument("--gamma0", required=True)
-    sp.add_argument("--gamma1", required=True)
-    sp.set_defaults(func=_cmd_collapse)
-
-    sp = sub.add_parser("check-qi", help="verify a map document at a constant")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--constant", type=int, required=True)
-    _add_mode(sp, ("exhaustive", "vertex-exhaustive", "sampled"))
-    sp.add_argument(
-        "--force",
-        action="store_true",
-        help=f"run exhaustively past the {EXHAUSTIVE_GUARD}-point guard",
-    )
-    sp.set_defaults(func=_cmd_check_qi)
-
-    sp = sub.add_parser("min-qi", help="smallest accepted constant of a map")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.set_defaults(func=_cmd_min_qi)
-
-    sp = sub.add_parser("delta", help="slim-triangle thinness of a graph")
-    sp.add_argument("--graph", required=True)
-    _add_mode(sp)
-    sp.set_defaults(func=_cmd_delta)
-
-    sp = sub.add_parser("bottleneck", help="midpoint bottleneck verification")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--delta", required=True, help='thinness parameter, "p/q"')
-    sp.add_argument("--radius", help='ball radius, "p/q" (default delta - 1)')
-    _add_mode(sp)
-    sp.set_defaults(func=_cmd_bottleneck)
-
-    sp = sub.add_parser(
-        "separation", help="sampled 2-separation certificate for a gamma0 graph"
-    )
-    sp.add_argument("--gamma0", required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.set_defaults(func=_cmd_separation)
-
-    sp = sub.add_parser("profile", help="level profiles of all geodesics x..y")
-    sp.add_argument("--gamma0", required=True)
-    sp.add_argument("--x", required=True, help='point JSON, e.g. {"vertex":3}')
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--cap", type=int, default=1000)
-    sp.set_defaults(func=_cmd_profile)
-
-    sp = sub.add_parser("witness", help="a far vertex pinned behind y")
-    sp.add_argument("--gamma0", required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--bound", required=True, help='distance bound, "p/q"')
-    sp.set_defaults(func=_cmd_witness)
-
-    sp = sub.add_parser("prune", help="simultaneous leaf removal, k rounds")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--rounds", type=int, required=True)
-    sp.set_defaults(func=_cmd_prune)
-
-    sp = sub.add_parser("median", help="median of three points in a tree")
-    sp.add_argument("--tree", required=True)
-    sp.add_argument("--z", required=True, help="root point JSON")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.set_defaults(func=_cmd_median)
-
-    sp = sub.add_parser(
-        "quasi-inverse", help="coarse inverse of a map out of a tree"
-    )
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--constant", type=int, required=True)
-    sp.add_argument("--root", help="root point JSON (default smallest vertex)")
-    sp.set_defaults(func=_cmd_quasi_inverse)
-
-    sp = sub.add_parser(
-        "extract-choice", help="run the transversal extraction pipeline"
-    )
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--constant", type=int, required=True)
-    sp.add_argument("--section", required=True, help="section spec JSON file")
-    sp.add_argument("--adversarial-seed", type=int, default=None)
-    sp.set_defaults(func=_cmd_extract_choice)
-
-    sp = sub.add_parser(
-        "verify-transversal", help="check one-element-per-set coverage"
-    )
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--elements", required=True, help="JSON file of element names")
-    sp.set_defaults(func=_cmd_verify_transversal)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--out", help="write the JSON document here instead of stdout")
+    # each command's handler, help and options
+    for name, handler, text, options in (
+        ("gamma0", _cmd_gamma0, "build the doubled-edge graph of a family", family),
+        ("gamma1", _cmd_gamma1, "build the quotient tree of a family", family),
+        ("collapse", _cmd_collapse, "the arm-collapsing map as a map document",
+         (("--gamma0", req), ("--gamma1", req))),
+        ("check-qi", _cmd_check_qi, "verify a map document at a constant",
+         (("--map", req), ("--constant", num),
+          *mode("exhaustive", "vertex-exhaustive", "sampled"),
+          ("--force", {"action": "store_true",
+                       "help": f"run exhaustively past the {EXHAUSTIVE_GUARD}-point guard"}))),
+        ("min-qi", _cmd_min_qi, "smallest accepted constant of a map",
+         (("--map", req), ("--cap", {"type": int, "default": None}))),
+        ("delta", _cmd_delta, "slim-triangle thinness of a graph",
+         (("--graph", req), *mode("exhaustive", "sampled"))),
+        ("bottleneck", _cmd_bottleneck, "midpoint bottleneck verification",
+         (("--graph", req), ("--delta", {**req, "help": 'thinness parameter, "p/q"'}),
+          ("--radius", {"help": 'ball radius, "p/q" (default delta - 1)'}),
+          *mode("exhaustive", "sampled"))),
+        ("separation", _cmd_separation, "sampled 2-separation certificate for a gamma0 graph",
+         (("--gamma0", req), ("--seed", num), ("--count", num))),
+        ("profile", _cmd_profile, "level profiles of all geodesics x..y",
+         (("--gamma0", req), ("--x", {**req, "help": 'point JSON, e.g. {"vertex":3}'}),
+          ("--y", req), ("--cap", {"type": int, "default": 1000}))),
+        ("witness", _cmd_witness, "a far vertex pinned behind y",
+         (("--gamma0", req), ("--x", req), ("--y", req),
+          ("--bound", {**req, "help": 'distance bound, "p/q"'}))),
+        ("prune", _cmd_prune, "simultaneous leaf removal, k rounds",
+         (("--graph", req), ("--rounds", num))),
+        ("median", _cmd_median, "median of three points in a tree",
+         (("--tree", req), ("--z", {**req, "help": "root point JSON"}),
+          ("--a", req), ("--b", req))),
+        ("quasi-inverse", _cmd_quasi_inverse, "coarse inverse of a map out of a tree",
+         (("--map", req), ("--constant", num),
+          ("--root", {"help": "root point JSON (default smallest vertex)"}))),
+        ("extract-choice", _cmd_extract_choice, "run the transversal extraction pipeline",
+         (*family, ("--constant", num), ("--section", {**req, "help": "section spec JSON file"}),
+          ("--adversarial-seed", {"type": int, "default": None}))),
+        ("verify-transversal", _cmd_verify_transversal, "check one-element-per-set coverage",
+         (("--family", req), ("--elements", {**req, "help": "JSON file of element names"}))),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(func=handler)
+        for flag, kwargs in (*options, ("--out", {"help": "write the JSON document here "
+                                                           "instead of stdout"})):
+            sp.add_argument(flag, **kwargs)
     return p
 
 

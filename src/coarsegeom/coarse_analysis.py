@@ -57,18 +57,19 @@ class DeltaReport:
 
 
 def _carrier(g, a, b):
-    """Vertices and whole edges lying on some geodesic from a to b, and
-    every vertex's integer distance to those vertices, by index."""
-    ix, ilen = g._index, g._ilen
+    """Vertices and whole edges, by their positions in the edge columns,
+    lying on some geodesic from a to b, and every vertex's integer
+    distance to those vertices, by index."""
+    ix = g._index
     row_a = g._row(a)
     row_b = g._row(b)
     dab = row_a[ix[b]]
     verts = tuple(w for w in g.vertex_ids() if row_a[ix[w]] + row_b[ix[w]] == dab)
     edges = tuple(
-        e
-        for e in g.edges
-        if row_a[ix[e.u]] + ilen[e.id] + row_b[ix[e.v]] == dab
-        or row_a[ix[e.v]] + ilen[e.id] + row_b[ix[e.u]] == dab
+        h
+        for h, (u, v, ln) in enumerate(zip(g._eu, g._ev, g._elen))
+        if row_a[ix[u]] + ln + row_b[ix[v]] == dab
+        or row_a[ix[v]] + ln + row_b[ix[u]] == dab
     )
     return verts, edges, g._search([(0, ix[v]) for v in verts])
 
@@ -115,8 +116,8 @@ def slim_triangle_delta(
             # parts; a probe midpoint leaves its edge through an endpoint,
             # and the nearest union point is a union vertex
             du = [x if x < y else y for x, y in zip(r1, r2)]
-            ueids = {e.id for e in e1 + e2}
-            val, point = _farthest(g, 1, du, {}, pv, [e for e in pe if e.id not in ueids])
+            union = set(e1 + e2)
+            val, point = _farthest(g, 1, du, {}, pv, [h for h in pe if h not in union])
             if val > best:
                 best, witness = val, DeltaWitness((p, q), apex, point, val)
     return DeltaReport(best, mode, seed, count, checked, 0, slack, witness)

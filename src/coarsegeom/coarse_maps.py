@@ -164,8 +164,7 @@ def surjectivity_radius(m: QuasiMap):
     dist = tgt._search(seeds, k)
     if min(dist, default=0) < 0:
         raise DisconnectedGraph("target must be connected")
-    return _farthest(tgt, k, dist, on_edge, tgt.vertex_ids(),
-                     sorted(tgt.edges, key=lambda e: e.id))
+    return _farthest(tgt, k, dist, on_edge, tgt.vertex_ids(), range(tgt.n_edges))
 
 
 def _scaled_pairs(m, pairs):
@@ -259,19 +258,20 @@ def verify_quasi_isometry(
         pq for pq in m.assignments
         if mode != "vertex-exhaustive" or isinstance(pq[0], Vertex)
     ]
-    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
     hit = None
     if mode == "sampled":
-        up, lo = n * s, n * n * s
+        # each draw at its own scale: only the drawn points are scaled
         pairs_checked = 0
         for i, j in _draws(len(pairs), 2, mode, seed, count):
             pairs_checked += 1
-            ds = _scaled_distance(src, ks, ps[i], ps[j])
-            dt = _scaled_distance(tgt, kt, pt[i], pt[j])
-            if dt > n * ds + up or ds > n * dt + lo:
+            s, (src, ks, (x, y)), (tgt, kt, (u, v)) = _scaled_pairs(m, (pairs[i], pairs[j]))
+            ds = _scaled_distance(src, ks, x, y)
+            dt = _scaled_distance(tgt, kt, u, v)
+            if dt > n * ds + n * s or ds > n * dt + n * n * s:
                 hit = i, j, ds, dt
                 break
     else:
+        s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
         hit = _first_violation(
             _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt), n, s, (0, 1)
         )
@@ -324,22 +324,21 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
 
 
 def _distance_rows(g, sources, targets):
-    """(k*L, rows), k one scale for all the points: row by row, each
-    source's integer distances to all targets in units of 1/(k*L) from
+    """(k*L, row), k one scale for all the points: row(p), p a source, is
+    p's integer distances to all targets in units of 1/(k*L) from
     _point_rows, raising DisconnectedGraph where one does not reach."""
     k = _point_scale(g, (*sources, *targets))
-    cols, row = _point_rows(g, k, [_scaled_point(g, q, k) for q in targets])
+    cols, point_row = _point_rows(g, k, [_scaled_point(g, q, k) for q in targets])
 
-    def rows():
-        for p in sources:
-            _, entries = x = _scaled_point(g, p, k)
-            r = row(x)
-            out = [r[c] for c in cols]
-            if -1 in out:
-                raise DisconnectedGraph(f"vertex {entries[0][0]} does not reach every target")
-            yield out
+    def row(p):
+        _, entries = x = _scaled_point(g, p, k)
+        r = point_row(x)
+        out = [r[c] for c in cols]
+        if -1 in out:
+            raise DisconnectedGraph(f"vertex {entries[0][0]} does not reach every target")
+        return out
 
-    return k * g._scale, rows()
+    return k * g._scale, row
 
 
 def _snap(g, queries, points):
@@ -347,7 +346,7 @@ def _snap(g, queries, points):
     net = sorted(points, key=point_key)
     if queries and not net:
         raise InvalidPoint("cannot snap onto an empty net")
-    return [net[row.index(min(row))] for row in _distance_rows(g, queries, net)[1]]
+    return [net[r.index(min(r))] for r in map(_distance_rows(g, queries, net)[1], queries)]
 
 
 def compose(m2: QuasiMap, m1: QuasiMap) -> QuasiMap:

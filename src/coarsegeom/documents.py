@@ -26,8 +26,9 @@ import json
 import os
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _escape
+from operator import eq, itemgetter
 
 from .coarse_maps import PairViolation, QuasiMap, SurjectivityViolation
 from .errors import CoarseGeomError, NotATree, SchemaError
@@ -147,19 +148,20 @@ def _parse_point(doc, rational):
 # -- graphs ----------------------------------------------------------------
 
 
+def _len_column(g):
+    """Each edge's "len" string, in id order: one rational_str per
+    distinct integer length."""
+    text = {ln: rational_str(x) for ln, x in g._fractions().items()}
+    return list(map(text.__getitem__, g._elen))
+
+
 def graph_doc(g: LabeledMetricGraph, tree: bool = False) -> dict:
-    verts = []
-    for vid in g.vertex_ids():
-        item = {"id": vid}
-        if g.vertex_labels[vid] is not None:
-            item["label"] = g.vertex_labels[vid]
-        verts.append(item)
-    edges = []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        item = {"id": e.id, "u": e.u, "v": e.v, "len": rational_str(e.length)}
-        if e.label is not None:
-            item["label"] = e.label
-        edges.append(item)
+    labels = g.vertex_labels
+    verts = [{"id": vid} if labels[vid] is None else {"id": vid, "label": labels[vid]}
+             for vid in g.vertex_ids()]
+    edges = [{"id": eid, "u": u, "v": v, "len": ln} if lab is None
+             else {"id": eid, "u": u, "v": v, "len": ln, "label": lab}
+             for eid, u, v, ln, lab in zip(g._eids, g._eu, g._ev, _len_column(g), g._elab)]
     doc = {"vertices": verts, "edges": edges}
     if g.basepoint is not None:
         doc["basepoint"] = g.basepoint
@@ -253,28 +255,34 @@ def gamma1_doc(g1: LabeledMetricGraph) -> dict:
             "family": family_doc(family)}
 
 
-def _json_alike(a, b):
-    """Whether json writes b as it writes a, given b == a and a document a
-    of dicts, lists, strings, ints and True: == equates 1, 1.0 and True."""
-    if isinstance(a, list):
-        return isinstance(b, list) and all(map(_json_alike, a, b))
-    if not isinstance(a, dict):
-        return isinstance(b, type(a)) and isinstance(b, bool) == isinstance(a, bool)
-    if not isinstance(b, dict):
+def _is_graph_doc_of(doc, g, tree):
+    """Whether doc holds graph_doc(g, tree)'s graph keys as json writes
+    them, for a builder graph g, whose vertices all have labels and whose
+    edges all have or all lack them.  Each record key's column is compared
+    whole and its leaves' exact type checked once, since == alone equates
+    1, 1.0 and True; any other key is the caller's."""
+    edges = {"id": g._eids, "u": g._eu, "v": g._ev, "len": _len_column(g), "label": g._elab}
+    if g._elab[0] is None:
+        del edges["label"]
+    if not (type(doc.get("basepoint")) is int and doc["basepoint"] == g.basepoint
+            and (doc.get("tree") is True if tree else "tree" not in doc)):
         return False
-    for k, v in a.items():
-        w, t = b[k], type(v)
-        if t is int or t is str:  # inline, as a call per leaf doubles the walk
-            if not isinstance(w, t) or isinstance(w, bool):
-                return False
-        elif not _json_alike(v, w):
+    for rows, columns in ((doc["vertices"], {"id": g._ids, "label": g.vertex_labels.values()}),
+                          (doc["edges"], edges)):
+        if set(map(type, rows)) != {dict} or not all(
+                map(eq, repeat(columns.keys()), map(dict.keys, rows))):
             return False
+        for key, want in columns.items():
+            col, want = list(map(itemgetter(key), rows)), list(want)
+            if col != want or set(map(type, col)) != {type(want[0])}:
+                return False
     return True
 
 
 def _parse_gamma(doc, kind):
-    """(builder graph, family, depth) of a gamma document: the builder's own
-    document stands as it is, any other spelling is parsed and compared."""
+    """(builder graph, family, depth) of a gamma document, its lists' lengths
+    checked before the build: the builder's own graph keys, checked column
+    by column against it, stand as they are; any other spelling is parsed."""
     _expect_obj(doc, f"{kind} document")
     if doc.get("kind") != kind:
         _fail(f'expected "kind":"{kind}"')
@@ -293,10 +301,8 @@ def _parse_gamma(doc, kind):
         built = build_gamma0(family, depth) if layout.doubled else build_gamma1(family, depth)
     except ValueError as exc:  # past the layout's budget
         raise SchemaError(f"bad {kind} document: {exc}") from None
-    canonical = gamma0_doc(built) if layout.doubled else gamma1_doc(built)
-    # the builder's own document, down to json's leaf types, stands unparsed
-    if (not (doc == canonical and _json_alike(canonical, doc))
-            and not parse_graph(doc).same_structure(built.graph if layout.doubled else built)):
+    g = built.graph if layout.doubled else built
+    if not _is_graph_doc_of(doc, g, not layout.doubled) and not parse_graph(doc).same_structure(g):
         _fail("embedded graph does not match the declared family and depth")
     return built, family, depth
 

@@ -101,12 +101,12 @@ class _ArmLayout:
       - |n - m| when a and b lie in one set and n != m;
       - 1 when a and b are different arms of one set and n == m;
       - n + m when a and b lie in different sets.
-    The formula holds only for the graphs ``build`` returns, so only the
-    builders attach a layout; the integer Dijkstra of LabeledMetricGraph
-    serves every other graph.  Its ``key`` (kind, family, depth) names
-    the build, so a graph carrying it is known to be that builder's graph
-    without comparing structures.  Counting needs no allocation sized by
-    the depth, so a declared depth is weighed before anything is built.
+    ``build`` fills a graph's edge columns from ``_links``, each link's
+    ends in id order, and attaches the layout: the formula holds only for
+    such graphs, and the integer Dijkstra serves every other graph.  Its
+    ``key`` (kind, family, depth) names the build, so a graph carrying it
+    is known to be that builder's graph without comparing structures.
+    Counting allocates nothing sized by the depth: a depth is weighed unbuilt.
     """
 
     # the most vertices plus edges a build may make: extraction at
@@ -184,21 +184,25 @@ class _ArmLayout:
     def build(self) -> LabeledMetricGraph:
         """The builder graph, with this layout attached: each link doubled
         on Γ0, its two copies labeled with either end, and single on Γ1.
+        The edge columns are filled straight from the links, making no Edge.
         A build past the budget is refused before anything is allocated."""
         if self.n_vertices + self.n_edges > self.budget:
             raise ValueError(
                 f"depth {self.depth} makes {self.n_vertices} vertices and "
                 f"{self.n_edges} edges, past the budget of {self.budget} "
                 "vertices plus edges")
-        d, one = self.depth, Fraction(1)
-        labels = chain(("b" if self.doubled else "B",),
-                       (f"{name}@{n}" for name in self.arms for n in range(1, d + 1)))
+        d = self.depth
+        labels = dict(enumerate(chain(("b" if self.doubled else "B",), (
+            f"{name}@{n}" for name in self.arms for n in range(1, d + 1)))))
+        ends = list(chain.from_iterable(self._links()))  # u0 v0 u1 v1 ...
         if self.doubled:
-            edges = (e for i, (u, v) in enumerate(self._links())
-                     for e in ((2 * i, u, v, one, u), (2 * i + 1, u, v, one, v)))
+            # edges 2i and 2i + 1 both join link i's ends, labeled u and v
+            us, vs, labs = ends[:], ends[:], ends
+            us[1::2], vs[0::2] = ends[0::2], ends[1::2]
         else:
-            edges = ((i, u, v, one) for i, (u, v) in enumerate(self._links()))
-        graph = LabeledMetricGraph(enumerate(labels), edges, basepoint=0)
+            us, vs, labs = ends[0::2], ends[1::2], [None] * (len(ends) // 2)
+        graph = LabeledMetricGraph.__new__(LabeledMetricGraph)
+        graph._keep(labels, range(len(us)), us, vs, [1] * len(us), labs, 1, 0)
         # rows are cut from these two with memcpy-speed slices: _vee[k] is
         # |k - depth|, so one slice gives a level's distances along its arm
         self._asc = array("i", range(2 * d + 1))
@@ -307,8 +311,8 @@ def classify_point(g0: GammaZeroGraph, p: GraphPoint) -> PointClass:
     if lev == 0:
         return PointClass("base", None, 0)
     if isinstance(p, Interior):
-        e = g0.graph.edge(p.edge)
-        p = Vertex(e.u or e.v)  # the end off the base names the arm
+        g, i = g0.graph, g0.graph._epos[p.edge]
+        p = Vertex(g._eu[i] or g._ev[i])  # the end off the base names the arm
     return PointClass("arm", g0.family.sets[g0.info(p.id)[1]].name, lev)
 
 
@@ -324,9 +328,10 @@ def build_collapse_map(g0: GammaZeroGraph, g1: LabeledMetricGraph) -> QuasiMap:
     image = [0] + [tree.vertex(g0.family.sets[si].name, level)
                    for _, si, level in map(g0.info, range(1, g0.graph.n_vertices))]
     assignments = [(Vertex(v), Vertex(t)) for v, t in enumerate(image)]
-    for e in g0.graph.edges:
-        a, b = sorted((image[e.u], image[e.v]))
-        assignments.append((Interior(e.id, HALF),
+    g = g0.graph
+    for eid, u, v in zip(g._eids, g._eu, g._ev):
+        a, b = sorted((image[u], image[v]))
+        assignments.append((Interior(eid, HALF),
                             Vertex(a) if a == b else Interior(tree.up_edge(a, b), HALF)))
     return QuasiMap(g0.graph, g1, assignments, asserted_constant=2)
 

@@ -6,9 +6,9 @@ metrically interchangeable but carry distinct ids (and possibly distinct
 labels), so routes through them count as distinct geodesics.  Points are
 either vertices or interior points of an edge, and every computation here
 (distances, geodesics, ball complements) is exact; no floating point is
-used anywhere.  Every edge and point is checked with integer tests on
-numerators and denominators, and the adjacency lists are built on first
-use, so a graph that is only built, mapped and dumped never sorts them.
+used anywhere.  Edges are stored as integer columns, each checked in one
+pass, points are checked with integer tests, and the adjacency lists are
+built on first use: a graph only built, mapped and dumped never sorts them.
 
 Vertex distances come from one engine: a Dijkstra over integer edge
 weights in units of 1/L, L the lcm of the edge-length denominators, whose
@@ -34,8 +34,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, lcm
+from operator import itemgetter, ne, not_
 from typing import Optional, Union
 
 from .errors import (
@@ -107,12 +108,32 @@ class Geodesic:
     length: Fraction
 
 
+def _edge_row(item):
+    """An edge as an (id, u, v, length, label) tuple, its length a Fraction."""
+    if isinstance(item, Edge):
+        item = item.id, item.u, item.v, item.length, item.label
+    try:
+        eid, u, v, length, *label = item
+        (label,) = label or (None,)
+    except (TypeError, ValueError):
+        raise GraphStructureError(f"edge {item!r} is not (id, u, v, length[, label])") from None
+    if not (isinstance(eid, int) and isinstance(u, int) and isinstance(v, int)):
+        raise GraphStructureError(f"edge {eid!r}: id and endpoints must be integers")
+    return eid, u, v, length if isinstance(length, Fraction) else Fraction(length), label
+
+
 class LabeledMetricGraph:
     """Immutable labeled metric graph.
 
     vertices: iterable of ids, or of (id, label) pairs (label may be None).
     edges: iterable of Edge, or of (id, u, v, length) / (id, u, v, length, label).
     basepoint: optional distinguished vertex id.
+
+    The edges live in columns, by position in edge-id order: ``_eids``,
+    the ends ``_eu`` and ``_ev``, ``_elen`` the length in units of 1/L
+    (L = ``_scale``, the lcm of the length denominators) and ``_elab``;
+    ``_epos`` maps an id to its position.  Edge objects are a view, made
+    by ``edges``, ``edge()`` and ``edges_at`` on first request and kept.
     """
 
     def __init__(self, vertices, edges, basepoint=None):
@@ -127,78 +148,86 @@ class LabeledMetricGraph:
             if vid in labels:
                 raise GraphStructureError(f"duplicate vertex id {vid}")
             labels[vid] = lab
-        by_id = {}
-        for item in edges:
-            try:
-                e = item if isinstance(item, Edge) else Edge(*item)
-            except TypeError:
-                raise GraphStructureError(
-                    f"edge {item!r} is not (id, u, v, length[, label])") from None
-            if not isinstance(e.length, Fraction):
-                e = Edge(e.id, e.u, e.v, Fraction(e.length), e.label)
-            if not (isinstance(e.id, int) and isinstance(e.u, int) and isinstance(e.v, int)):
-                raise GraphStructureError(f"edge {e.id!r}: id and endpoints must be integers")
-            if e.id in by_id:
-                raise GraphStructureError(f"duplicate edge id {e.id}")
-            by_id[e.id] = e
-            if e.u not in labels or e.v not in labels:
-                raise GraphStructureError(f"edge {e.id} references a missing vertex")
-            if e.u == e.v:
-                raise GraphStructureError(f"edge {e.id} is a self-loop")
-            # a Fraction's denominator is positive: its sign is its numerator's
-            if e.length.numerator <= 0:
-                raise GraphStructureError(f"edge {e.id} has non-positive length")
-            if e.label is not None and e.label not in (e.u, e.v):
-                raise GraphStructureError(f"edge {e.id} label is not an endpoint")
-        if basepoint is not None and basepoint not in labels:
-            raise GraphStructureError(f"basepoint {basepoint} is not a vertex")
-        self.vertex_labels = labels
-        self.edges = tuple(by_id.values())
-        self.basepoint = basepoint
-
-        self._ids = tuple(sorted(labels))
-        self._index = {vid: i for i, vid in enumerate(self._ids)}
-        self._edge_by_id = by_id
-        # the distance engine works in integer units of 1/L, L the lcm of
-        # the edge-length denominators: _ilen is each edge's length in
-        # those units
-        self._scale = 1
-        for den in {e.length.denominator for e in self.edges}:
-            self._scale = lcm(self._scale, den)
-            if self._scale > UNIT_LIMIT:
+        rows = sorted(map(_edge_row, edges), key=itemgetter(0))
+        ids, us, vs, lengths, labs = map(list, zip(*rows)) if rows else ([],) * 5
+        for dup in (a for a, b in zip(ids, ids[1:]) if a == b):
+            raise GraphStructureError(f"duplicate edge id {dup}")
+        scale = 1
+        for den in {x.denominator for x in lengths}:
+            scale = lcm(scale, den)
+            if scale > UNIT_LIMIT:
                 raise GraphStructureError(
                     "the lcm of the edge-length denominators passes the unit "
                     f"limit 2**{UNIT_LIMIT.bit_length() - 1}")
-        self._ilen = {e.id: e.length.numerator * (self._scale // e.length.denominator)
-                      for e in self.edges}
+        lens = [x.numerator * (scale // x.denominator) for x in lengths]
+        self._keep(labels, ids, us, vs, lens, labs, scale, basepoint)
+
+    def _keep(self, labels, ids, us, vs, lens, labs, scale, basepoint):
+        """Check edge columns in id order, lens in units of 1/scale, one pass
+        per check, and store them: ends are vertices, no self-loops,
+        lengths are positive and each label is None or an end."""
+        for what, ok in (
+            # over both ends, so position i is edge i % len(ids)
+            ("references a missing vertex", lambda: map(labels.__contains__, chain(us, vs))),
+            ("is a self-loop", lambda: map(ne, us, vs)),
+            ("has non-positive length", lambda: map((0).__lt__, lens)),
+            ("label is not an endpoint",
+             lambda: map(tuple.__contains__, zip(us, vs, repeat(None)), labs)),
+        ):
+            if not all(ok()):  # a second pass finds the first failure
+                i = next(compress(count(), map(not_, ok())))
+                raise GraphStructureError(f"edge {ids[i % len(ids)]} {what}")
+        if basepoint is not None and basepoint not in labels:
+            raise GraphStructureError(f"basepoint {basepoint} is not a vertex")
+        self.vertex_labels = labels
+        self.basepoint = basepoint
+        self._ids = tuple(sorted(labels))
+        self._index = {vid: i for i, vid in enumerate(self._ids)}
+        self._eids, self._eu, self._ev, self._elen, self._elab = ids, us, vs, lens, labs
+        self._epos = dict(zip(ids, range(len(ids))))
+        self._scale = scale  # the distance engine counts in units of 1/L
         self._rows = {}
         # closed-form distances, attached by the builders of graphs whose
         # metric has one (ids 0..V-1, so vertex ids index its rows)
         self._closed_form = None
 
+    def _at(self, eid):
+        """The position of edge eid in the columns."""
+        try:
+            return self._epos[eid]
+        except (KeyError, TypeError):
+            raise InvalidPoint(f"no edge with id {eid}") from None
+
+    def _fractions(self):
+        """Each distinct integer edge length's Fraction."""
+        return {ln: Fraction(ln, self._scale) for ln in set(self._elen)}
+
+    @cached_property
+    def edges(self):
+        """Every edge as an Edge, in id order: a view of the columns."""
+        fr = self._fractions()
+        return tuple(map(Edge, self._eids, self._eu, self._ev,
+                         map(fr.__getitem__, self._elen), self._elab))
+
     @cached_property
     def _adj(self):
-        """Each vertex's (neighbor id, edge) pairs, sorted by (neighbor id,
-        edge id): geodesic enumeration relies on it."""
+        """Each vertex's (neighbor id, edge id, integer length) triples,
+        sorted by (neighbor id, edge id): geodesic enumeration relies on it."""
         adj = {vid: [] for vid in self._ids}
-        for e in self.edges:
-            adj[e.u].append((e.v, e))
-            adj[e.v].append((e.u, e))
-        return {vid: tuple(sorted(pairs, key=lambda t: (t[0], t[1].id)))
-                for vid, pairs in adj.items()}
+        for eid, u, v, ln in zip(self._eids, self._eu, self._ev, self._elen):
+            adj[u].append((v, eid, ln))
+            adj[v].append((u, eid, ln))
+        return {vid: tuple(sorted(t)) for vid, t in adj.items()}
 
     @cached_property
     def _iadj(self):
         """Sorted (neighbor index, shortest edge's integer length) pairs by vertex index."""
         nbr_min = [{} for _ in self._ids]
-        ix, ilen = self._index, self._ilen
-        for e in self.edges:
-            w = ilen[e.id]
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                d = nbr_min[ix[a]]
-                j = ix[b]
-                if j not in d or w < d[j]:
-                    d[j] = w
+        ix = self._index
+        for u, v, w in zip(self._eu, self._ev, self._elen):
+            i, j = ix[u], ix[v]
+            if w < nbr_min[i].get(j, w + 1):
+                nbr_min[i][j] = nbr_min[j][i] = w
         return [tuple(sorted(d.items())) for d in nbr_min]
 
     # -- basic accessors -------------------------------------------------
@@ -210,13 +239,12 @@ class LabeledMetricGraph:
         return vid in self.vertex_labels
 
     def edge(self, eid):
-        try:
-            return self._edge_by_id[eid]
-        except KeyError:
-            raise InvalidPoint(f"no edge with id {eid}") from None
+        return self.edges[self._at(eid)]
 
     def edges_at(self, vid):
-        return self._adj[vid]
+        """(neighbor id, Edge) pairs at vid, by (neighbor id, edge id)."""
+        edges, pos = self.edges, self._epos
+        return tuple((w, edges[pos[eid]]) for w, eid, _ in self._adj[vid])
 
     def degree(self, vid):
         """Number of edge ends at vid (parallel edges each count)."""
@@ -228,18 +256,17 @@ class LabeledMetricGraph:
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self._eids)
 
     def max_edge_length(self):
-        return max((e.length for e in self.edges), default=ZERO)
+        return Fraction(max(self._elen, default=0), self._scale)
 
     def signature(self):
+        fr = self._fractions()
         return (
             tuple(sorted(self.vertex_labels.items())),
-            tuple(
-                (e.id, e.u, e.v, e.length, e.label)
-                for e in sorted(self.edges, key=lambda e: e.id)
-            ),
+            tuple(zip(self._eids, self._eu, self._ev,
+                      map(fr.__getitem__, self._elen), self._elab)),
             self.basepoint,
         )
 
@@ -314,12 +341,12 @@ def validate_point(g: LabeledMetricGraph, p: GraphPoint):
             raise InvalidPoint(f"no vertex with id {p.id}")
         return
     if isinstance(p, Interior):
-        e = g.edge(p.edge)
+        g._at(p.edge)
         if not isinstance(p.offset, Fraction):
             raise InvalidPoint("interior offset must be a Fraction")
         if not 0 < p.offset.numerator < p.offset.denominator:
             raise InvalidPoint(
-                f"interior offset {p.offset} of edge {e.id} is outside (0, 1)"
+                f"interior offset {p.offset} of edge {p.edge} is outside (0, 1)"
             )
         return
     raise InvalidPoint(f"not a graph point: {p!r}")
@@ -328,23 +355,23 @@ def validate_point(g: LabeledMetricGraph, p: GraphPoint):
 def _point_scale(g, points):
     """The least k such that every entry cost of the points is a whole
     number of units of 1/(k*L)."""
-    k = 1
+    k, pos, lens = 1, g._epos, g._elen
     for p in points:
         if isinstance(p, Interior):
             den = p.offset.denominator
-            k = lcm(k, den // gcd(den, g._ilen[p.edge]))
+            k = lcm(k, den // gcd(den, lens[pos[p.edge]]))
     return k
 
 
 def _scaled_point(g, p, k):
-    """A point in integer units of 1/(k*L): (edge id, or None for a
+    """A valid point in integer units of 1/(k*L): (edge id, or None for a
     vertex; the (vertex id, cost) pairs of the ways of leaving it)."""
     if isinstance(p, Vertex):
         return None, ((p.id, 0),)
-    e = g.edge(p.edge)
-    ln = g._ilen[e.id] * k
+    i = g._epos[p.edge]
+    ln = g._elen[i] * k
     pos = p.offset.numerator * ln // p.offset.denominator
-    return e.id, ((e.u, pos), (e.v, ln - pos))
+    return p.edge, ((g._eu[i], pos), (g._ev[i], ln - pos))
 
 
 def _scaled_distance(g, k, x, y):
@@ -400,23 +427,24 @@ def _point_rows(g, k, net):
 
 def _farthest(g, k, dist, on_edge, verts, edges):
     """(distance, point) of the farthest of verts and of the midpoints of
-    edges, by a row dist in units of 1/(k*L) and on_edge, each edge's
-    offsets in those units of points at 0.  Counted in doubled units, so
-    midpoints are whole: vertices, then midpoints, each in the given
-    order; the first maximum wins, and (0, None) means none is past 0."""
-    ix = g._index
+    edges, given by their positions in the edge columns, by a row dist in
+    units of 1/(k*L) and on_edge, each edge id's offsets in those units of
+    points at 0.  Counted in doubled units, so midpoints are whole:
+    vertices, then midpoints, each in the given order; the first maximum
+    wins, and (0, None) means none is past 0."""
+    ix, eids, eu, ev, elen = g._index, g._eids, g._eu, g._ev, g._elen
     best, point = 0, None
     for w in verts:
         d = 2 * dist[ix[w]]
         if d > best:
             best, point = d, Vertex(w)
-    for e in edges:
-        ln = g._ilen[e.id] * k
-        d = ln + 2 * min(dist[ix[e.u]], dist[ix[e.v]])
-        for pos in on_edge.get(e.id, ()):
+    for i in edges:
+        ln = elen[i] * k
+        d = ln + 2 * min(dist[ix[eu[i]]], dist[ix[ev[i]]])
+        for pos in on_edge.get(eids[i], ()):
             d = min(d, abs(2 * pos - ln))
         if d > best:
-            best, point = d, Interior(e.id, HALF)
+            best, point = d, Interior(eids[i], HALF)
     return Fraction(best, 2 * k * g._scale), point
 
 
@@ -432,7 +460,7 @@ def distance(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
 def half_net(g: LabeledMetricGraph):
     """Vertices plus the midpoint of every edge, in deterministic order."""
     pts = [Vertex(vid) for vid in g.vertex_ids()]
-    pts.extend(Interior(e.id, HALF) for e in sorted(g.edges, key=lambda e: e.id))
+    pts.extend(map(Interior, g._eids, repeat(HALF)))
     return pts
 
 
@@ -464,13 +492,13 @@ def _geodesics(g, p, q):
         yield Geodesic(p, q, (), (), length)
     togo = _point_rows(g, k, ())[1](y)  # distance still to go, by vertex index
     ends = dict(py)
-    adj, index, ilen = g._adj, g._index, g._ilen
+    adj, index = g._adj, g._index
 
     def hops(vid, cost):
-        for w, e in adj[vid]:
-            nc = cost + ilen[e.id] * k
+        for w, eid, ln in adj[vid]:
+            nc = cost + ln * k
             if nc <= total and nc + togo[index[w]] == total:
-                yield w, nc, e.id
+                yield w, nc, eid
 
     # depth-first with an explicit stack, one successor iterator per hop,
     # so geodesics of any length come out in order without recursion
@@ -526,10 +554,11 @@ def check_geodesic(g, geo: Geodesic):
     edge to an entry vertex of the end (none only inside one edge), and
     its length in units of 1/(k*L) must be the claim and the distance."""
     p, q, vs, es = geo.start, geo.end, geo.vertices, geo.edges
+    pos, eu, ev = g._epos, g._eu, g._ev
     try:
         validate_point(g, p)
         validate_point(g, q)
-        hops = [g.edge(eid) for eid in es]
+        hops = [pos[e] if e in pos else g._at(e) for e in es]
     except InvalidPoint as exc:
         raise NotAGeodesic(str(exc)) from exc
     k = _point_scale(g, (p, q))
@@ -544,10 +573,10 @@ def check_geodesic(g, geo: Geodesic):
         first, last = dict(px).get(vs[0]), dict(py).get(vs[-1])
         if first is None or last is None:
             raise NotAGeodesic(f"vertices {vs[0]}..{vs[-1]} do not join {p} to {q}")
-        for i, e in enumerate(hops):
-            if {vs[i], vs[i + 1]} != {e.u, e.v}:
-                raise NotAGeodesic(f"hop {i} does not follow edge {e.id}")
-        units = first + sum(g._ilen[e.id] for e in hops) * k + last
+        for i, (a, b, h) in enumerate(zip(vs, vs[1:], hops)):
+            if {a, b} != {eu[h], ev[h]}:
+                raise NotAGeodesic(f"hop {i} does not follow edge {es[i]}")
+        units = first + sum(map(g._elen.__getitem__, hops)) * k + last
     span = _scaled_distance(g, k, x, y)
     scale = k * g._scale
     if units != span or geo.length != Fraction(units, scale):
@@ -564,13 +593,15 @@ def _arc(g, geo):
     vs = geo.vertices
     k = _point_scale(g, (geo.start, geo.end))
     first = dict(_scaled_point(g, geo.start, k)[1])[vs[0]]
-    at = list(accumulate((g._ilen[e] * k for e in geo.edges), initial=first))
+    at = list(accumulate((g._elen[g._epos[e]] * k for e in geo.edges), initial=first))
     at.append(at[-1] + dict(_scaled_point(g, geo.end, k)[1])[vs[-1]])
     return k, at
 
 
 def point_along(g, geo: Geodesic, s) -> GraphPoint:
     """The point at arc length s along a geodesic (0 <= s <= length)."""
+    validate_point(g, geo.start)
+    validate_point(g, geo.end)
     s = Fraction(s)
     if not (0 <= s <= geo.length):
         raise InvalidPoint(f"arc length {s} outside [0, {geo.length}]")
@@ -581,7 +612,7 @@ def point_along(g, geo: Geodesic, s) -> GraphPoint:
     vs = geo.vertices
     if not vs:  # inside one edge
         a, b = geo.start.offset, geo.end.offset
-        local = s / g.edge(geo.start.edge).length
+        local = s * g._scale / g._elen[g._epos[geo.start.edge]]
         return Interior(geo.start.edge, a + local if b > a else a - local)
     k, at = _arc(g, geo)
     x = s * (k * g._scale)
@@ -595,8 +626,9 @@ def point_along(g, geo: Geodesic, s) -> GraphPoint:
     else:
         eid = geo.edges[i - 1] if i < len(vs) else geo.end.edge
         a, d = vs[i - 1], x - at[i - 1]
-    t = d / (g._ilen[eid] * k)
-    return Interior(eid, t if a == g.edge(eid).u else 1 - t)
+    i = g._epos[eid]
+    t = d / (g._elen[i] * k)
+    return Interior(eid, t if a == g._eu[i] else 1 - t)
 
 
 # -- ball complements and separation ----------------------------------------
@@ -634,9 +666,10 @@ class ComplementIndex:
 def _ball_cut(g, center, radius):
     """The closed ball around ``center`` deleted from g, in integer units
     of 1/(k*L).  Returns (alive, pieces): alive[i] tells whether the vertex
-    of index i survives, and pieces(e) yields the open surviving parts of
-    edge e, of length ln in these units, as (a, b, ln, ends), ends the ids
-    of the surviving endpoints the part runs into."""
+    of index i survives, and pieces(h) yields the open surviving parts of
+    the edge at position h of the columns, of length ln in these units, as
+    (a, b, ln, ends), ends the ids of the surviving endpoints the part runs
+    into."""
     validate_point(g, center)
     r = Fraction(radius)
     if r < 0:
@@ -652,22 +685,23 @@ def _ball_cut(g, center, radius):
     alive = [x < 0 for x in reach]
     idx = g._index
 
-    def pieces(e):
+    def pieces(h):
         # the ball covers [0, reach[i]], [ln - reach[j], ln] and, on the
         # center's edge, [c - rk, c + rk]: at most two open parts survive
-        i, j = idx[e.u], idx[e.v]
-        ln = g._ilen[e.id] * k
+        u, v = g._eu[h], g._ev[h]
+        i, j = idx[u], idx[v]
+        ln = g._elen[h] * k
         lo, hi = max(reach[i], 0), ln - max(reach[j], 0)
         parts = ((lo, hi),)
-        if e.id == center_edge:
+        if g._eids[h] == center_edge:
             c = entries[0][1]
             parts = ((lo, min(hi, c - rk)), (max(lo, c + rk), hi))
         for a, b in parts:
             # a part ending exactly at a deleted vertex (a sphere point) is
             # open there and does not run into it
             if a < b:
-                yield a, b, ln, tuple(v for v, end in ((e.u, a == 0 and alive[i]),
-                                                       (e.v, b == ln and alive[j])) if end)
+                yield a, b, ln, tuple(w for w, end in ((u, a == 0 and alive[i]),
+                                                       (v, b == ln and alive[j])) if end)
 
     return alive, pieces
 
@@ -684,8 +718,8 @@ def _reach(g, center, alive, seeds):
     while q:
         v = q.popleft()
         yield v, prev
-        for w, e in g._adj[v]:
-            if w not in prev and e.id != center_edge and alive[idx[w]]:
+        for w, eid, _ in g._adj[v]:
+            if w not in prev and eid != center_edge and alive[idx[w]]:
                 prev[w] = v
                 q.append(w)
 
@@ -702,13 +736,13 @@ def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius
                 vertex_component[v] = n
             n += 1
     fragments = []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        for a, b, ln, ends in pieces(e):
+    for h, eid in enumerate(g._eids):
+        for a, b, ln, ends in pieces(h):
             if ends:
                 c = vertex_component[ends[0]]
             else:
                 c, n = n, n + 1
-            fragments.append(Fragment(e.id, ZERO if a == 0 else Fraction(a, ln),
+            fragments.append(Fragment(eid, ZERO if a == 0 else Fraction(a, ln),
                                       ONE if b == ln else Fraction(b, ln), c))
     return ComplementIndex(center, Fraction(radius), vertex_component, tuple(fragments), n)
 
@@ -743,7 +777,7 @@ def _avoiding_path(g, center, radius, x, y):
         if isinstance(p, Vertex):
             return (None, None, (p.id,)) if alive[g._index[p.id]] else None
         t = p.offset
-        for a, b, ln, ends in pieces(g.edge(p.edge)):
+        for a, b, ln, ends in pieces(g._epos[p.edge]):
             if a * t.denominator < t.numerator * ln < b * t.denominator:
                 return p.edge, a, ends
         return None

@@ -27,6 +27,7 @@ from .metric_graph import (
     distance,
     half_net,
     point_along,
+    validate_point,
 )
 
 
@@ -64,9 +65,9 @@ def prune_k(g: LabeledMetricGraph, k: int):
     if k < 0:
         raise ValueError("round count must be >= 0")
     nbr = {v: Counter() for v in g.vertex_ids()}
-    for e in g.edges:
-        nbr[e.u][e.v] += 1
-        nbr[e.v][e.u] += 1
+    for u, v in zip(g._eu, g._ev):
+        nbr[u][v] += 1
+        nbr[v][u] += 1
     alive = set(nbr)
     # a vertex first has valence 1 after a round that took one of its
     # neighbors, so each round's leaves are found among the last ones'
@@ -82,7 +83,9 @@ def prune_k(g: LabeledMetricGraph, k: int):
         stages.append(tuple(leaves))
         leaves = sorted(w for w in touched if sum(nbr[w].values()) == 1)
     vertices = [(vid, g.vertex_labels[vid]) for vid in sorted(alive)]
-    edges = [e for e in g.edges if e.u in alive and e.v in alive]
+    fr = g._fractions()
+    edges = [(eid, u, v, fr[ln], lab) for eid, u, v, ln, lab
+             in zip(g._eids, g._eu, g._ev, g._elen, g._elab) if u in alive and v in alive]
     base = g.basepoint if g.basepoint in alive else None
     out = LabeledMetricGraph(vertices, edges, basepoint=base)
     return out, PruneTrace(k, tuple(stages), not alive)
@@ -95,22 +98,31 @@ def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoi
     along the geodesic toward a.
     """
     assert_tree(g)
-    return _meet(g, z, (a, b))
+    for p in (z, a, b):
+        validate_point(g, p)
+    return _meets(g, z, (a, b))((0, 1))
 
 
-def _meet(g, z, points):
-    """Where the paths from z to the points of a tree part ways: on the
+def _meets(g, z, points):
+    """meet(cloud), cloud a list of indices into points: where the paths
+    from z to the cloud's points part ways in a tree.  That is on the
     geodesic from z to the first point y1, at the least Gromov product
-    (y1|y)_z = (d(z,y1) + d(z,y) - d(y1,y)) / 2 over the points, which is
-    where the fold of medians with root z lands in any order; d(z,y) and
-    d(y1,y) come from two integer distance rows."""
-    first, *rest = points
-    if not rest:
-        return first
-    geo = canonical_geodesic(g, z, first)
-    unit, (from_z, from_first) = _distance_rows(g, (z, first), rest)
-    s = min(map(int.__sub__, from_z, from_first))
-    return point_along(g, geo, (geo.length + Fraction(s, unit)) / 2)
+    (y1|y)_z = (d(z,y1) + d(z,y) - d(y1,y)) / 2 over the cloud, where the
+    fold of medians with root z lands in any order; z's integer row is
+    read once, and each meet reads its first point's."""
+    unit, row = _distance_rows(g, (z, *points), points)
+    from_z = row(z)
+
+    def meet(cloud):
+        first, *rest = cloud
+        if not rest:
+            return points[first]
+        geo = canonical_geodesic(g, z, points[first])
+        from_first = row(points[first])
+        s = min(from_z[i] - from_first[i] for i in rest)
+        return point_along(g, geo, (geo.length + Fraction(s, unit)) / 2)
+
+    return meet
 
 
 def tree_meet(g: LabeledMetricGraph, x: GraphPoint, y: GraphPoint, base=None) -> GraphPoint:
@@ -148,14 +160,16 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     assert_tree(tree)
     if z is None:
         z = Vertex(min(tree.vertex_ids()))
+    validate_point(tree, z)
     net = half_net(f.target)
-    unit, rows = _distance_rows(f.target, net, [q for _, q in f.assignments])
+    unit, row = _distance_rows(f.target, net, [q for _, q in f.assignments])
+    meet = _meets(tree, z, f.domain())
     assignments = []
-    for x, row in zip(net, rows):
-        cloud = [y for (y, _), d in zip(f.assignments, row) if d <= n * unit]
+    for x in net:
+        cloud = [i for i, d in enumerate(row(x)) if d <= n * unit]
         if not cloud:
             raise EmptyPreimage(f"no image within {n} of {x}")
-        assignments.append((x, _meet(tree, z, cloud)))
+        assignments.append((x, meet(cloud)))
     h = QuasiMap(f.target, tree, assignments)
     bound = 9 * n * n
     best = minimal_qi_constant(h)

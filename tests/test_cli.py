@@ -387,7 +387,7 @@ def test_prune(capsys, tmp_path):
     }
 
 
-def test_median(capsys, tmp_path):
+def test_median(capsys, tmp_path, fam_file):
     cat = LabeledMetricGraph(
         range(7),
         [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1),
@@ -405,6 +405,16 @@ def test_median(capsys, tmp_path):
                      "--z", '{"vertex": 99}', "--a", '{"vertex": 5}',
                      "--b", '{"vertex": 6}')
     assert code == 2  # unknown point
+    # every point is checked, not only the root: offsets outside (0, 1)
+    # and unknown ids on Γ1 of {a,b},{c} at depth 3
+    g1p = str(tmp_path / "g1.json")
+    main(["gamma1", "--family", fam_file, "--depth", "3", "--out", g1p])
+    for b in ('{"edge": 2, "offset": "4/3"}', '{"edge": 2, "offset": "-5/3"}',
+              '{"vertex": 99}', '{"edge": 99, "offset": "1/2"}'):
+        code, doc, err = run(capsys, "median", "--tree", g1p, "--z", '{"vertex": 0}',
+                             "--a", '{"vertex": 1}', "--b", b)
+        assert (code, doc) == (2, None) and err.startswith("error: "), b
+        assert err.count("\n") == 1, b
 
     cyc = graph_file(tmp_path, cycle_graph(4), "c4.json")
     code, _, err = run(capsys, "median", "--tree", cyc,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import path_graph, random_tree
+from coarsegeom import coarse_maps
 from coarsegeom import (
     DisconnectedGraph,
     DomainNotNet,
@@ -166,6 +167,20 @@ def test_sampled_mode_is_seeded(g0_d3, g1_d3):
         (v,) = cert.violations
         assert (v.x, v.y, v.d_source, v.d_target) == (x, y, ds, dt)
         assert cert.pairs_checked == checked
+
+
+def test_sampled_mode_scales_only_the_drawn_points(fam3, monkeypatch):
+    """Each draw scales its own four points, so a sampled check of the
+    cli chain's 4,185-point collapse map at count 500 makes at most 2,000
+    _scaled_point calls besides one per image for the surjectivity radius."""
+    m = build_collapse_map(build_gamma0(fam3, 100), build_gamma1(fam3, 100))
+    assert len(m) == 4185
+    calls = []
+    real = coarse_maps._scaled_point
+    monkeypatch.setattr(coarse_maps, "_scaled_point", lambda *a: calls.append(1) or real(*a))
+    cert = verify_quasi_isometry(m, 2, mode="sampled", seed=5, count=500)
+    assert cert.accepted and cert.pairs_checked == 500
+    assert len(calls) <= 2000 + 4185
 
 
 # -- the pair kernel against the oracles ------------------------------------
@@ -480,9 +495,9 @@ def snap_cases(draw):
 @given(snap_cases(), st.booleans())
 def test_snap_matches_oracle(case, lazy):
     g, fw, q, pts = case
-    unit, rows = _distance_rows(g, [q], pts)
+    unit, row = _distance_rows(g, [q], pts)
     want = [oracles.point_distance(g, fw, q, x) for x in pts]
-    assert [Fraction(d, unit) for d in next(rows)] == want
+    assert [Fraction(d, unit) for d in row(q)] == want
     [got] = _snap(g, [q], iter(pts) if lazy else pts)
     assert got == oracles.nearest_point(g, fw, q, pts)
 

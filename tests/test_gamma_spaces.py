@@ -1,5 +1,6 @@
 """Doubled-edge graph, quotient tree, collapse map, and far witnesses."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from coarsegeom import (
     DepthTooSmall,
     DuplicateElement,
     EmptyFamily,
+    Edge,
     EmptyMemberSet,
     FamilyMismatch,
     Interior,
+    LabeledMetricGraph,
     LevelProfile,
     NoAlternateArm,
     NotAGeodesic,
@@ -405,6 +408,55 @@ def test_build_collapse_and_dump_build_no_adjacency(fam2):
     documents.canonical_dumps(documents.map_doc(m, "gamma0.json", "gamma1.json"))
     for g in (g0.graph, g1):
         assert "_adj" not in vars(g) and "_iadj" not in vars(g)
+
+
+FAMILIES = ([["a"], ["b"]], [["a", "b"], ["c"]], [["a", "b"], ["c"], ["d", "e", "f"]])
+
+
+@pytest.mark.parametrize("lists", FAMILIES)
+@pytest.mark.parametrize("depth", [1, 2, 7, 30])
+def test_builder_columns_match_the_constructor(lists, depth):
+    """A builder graph, whose edge columns come straight from the layout's
+    links, equals the graph the constructor makes of the same vertices
+    and edge tuples: each link doubled on Γ0 with either end as label."""
+    family = SetFamily.of_lists(lists)
+    for kind, build in (("gamma0", lambda: build_gamma0(family, depth).graph),
+                        ("gamma1", lambda: build_gamma1(family, depth))):
+        g, layout = build(), gamma_spaces._ArmLayout(kind, family, depth)
+        arms = family.all_elements() if layout.doubled else [s.name for s in family.sets]
+        vertices = [(0, "b" if layout.doubled else "B")] + [
+            (layout.vertex(a, n), f"{a}@{n}") for a in arms for n in range(1, depth + 1)]
+        if layout.doubled:
+            edges = [e for i, (u, v) in enumerate(layout._links())
+                     for e in ((2 * i, u, v, 1, u), (2 * i + 1, u, v, 1, v))]
+        else:
+            edges = [(i, u, v, 1) for i, (u, v) in enumerate(layout._links())]
+        ref = LabeledMetricGraph(vertices, edges, basepoint=0)
+        assert g.signature() == ref.signature()
+        assert g._iadj == ref._iadj
+        assert half_net(g) == half_net(ref)
+        assert [g.edge(i) for i in range(g.n_edges)] == [ref.edge(i) for i in range(ref.n_edges)]
+        assert [g.edges_at(v) for v in g.vertex_ids()] == [
+            ref.edges_at(v) for v in ref.vertex_ids()]
+
+
+@pytest.mark.parametrize("depth", [3, 30])
+def test_builder_paths_make_no_edge_objects(fam3, depth, monkeypatch):
+    """Building, dumping, parsing the canonical text of, and collapsing
+    the builder graphs read the edge columns: no Edge is made."""
+    made = []
+    real_init = Edge.__init__
+    monkeypatch.setattr(Edge, "__init__",
+                        lambda self, *args: made.append(args) or real_init(self, *args))
+    g0, g1 = build_gamma0(fam3, depth), build_gamma1(fam3, depth)
+    text0 = documents.canonical_dumps(gamma0_doc(g0))
+    text1 = documents.canonical_dumps(gamma1_doc(g1))
+    assert parse_gamma0(json.loads(text0)).graph.n_edges == g0.graph.n_edges
+    assert parse_gamma1(json.loads(text1))[0].n_edges == g1.n_edges
+    build_collapse_map(g0, g1)
+    assert made == []
+    g0.graph.edge(0)  # the view is made on request, and only then
+    assert len(made) == g0.graph.n_edges
 
 
 def test_builder_and_parsed_graphs_share_adjacency(fam2):

@@ -57,8 +57,16 @@ def test_modules_use_every_import():
     assert not unused, unused
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
 def test_private_helpers_are_used():
-    defined, used = {}, set()
+    """Every private module-level function or class has a user, and every
+    private attribute or method, one that src stores on an object or
+    defines in a class body, is read somewhere in src: a store no one
+    reads is a piece of an old design left behind."""
+    defined, stored, used, read = {}, {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in tree.body:
@@ -66,15 +74,28 @@ def test_private_helpers_are_used():
                     and node.name.startswith("_")):
                 defined[node.name] = f"{path.name}:{node.lineno}"
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names = ([item.name] if isinstance(item, ast.FunctionDef) else
+                             [t.id for t in item.targets if isinstance(t, ast.Name)]
+                             if isinstance(item, ast.Assign) else [])
+                    stored.update((name, f"{path.name}:{item.lineno}")
+                                  for name in names if _private(name))
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif _private(node.attr):
+                    stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     unused = [f"{where}: {name}" for name, where in defined.items() if name not in used]
-    assert defined
+    unread = [f"{where}: {name}" for name, where in stored.items() if name not in read]
+    assert defined and stored
     assert not unused, unused
+    assert not unread, unread
 
 
 def test_exported_functions_have_a_system_caller():

@@ -152,7 +152,7 @@ def test_median_matches_intersection_oracle():
 
 def meet_fold(t, z, points):
     """The fold of medians with root z over a preimage cloud, taken point
-    by point: where tree_ops._meet must land in one walk."""
+    by point: where tree_ops._meets must land in one walk."""
     return functools.reduce(lambda m, p: tree_median(t, z, m, p), points)
 
 
@@ -172,7 +172,7 @@ def test_meet_fold_order_independent():
         for _ in range(4):
             rng.shuffle(chosen)
             assert meet_fold(t, z, chosen) == base
-            assert tree_ops._meet(t, z, chosen) == base
+            assert tree_ops._meets(t, z, chosen)(range(len(chosen))) == base
 
 
 def test_tree_meet_needs_base():
