@@ -30,7 +30,7 @@ from .gamma_spaces import (
     gamma1_edge_id,
     gamma1_vertex_id,
 )
-from .metric_graph import HALF, Interior, Vertex
+from .metric_graph import HALF, Interior, Vertex, _scaled
 from .tree_ops import assert_tree, prune_k
 
 
@@ -59,17 +59,6 @@ class ChoiceCertificate:
     def choice(self):
         return {name: elem
                 for (name, _), elem in zip(self.arm_assignment, self.transversal)}
-
-
-def _half_vertex_candidates(tree, p):
-    """The ends of p's edge within 1/2 of p, or p's own vertex."""
-    if isinstance(p, Vertex):
-        return [p.id]
-    i, t = tree._epos[p.edge], p.offset
-    # p lies t * ln from u and (1 - t) * ln from v, ln in units of 1/L
-    ln, half = tree._elen[i], t.denominator * tree._scale
-    ends = (tree._eu[i], t.numerator), (tree._ev[i], t.denominator - t.numerator)
-    return [w for w, c in ends if 2 * c * ln <= half]
 
 
 def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate:
@@ -104,13 +93,16 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     kept = [(w, q) for w, q in m.assignments
             if (pruned.has_vertex(w.id) if isinstance(w, Vertex) else w.edge in pruned._epos)]
     unit, row = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in kept])
-    near = set()
+    near = []
     images = {}  # vertex id -> (image, its distance to the base), so no point is hashed
-    for (w, q), d in zip(kept, row(Vertex(0))):
+    for (w, q), d in zip(kept, row(0)):
         if isinstance(w, Vertex):
             images[w.id] = q, d
         if d <= n * unit:
-            near.update(_half_vertex_candidates(pruned, w))
+            near.append(w)
+    # each near point's own vertex, or the ends of its edge within 1/2 of it
+    ks, near = _scaled(pruned, near)
+    near = {v for _, entries in near for v, c in entries if 2 * c <= ks * pruned._scale}
     if not near:
         raise DepthError("no surviving domain point maps within the constant "
                          "of the base")

@@ -22,7 +22,6 @@ from .coarse_maps import _check_sampling, _draws
 from .errors import DisconnectedGraph
 from .metric_graph import (
     HALF,
-    ZERO,
     GraphPoint,
     Interior,
     LabeledMetricGraph,
@@ -95,7 +94,7 @@ def slim_triangle_delta(
         raise DisconnectedGraph("slim-triangle slack needs a connected graph")
     ids = list(g.vertex_ids())
     slack = HALF * g.max_edge_length()
-    best, witness = ZERO, None
+    best, found = 0, None  # best in doubled units of 1/(2*L), from _farthest
     checked = 0
     carriers = {}
 
@@ -119,8 +118,10 @@ def slim_triangle_delta(
             union = set(e1 + e2)
             val, point = _farthest(g, 1, du, {}, pv, [h for h in pe if h not in union])
             if val > best:
-                best, witness = val, DeltaWitness((p, q), apex, point, val)
-    return DeltaReport(best, mode, seed, count, checked, 0, slack, witness)
+                best, found = val, ((p, q), apex, point)
+    delta = Fraction(best, 2 * g._scale)
+    witness = DeltaWitness(*found, delta) if found else None
+    return DeltaReport(delta, mode, seed, count, checked, 0, slack, witness)
 
 
 def midpoint(g: LabeledMetricGraph, x: GraphPoint, y: GraphPoint) -> GraphPoint:

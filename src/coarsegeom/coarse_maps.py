@@ -34,10 +34,10 @@ from .metric_graph import (
     _farthest,
     _point_rows,
     _point_scale,
+    _scaled,
     _scaled_distance,
     _scaled_point,
     point_key,
-    validate_point,
 )
 
 
@@ -56,15 +56,15 @@ class QuasiMap:
     def __init__(self, source, target, assignments, asserted_constant=None):
         self.source = source
         self.target = target
-        pairs = sorted(assignments, key=lambda pq: point_key(pq[0]))
+        pairs = list(assignments)
+        # each side passes the gate whole before point_key reads a point
+        _point_scale(source, [p for p, _ in pairs])
+        _point_scale(target, [q for _, q in pairs])
+        pairs.sort(key=lambda pq: point_key(pq[0]))
         # equal points have equal keys, so a duplicate follows its twin
-        prev = None
-        for p, q in pairs:
-            validate_point(source, p)
-            validate_point(target, q)
-            if p == prev:
+        for (p, _), (q, _) in zip(pairs, pairs[1:]):
+            if p == q:
                 raise DomainNotNet(f"duplicate domain point {p}")
-            prev = p
         self.assignments = tuple(pairs)
         self.asserted_constant = asserted_constant
 
@@ -150,21 +150,20 @@ def _require_vertex_cover(m: QuasiMap):
 
 
 def surjectivity_radius(m: QuasiMap):
-    """Exact max over the target half-net of the distance to the image,
-    together with the witness point attaining it."""
+    """Exact max over the target half-net of the distance to the image and a
+    witness point attaining it, from one search seeded at distinct images."""
     tgt = m.target
-    images = [q for _, q in m.assignments]
-    k = _point_scale(tgt, images)
+    k, images = _scaled(tgt, [q for _, q in m.assignments])
     seeds, on_edge = [], {}
-    for q in images:
-        edge, entries = _scaled_point(tgt, q, k)
+    for edge, entries in dict.fromkeys(images):
         seeds.extend((c, tgt._index[v]) for v, c in entries)
         if edge is not None:
             on_edge.setdefault(edge, []).append(entries[0][1])
     dist = tgt._search(seeds, k)
     if min(dist, default=0) < 0:
         raise DisconnectedGraph("target must be connected")
-    return _farthest(tgt, k, dist, on_edge, tgt.vertex_ids(), range(tgt.n_edges))
+    best, point = _farthest(tgt, k, dist, on_edge, tgt.vertex_ids(), range(tgt.n_edges))
+    return Fraction(best, 2 * k * tgt._scale), point
 
 
 def _scaled_pairs(m, pairs):
@@ -324,14 +323,15 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
 
 
 def _distance_rows(g, sources, targets):
-    """(k*L, row), k one scale for all the points: row(p), p a source, is
-    p's integer distances to all targets in units of 1/(k*L) from
-    _point_rows, raising DisconnectedGraph where one does not reach."""
-    k = _point_scale(g, (*sources, *targets))
-    cols, point_row = _point_rows(g, k, [_scaled_point(g, q, k) for q in targets])
+    """(k*L, row), k the gate's one scale for all the points, each scaled
+    once: row(i), i an index into sources then targets, is that point's
+    integer distances to all targets in units of 1/(k*L) from _point_rows,
+    raising DisconnectedGraph where one does not reach."""
+    k, pts = _scaled(g, (*sources, *targets))
+    cols, point_row = _point_rows(g, k, pts[len(sources):])
 
-    def row(p):
-        _, entries = x = _scaled_point(g, p, k)
+    def row(i):
+        _, entries = x = pts[i]
         r = point_row(x)
         out = [r[c] for c in cols]
         if -1 in out:
@@ -346,7 +346,8 @@ def _snap(g, queries, points):
     net = sorted(points, key=point_key)
     if queries and not net:
         raise InvalidPoint("cannot snap onto an empty net")
-    return [net[r.index(min(r))] for r in map(_distance_rows(g, queries, net)[1], queries)]
+    row = _distance_rows(g, queries, net)[1]
+    return [net[r.index(min(r))] for r in map(row, range(len(queries)))]
 
 
 def compose(m2: QuasiMap, m1: QuasiMap) -> QuasiMap:

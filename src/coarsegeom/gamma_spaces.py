@@ -43,7 +43,6 @@ from .metric_graph import (
     check_geodesic,
     distance,
     is_separated,
-    validate_point,
 )
 
 
@@ -343,8 +342,6 @@ def find_far_witness(g0: GammaZeroGraph, x: GraphPoint, y: GraphPoint, bound) ->
     big_l = Fraction(bound)
     if big_l <= 0:
         raise ValueError("bound must be positive")
-    validate_point(g0.graph, x)
-    validate_point(g0.graph, y)
     lev_x, lev_y = level_of(g0, x), level_of(g0, y)
     level0 = math.floor(big_l + lev_x + lev_y + 2) + 1
     if level0 > g0.depth:

@@ -7,23 +7,23 @@ labels), so routes through them count as distinct geodesics.  Points are
 either vertices or interior points of an edge, and every computation here
 (distances, geodesics, ball complements) is exact; no floating point is
 used anywhere.  Edges are stored as integer columns, each checked in one
-pass, points are checked with integer tests, and the adjacency lists are
-built on first use: a graph only built, mapped and dumped never sorts them.
+pass, points pass one integer gate, and the adjacency lists are built on
+first use: a graph only built, mapped and dumped never sorts them.
 
 Vertex distances come from one engine: a Dijkstra over integer edge
 weights in units of 1/L, L the lcm of the edge-length denominators, whose
 single-source rows are cached per graph; graphs built with a closed-form
-metric answer from it instead.  Point distances scale the same integers
-by a factor that makes the points' offsets whole, and Fractions appear
-only where results leave the engine.  One builder, _point_rows, turns
-engine rows into a point's row to every vertex and to the interior
-points of a net, and one sweep, _farthest, finds the farthest vertex or
-edge midpoint on a given row.  One table, _arc, gives the integer arc
-length of each vertex a geodesic hits, and points along it are read off
-that table.  One cut, _ball_cut, gives what survives a closed ball, and
-one breadth-first search over the survivors, _reach, decides separation,
-gives the witness paths that avoid the ball and numbers the components
-of the complement.
+metric answer from it instead.  Point distances scale the same integers by
+a factor that makes the points' offsets whole, found by the gate,
+_point_scale, in the pass that checks the points; Fractions appear only
+where results leave the engine.  One builder, _point_rows, turns engine
+rows into a point's row to every vertex and to the interior points of a
+net, and one sweep, _farthest, finds the farthest vertex or edge midpoint
+on a given row.  One table, _arc, gives the integer arc length of each
+vertex a geodesic hits, and points along it are read off that table.  One
+cut, _ball_cut, gives what survives a closed ball, and one breadth-first
+search over the survivors, _reach, decides separation, gives the witness
+paths that avoid the ball and numbers the components of the complement.
 """
 
 from __future__ import annotations
@@ -335,36 +335,48 @@ class LabeledMetricGraph:
 # -- points ----------------------------------------------------------------
 
 
-def validate_point(g: LabeledMetricGraph, p: GraphPoint):
-    if isinstance(p, Vertex):
-        if not g.has_vertex(p.id):
-            raise InvalidPoint(f"no vertex with id {p.id}")
-        return
-    if isinstance(p, Interior):
-        g._at(p.edge)
-        if not isinstance(p.offset, Fraction):
-            raise InvalidPoint("interior offset must be a Fraction")
-        if not 0 < p.offset.numerator < p.offset.denominator:
-            raise InvalidPoint(
-                f"interior offset {p.offset} of edge {p.edge} is outside (0, 1)"
-            )
-        return
-    raise InvalidPoint(f"not a graph point: {p!r}")
-
-
-def _point_scale(g, points):
-    """The least k such that every entry cost of the points is a whole
-    number of units of 1/(k*L)."""
-    k, pos, lens = 1, g._epos, g._elen
+def _point_scale(g, points, k=1):
+    """The gate every point passes before it becomes integers: checks the
+    points in order and returns the least multiple m of k such that every
+    entry cost of the points is a whole number of units of 1/(m*L).  A
+    Vertex must name a vertex of g, an Interior an edge of g at a Fraction
+    offset strictly between 0 and 1; anything else raises InvalidPoint."""
+    at, index, lens = g._at, g._index, g._elen
     for p in points:
         if isinstance(p, Interior):
-            den = p.offset.denominator
-            k = lcm(k, den // gcd(den, lens[pos[p.edge]]))
+            i, t = at(p.edge), p.offset
+            # an exact type test first: isinstance against Fraction's ABC is slow
+            if type(t) is not Fraction and not isinstance(t, Fraction):
+                raise InvalidPoint("interior offset must be a Fraction")
+            num, den = t.numerator, t.denominator
+            if not 0 < num < den:
+                raise InvalidPoint(f"interior offset {t} of edge {p.edge} is outside (0, 1)")
+            if k % den:  # else k already makes this point's costs whole
+                k = lcm(k, den // gcd(den, lens[i]))
+        elif isinstance(p, Vertex):
+            try:
+                index[p.id]
+            except (KeyError, TypeError):
+                raise InvalidPoint(f"no vertex with id {p.id}") from None
+        else:
+            raise InvalidPoint(f"not a graph point: {p!r}")
     return k
 
 
+def validate_point(g: LabeledMetricGraph, p: GraphPoint):
+    """Raise InvalidPoint unless p is a point of g: the gate on one point."""
+    _point_scale(g, (p,))
+
+
+def _scaled(g, points, k=1):
+    """(k, scaled): the gate's scale for a sequence of points, a multiple
+    of k, and each point at it from _scaled_point."""
+    k = _point_scale(g, points, k)
+    return k, [_scaled_point(g, p, k) for p in points]
+
+
 def _scaled_point(g, p, k):
-    """A valid point in integer units of 1/(k*L): (edge id, or None for a
+    """A gated point in integer units of 1/(k*L): (edge id, or None for a
     vertex; the (vertex id, cost) pairs of the ways of leaving it)."""
     if isinstance(p, Vertex):
         return None, ((p.id, 0),)
@@ -429,9 +441,9 @@ def _farthest(g, k, dist, on_edge, verts, edges):
     """(distance, point) of the farthest of verts and of the midpoints of
     edges, given by their positions in the edge columns, by a row dist in
     units of 1/(k*L) and on_edge, each edge id's offsets in those units of
-    points at 0.  Counted in doubled units, so midpoints are whole:
-    vertices, then midpoints, each in the given order; the first maximum
-    wins, and (0, None) means none is past 0."""
+    points at 0.  The distance is an integer in doubled units, 1/(2*k*L),
+    so midpoints are whole: vertices, then midpoints, each in the given
+    order; the first maximum wins, and (0, None) means none is past 0."""
     ix, eids, eu, ev, elen = g._index, g._eids, g._eu, g._ev, g._elen
     best, point = 0, None
     for w in verts:
@@ -445,16 +457,13 @@ def _farthest(g, k, dist, on_edge, verts, edges):
             d = min(d, abs(2 * pos - ln))
         if d > best:
             best, point = d, Interior(eids[i], HALF)
-    return Fraction(best, 2 * k * g._scale), point
+    return best, point
 
 
 def distance(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Exact shortest-path distance between two points."""
-    validate_point(g, p)
-    validate_point(g, q)
-    k = _point_scale(g, (p, q))
-    d = _scaled_distance(g, k, _scaled_point(g, p, k), _scaled_point(g, q, k))
-    return Fraction(d, k * g._scale)
+    k, (x, y) = _scaled(g, (p, q))
+    return Fraction(_scaled_distance(g, k, x, y), k * g._scale)
 
 
 def half_net(g: LabeledMetricGraph):
@@ -482,10 +491,8 @@ def _geodesics(g, p, q):
     """Yield every geodesic from p to q lazily, in enumeration order.  The
     walk counts in integer units of 1/(k*L) and enters a vertex only where
     its cost from p plus its distance to q is the total."""
-    validate_point(g, p)
-    validate_point(g, q)
-    k = _point_scale(g, (p, q))
-    (ex, px), (ey, py) = x, y = _scaled_point(g, p, k), _scaled_point(g, q, k)
+    k, (x, y) = _scaled(g, (p, q))
+    (ex, px), (ey, py) = x, y
     total = _scaled_distance(g, k, x, y)
     length = Fraction(total, k * g._scale)
     if ex is not None and ex == ey and abs(px[0][1] - py[0][1]) == total:
@@ -556,13 +563,11 @@ def check_geodesic(g, geo: Geodesic):
     p, q, vs, es = geo.start, geo.end, geo.vertices, geo.edges
     pos, eu, ev = g._epos, g._eu, g._ev
     try:
-        validate_point(g, p)
-        validate_point(g, q)
+        k, (x, y) = _scaled(g, (p, q))
         hops = [pos[e] if e in pos else g._at(e) for e in es]
     except InvalidPoint as exc:
         raise NotAGeodesic(str(exc)) from exc
-    k = _point_scale(g, (p, q))
-    (ex, px), (ey, py) = x, y = _scaled_point(g, p, k), _scaled_point(g, q, k)
+    (ex, px), (ey, py) = x, y
     if not vs:
         if es or ex is None or ex != ey:
             raise NotAGeodesic("an empty vertex sequence needs both ends inside one edge")
@@ -588,29 +593,27 @@ def check_geodesic(g, geo: Geodesic):
 
 def _arc(g, geo):
     """(k, at): the arc length from a geodesic's start to each vertex it
-    hits, then to its end, in integer units of 1/(k*L).  The geodesic must
-    hit a vertex."""
+    hits, then to its end, in integer units of 1/(k*L), its ends scaled
+    through the gate.  The geodesic must hit a vertex."""
     vs = geo.vertices
-    k = _point_scale(g, (geo.start, geo.end))
-    first = dict(_scaled_point(g, geo.start, k)[1])[vs[0]]
-    at = list(accumulate((g._elen[g._epos[e]] * k for e in geo.edges), initial=first))
-    at.append(at[-1] + dict(_scaled_point(g, geo.end, k)[1])[vs[-1]])
+    k, ((_, px), (_, py)) = _scaled(g, (geo.start, geo.end))
+    at = list(accumulate((g._elen[g._epos[e]] * k for e in geo.edges), initial=dict(px)[vs[0]]))
+    at.append(at[-1] + dict(py)[vs[-1]])
     return k, at
 
 
 def point_along(g, geo: Geodesic, s) -> GraphPoint:
-    """The point at arc length s along a geodesic (0 <= s <= length)."""
-    validate_point(g, geo.start)
-    validate_point(g, geo.end)
+    """The point at arc length s along a geodesic (0 <= s <= length).  Its
+    ends pass the gate in _arc, or here at either end or inside one edge."""
     s = Fraction(s)
     if not (0 <= s <= geo.length):
         raise InvalidPoint(f"arc length {s} outside [0, {geo.length}]")
-    if s == 0:
-        return geo.start
-    if s == geo.length:
-        return geo.end
     vs = geo.vertices
-    if not vs:  # inside one edge
+    if not vs or s == 0 or s == geo.length:
+        validate_point(g, geo.start)
+        validate_point(g, geo.end)
+        if s == 0 or s == geo.length:
+            return geo.start if s == 0 else geo.end
         a, b = geo.start.offset, geo.end.offset
         local = s * g._scale / g._elen[g._epos[geo.start.edge]]
         return Interior(geo.start.edge, a + local if b > a else a - local)
@@ -665,18 +668,17 @@ class ComplementIndex:
 
 def _ball_cut(g, center, radius):
     """The closed ball around ``center`` deleted from g, in integer units
-    of 1/(k*L).  Returns (alive, pieces): alive[i] tells whether the vertex
-    of index i survives, and pieces(h) yields the open surviving parts of
-    the edge at position h of the columns, of length ln in these units, as
-    (a, b, ln, ends), ends the ids of the surviving endpoints the part runs
-    into."""
-    validate_point(g, center)
+    of 1/(k*L), k the gate's scale for the center and the radius.  Returns
+    (alive, pieces): alive[i] tells whether the vertex of index i survives,
+    and pieces(h) yields the open surviving parts of the edge at position h
+    of the columns, of length ln in these units, as (a, b, ln, ends), ends
+    the ids of the surviving endpoints the part runs into."""
     r = Fraction(radius)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    k = lcm(_point_scale(g, (center,)), r.denominator // gcd(r.denominator, g._scale))
+    k, (point,) = _scaled(g, (center,), r.denominator // gcd(r.denominator, g._scale))
     rk = r.numerator * (k * g._scale // r.denominator)
-    center_edge, entries = point = _scaled_point(g, center, k)
+    center_edge, entries = point
     row = _point_rows(g, k, ())[1](point)
     if -1 in row:
         raise DisconnectedGraph("graph must be connected")
@@ -767,7 +769,8 @@ def _avoiding_path(g, center, radius, x, y):
     """The vertex ids of a path from x to y outside the closed ball around
     center: [] when one vertex-free part holds both, None when the ball
     holds either point or separates them.  The search runs from the
-    surviving vertices that x reaches inside its edge to those of y."""
+    surviving vertices that x reaches inside its edge to those of y.  x and
+    y are checked, not scaled: the cut keeps the center's own scale."""
     validate_point(g, x)
     validate_point(g, y)
     alive, pieces = _ball_cut(g, center, radius)

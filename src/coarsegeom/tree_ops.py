@@ -27,7 +27,6 @@ from .metric_graph import (
     distance,
     half_net,
     point_along,
-    validate_point,
 )
 
 
@@ -95,11 +94,9 @@ def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoi
     """The unique point lying on all three pairwise geodesics of a tree.
 
     Measured from z it sits (d(z,a) + d(z,b) - d(a,b)) / 2 of the way
-    along the geodesic toward a.
+    along the geodesic toward a.  _meets gates z, a and b, in that order.
     """
     assert_tree(g)
-    for p in (z, a, b):
-        validate_point(g, p)
     return _meets(g, z, (a, b))((0, 1))
 
 
@@ -110,15 +107,15 @@ def _meets(g, z, points):
     (y1|y)_z = (d(z,y1) + d(z,y) - d(y1,y)) / 2 over the cloud, where the
     fold of medians with root z lands in any order; z's integer row is
     read once, and each meet reads its first point's."""
-    unit, row = _distance_rows(g, (z, *points), points)
-    from_z = row(z)
+    unit, row = _distance_rows(g, (z,), points)
+    from_z = row(0)
 
     def meet(cloud):
         first, *rest = cloud
         if not rest:
             return points[first]
         geo = canonical_geodesic(g, z, points[first])
-        from_first = row(points[first])
+        from_first = row(1 + first)
         s = min(from_z[i] - from_first[i] for i in rest)
         return point_along(g, geo, (geo.length + Fraction(s, unit)) / 2)
 
@@ -160,13 +157,12 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     assert_tree(tree)
     if z is None:
         z = Vertex(min(tree.vertex_ids()))
-    validate_point(tree, z)
     net = half_net(f.target)
     unit, row = _distance_rows(f.target, net, [q for _, q in f.assignments])
-    meet = _meets(tree, z, f.domain())
+    meet = _meets(tree, z, f.domain())  # z passes the gate here
     assignments = []
-    for x in net:
-        cloud = [i for i, d in enumerate(row(x)) if d <= n * unit]
+    for i, x in enumerate(net):
+        cloud = [j for j, d in enumerate(row(i)) if d <= n * unit]
         if not cloud:
             raise EmptyPreimage(f"no image within {n} of {x}")
         assignments.append((x, meet(cloud)))

@@ -19,20 +19,29 @@ from coarsegeom import (
     LabeledMetricGraph,
     NonPositiveScale,
     NotAGeodesic,
+    QuasiMap,
     SetFamily,
     Vertex,
     build_gamma0,
+    build_gamma1,
     ball_complement_components,
     canonical_geodesic,
     check_geodesic,
+    classify_point,
     distance,
     enumerate_geodesics,
+    find_far_witness,
     half_net,
     is_separated,
+    level_of,
+    midpoint,
     multi_source_vertex_distances,
     point_along,
     point_key,
+    quasi_inverse,
     scale_metric,
+    tree_median,
+    tree_meet,
     validate_point,
 )
 from coarsegeom.coarse_maps import _distance_rows, _kernel_side
@@ -248,6 +257,55 @@ def test_bad_offsets_keep_their_messages():
     with pytest.raises(InvalidPoint) as err:
         validate_point(g, Interior(1, 0.5))
     assert str(err.value) == "interior offset must be a Fraction"
+
+
+# a missing vertex, a missing edge, offsets 0 and 3/2, a float offset, a
+# non-point and an unhashable vertex id
+BAD_POINTS = [Vertex(99), Interior(99, H), Interior(0, Fraction(0)), Interior(0, Fraction(3, 2)),
+              Interior(0, 0.5), (0, 1), Vertex([1])]
+
+
+def _point_readers(g0, t, bad):
+    """Each public reader of points, called with one bad point: g0 a Γ0,
+    t a tree, both with an edge 0 and neither with a vertex or edge 99."""
+    g, y = g0.graph, Vertex(1)
+    geo = canonical_geodesic(g, Vertex(0), Vertex(3))
+    bent = replace(geo, start=bad)
+    f = QuasiMap(t, t, [(p, p) for p in half_net(t)])
+    return {
+        "distance": lambda: distance(g, bad, y),
+        "enumerate_geodesics": lambda: enumerate_geodesics(g, y, bad),
+        "canonical_geodesic": lambda: canonical_geodesic(g, bad, y),
+        "check_geodesic": lambda: check_geodesic(g, bent),
+        "point_along": lambda: point_along(g, bent, geo.length / 2),
+        "point_along at 0": lambda: point_along(g, bent, 0),
+        "is_separated": lambda: is_separated(g, y, bad, Vertex(0), 1),
+        "is_separated center": lambda: is_separated(g, y, Vertex(3), bad, 1),
+        "ball_complement_components": lambda: ball_complement_components(g, bad, 1),
+        "midpoint": lambda: midpoint(g, y, bad),
+        "level_of": lambda: level_of(g0, bad),
+        "classify_point": lambda: classify_point(g0, bad),
+        "find_far_witness": lambda: find_far_witness(g0, y, bad, 1),
+        "tree_median": lambda: tree_median(t, Vertex(0), y, bad),
+        "tree_meet": lambda: tree_meet(t, bad, y, base=Vertex(0)),
+        "QuasiMap source": lambda: QuasiMap(t, t, [(Vertex(0), y), (bad, y)]),
+        "QuasiMap target": lambda: QuasiMap(t, t, [(Vertex(0), bad)]),
+        "quasi_inverse": lambda: quasi_inverse(f, 2, z=bad),
+    }
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS, ids=repr)
+def test_every_reader_rejects_bad_points_through_the_gate(fam2, bad):
+    """Every public reader of points raises the gate's own InvalidPoint
+    (NotAGeodesic for check_geodesic, same message) for each bad point:
+    none leaks a TypeError or an AttributeError."""
+    g0, t = build_gamma0(fam2, 3), build_gamma1(fam2, 3)
+    with pytest.raises(InvalidPoint) as err:
+        validate_point(g0.graph, bad)
+    for name, call in _point_readers(g0, t, bad).items():
+        with pytest.raises(NotAGeodesic if name == "check_geodesic" else InvalidPoint) as got:
+            call()
+        assert str(got.value) == str(err.value), name
 
 
 def test_half_net_is_vertices_plus_midpoints():
@@ -600,9 +658,9 @@ def test_point_rows_match_oracle(case):
     _, row = _distance_rows(g, [x], net)
     if -1 in [want(q) for q in net]:
         with pytest.raises(DisconnectedGraph):
-            row(x)
+            row(0)
     else:
-        row(x)
+        row(0)
     assert g._rows
     for src, cached in g._rows.items():
         assert cached == g._search(((0, g._index[src]),))

@@ -1,7 +1,8 @@
 """The runtime depends on the standard library alone, and on its public
 names, every module uses what it imports, every private helper has a
-caller, and every exported function has a caller in the package, the
-demos or the benchmark."""
+caller, every exported function has a caller in the package, the demos
+or the benchmark, and only the point gate's module and the documents
+read point offsets."""
 
 import ast
 import sys
@@ -129,3 +130,17 @@ def test_exported_functions_have_a_system_caller():
     uncalled = [f"{where}: {name}" for name, where in functions.items() if name not in used]
     assert functions
     assert not uncalled, uncalled
+
+
+def test_only_the_point_gate_module_reads_offsets():
+    """What makes a point valid and how it becomes integers live in
+    metric_graph; elsewhere only documents, which writes points out, reads
+    an interior point's offset."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("metric_graph.py", "documents.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "offset"]
+    assert not readers, readers
