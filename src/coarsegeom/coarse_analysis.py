@@ -30,7 +30,6 @@ from .metric_graph import (
     _avoiding_path,
     _farthest,
     canonical_geodesic,
-    half_net,
     point_along,
 )
 
@@ -156,10 +155,14 @@ def _first_avoidable(g, mode, seed, count, r, probes):
     half-net points, each point that probes(geo) yields for their canonical
     geodesic geo is tested for an avoiding path around its r-ball; the
     first such path ends the loop as the witness."""
-    pool = half_net(g)
+    ids, eids = g.vertex_ids(), g._eids
+    pool = [None] * (len(ids) + len(eids))
     pairs = checked = 0
     for i, j in _draws(len(pool), 2, mode, seed, count):
         pairs += 1
+        for t in (i, j):  # made on first draw, in the half-net's order
+            if pool[t] is None:
+                pool[t] = Vertex(ids[t]) if t < len(ids) else Interior(eids[t - len(ids)], HALF)
         x, y = pool[i], pool[j]
         geo = canonical_geodesic(g, x, y)
         for w in probes(geo):

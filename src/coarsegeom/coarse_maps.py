@@ -78,7 +78,7 @@ class QuasiMap:
     def image_of(self, p: GraphPoint) -> GraphPoint:
         try:
             return self._image[p]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InvalidPoint(f"{p} is not in the map's domain") from None
 
     def __len__(self):

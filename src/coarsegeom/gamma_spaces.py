@@ -148,6 +148,10 @@ class _ArmLayout:
         a, rem = divmod(vid - 1, self.depth)
         return self.arms[a], self.arm_sets[a], rem + 1
 
+    def levels(self, vids):
+        """The level of each vertex of vids, 0 at the base, in one pass."""
+        return [(v - 1) % self.depth + 1 if v else 0 for v in vids]
+
     def up_edge(self, lower, upper):
         """Least id of an edge from arm vertex upper down one level to
         lower, in its set (the base below level 1); on Γ1, where one edge
@@ -393,18 +397,17 @@ def level_profile(g0: GammaZeroGraph, geo: Geodesic) -> LevelProfile:
     turn at level 0; anything else fails validation.
     """
     check_geodesic(g0.graph, geo)
-    levels = [g0.info(v)[2] if v else 0 for v in geo.vertices]
+    levels = g0.graph._closed_form.levels(geo.vertices)
     if len(levels) <= 2:
         return LevelProfile.SHORT
     steps = [b - a for a, b in zip(levels, levels[1:])]
-    if any(abs(s) != 1 for s in steps):
+    kinds = set(steps)
+    if not kinds <= {-1, 1}:
         raise NotAGeodesic(f"level steps {steps} are not unit steps")
-    if all(s == 1 for s in steps):
-        return LevelProfile.INCREASING
-    if all(s == -1 for s in steps):
-        return LevelProfile.DECREASING
-    turn = steps.index(1)
-    if any(s != -1 for s in steps[:turn]) or any(s != 1 for s in steps[turn:]):
+    if kinds != {-1, 1}:
+        return LevelProfile.INCREASING if 1 in kinds else LevelProfile.DECREASING
+    turn = steps.index(1)  # every step before it is -1
+    if -1 in steps[turn:]:
         raise NotAGeodesic("level sequence is neither monotone nor V-shaped")
     if levels[turn] != 0:
         raise NotAGeodesic(

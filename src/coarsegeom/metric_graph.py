@@ -7,8 +7,8 @@ labels), so routes through them count as distinct geodesics.  Points are
 either vertices or interior points of an edge, and every computation here
 (distances, geodesics, ball complements) is exact; no floating point is
 used anywhere.  Edges are stored as integer columns, each checked in one
-pass, points pass one integer gate, and the adjacency lists are built on
-first use: a graph only built, mapped and dumped never sorts them.
+pass, points pass one integer gate, and the adjacency is built on first
+use: a graph only built, mapped and dumped never sorts it.
 
 Vertex distances come from one engine: a Dijkstra over integer edge
 weights in units of 1/L, L the lcm of the edge-length denominators, whose
@@ -211,13 +211,12 @@ class LabeledMetricGraph:
 
     @cached_property
     def _adj(self):
-        """Each vertex's (neighbor id, edge id, integer length) triples,
-        sorted by (neighbor id, edge id): geodesic enumeration relies on it."""
-        adj = {vid: [] for vid in self._ids}
+        """Each vertex's {(neighbor id, edge id): integer length}, in key order
+        (geodesic enumeration relies on it): one lookup tests and measures a hop."""
+        adj = {vid: {} for vid in self._ids}
         for eid, u, v, ln in zip(self._eids, self._eu, self._ev, self._elen):
-            adj[u].append((v, eid, ln))
-            adj[v].append((u, eid, ln))
-        return {vid: tuple(sorted(t)) for vid, t in adj.items()}
+            adj[u][v, eid] = adj[v][u, eid] = ln
+        return {vid: dict(sorted(d.items())) for vid, d in adj.items()}
 
     @cached_property
     def _iadj(self):
@@ -244,7 +243,7 @@ class LabeledMetricGraph:
     def edges_at(self, vid):
         """(neighbor id, Edge) pairs at vid, by (neighbor id, edge id)."""
         edges, pos = self.edges, self._epos
-        return tuple((w, edges[pos[eid]]) for w, eid, _ in self._adj[vid])
+        return tuple((w, edges[pos[eid]]) for w, eid in self._adj[vid])
 
     def degree(self, vid):
         """Number of edge ends at vid (parallel edges each count)."""
@@ -315,8 +314,10 @@ class LabeledMetricGraph:
         return d
 
     def vertex_distance(self, u, v):
-        if u not in self._index or v not in self._index:
-            raise InvalidPoint("unknown vertex id")
+        try:
+            self._index[u], self._index[v]
+        except (KeyError, TypeError):
+            raise InvalidPoint("unknown vertex id") from None
         return Fraction(self._vdist(u, v), self._scale)
 
     def vertex_row(self, src):
@@ -391,6 +392,8 @@ def _scaled_distance(g, k, x, y):
     1/(k*L)."""
     (ex, px), (ey, py) = x, y
     vd = g._vdist
+    if ex is None and ey is None:
+        return vd(px[0][0], py[0][0]) * k
     best = min(ca + vd(a, b) * k + cb for a, ca in px for b, cb in py)
     if ex is not None and ex == ey:
         best = min(best, abs(px[0][1] - py[0][1]))
@@ -502,7 +505,7 @@ def _geodesics(g, p, q):
     adj, index = g._adj, g._index
 
     def hops(vid, cost):
-        for w, eid, ln in adj[vid]:
+        for (w, eid), ln in adj[vid].items():
             nc = cost + ln * k
             if nc <= total and nc + togo[index[w]] == total:
                 yield w, nc, eid
@@ -559,12 +562,15 @@ def check_geodesic(g, geo: Geodesic):
     """Validate a geodesic against the metric; raises NotAGeodesic.  Its
     vertices must run from an entry vertex of the start along each hop's
     edge to an entry vertex of the end (none only inside one edge), and
-    its length in units of 1/(k*L) must be the claim and the distance."""
+    its length in units of 1/(k*L) must be the claim and the distance.
+    One adjacency lookup per hop tests the hop and gives its length."""
     p, q, vs, es = geo.start, geo.end, geo.vertices, geo.edges
-    pos, eu, ev = g._epos, g._eu, g._ev
     try:
         k, (x, y) = _scaled(g, (p, q))
-        hops = [pos[e] if e in pos else g._at(e) for e in es]
+        try:  # one pass over the edge ids, and a second to name a bad one
+            hops = list(map(g._epos.__getitem__, es))
+        except (KeyError, TypeError):
+            hops = list(map(g._at, es))
     except InvalidPoint as exc:
         raise NotAGeodesic(str(exc)) from exc
     (ex, px), (ey, py) = x, y
@@ -575,18 +581,22 @@ def check_geodesic(g, geo: Geodesic):
     else:
         if len(vs) != len(es) + 1:
             raise NotAGeodesic(f"{len(vs)} vertices do not fit {len(es)} hops")
-        first, last = dict(px).get(vs[0]), dict(py).get(vs[-1])
-        if first is None or last is None:
-            raise NotAGeodesic(f"vertices {vs[0]}..{vs[-1]} do not join {p} to {q}")
-        for i, (a, b, h) in enumerate(zip(vs, vs[1:], hops)):
-            if {a, b} != {eu[h], ev[h]}:
-                raise NotAGeodesic(f"hop {i} does not follow edge {es[i]}")
-        units = first + sum(map(g._elen.__getitem__, hops)) * k + last
+        try:  # a hop whose edge does not join its vertices reads None
+            units = dict(px)[vs[0]] + sum(map(dict.get, map(g._adj.get, vs, repeat({})),
+                                              zip(vs[1:], es))) * k + dict(py)[vs[-1]]
+        except (KeyError, TypeError):  # a second pass, by ==, finds the first failure
+            if not any(v == vs[0] for v, _ in px) or not any(v == vs[-1] for v, _ in py):
+                raise NotAGeodesic(f"vertices {vs[0]}..{vs[-1]} do not join {p} to {q}") from None
+            eu, ev = g._eu, g._ev
+            i = next(i for i, (a, b, h) in enumerate(zip(vs, vs[1:], hops))
+                     if (eu[h], ev[h]) not in ((a, b), (b, a)))
+            raise NotAGeodesic(f"hop {i} does not follow edge {es[i]}") from None
     span = _scaled_distance(g, k, x, y)
-    scale = k * g._scale
-    if units != span or geo.length != Fraction(units, scale):
+    scale, claim = k * g._scale, geo.length
+    if units != span or (claim.numerator * scale != units * claim.denominator
+                         if type(claim) is Fraction else claim != Fraction(units, scale)):
         raise NotAGeodesic(
-            f"claimed length {geo.length}, segments sum to {Fraction(units, scale)}, "
+            f"claimed length {claim}, segments sum to {Fraction(units, scale)}, "
             f"metric distance is {Fraction(span, scale)}"
         )
 
@@ -720,7 +730,7 @@ def _reach(g, center, alive, seeds):
     while q:
         v = q.popleft()
         yield v, prev
-        for w, eid, _ in g._adj[v]:
+        for w, eid in g._adj[v]:
             if w not in prev and eid != center_edge and alive[idx[w]]:
                 prev[w] = v
                 q.append(w)
@@ -806,11 +816,13 @@ def multi_source_vertex_distances(g, seeds):
     (None where unreachable).
     """
     seeds = [(vid, Fraction(c)) for vid, c in seeds]
-    if any(vid not in g._index for vid, _ in seeds):
-        raise InvalidPoint("unknown vertex id")
+    try:
+        ix = [g._index[vid] for vid, _ in seeds]
+    except (KeyError, TypeError):
+        raise InvalidPoint("unknown vertex id") from None
     s = lcm(g._scale, *(c.denominator for _, c in seeds))
     dist = g._search(
-        [(c.numerator * (s // c.denominator), g._index[vid]) for vid, c in seeds],
+        [(c.numerator * (s // c.denominator), i) for (_, c), i in zip(seeds, ix)],
         s // g._scale,
     )
     return {vid: Fraction(d, s) if d >= 0 else None for vid, d in zip(g._ids, dist)}

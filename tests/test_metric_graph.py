@@ -34,6 +34,7 @@ from coarsegeom import (
     half_net,
     is_separated,
     level_of,
+    level_profile,
     midpoint,
     multi_source_vertex_distances,
     point_along,
@@ -436,6 +437,70 @@ def test_check_geodesic_rejects_detour():
             check_geodesic(graph, bad)
 
 
+def _path_geodesic(vertices, edges, length=2, end=Vertex(2)):
+    return Geodesic(Vertex(0), end, vertices, edges, length)
+
+
+# one input per rejecting branch of check_geodesic, on path_graph(4), with
+# its message, and a missing middle vertex and a length given as text; the
+# first failing hop is named where two hops fail
+GEODESIC_REJECTIONS = {
+    "bad end": (replace(_path_geodesic((0, 1, 2), (0, 1)), end=Vertex(9)),
+                "no vertex with id 9"),
+    "bad edge id": (_path_geodesic((0, 1, 2), (0, 7)), "no edge with id 7"),
+    "empty vertex sequence": (_path_geodesic((), (), 0, Vertex(0)),
+                              "an empty vertex sequence needs both ends inside one edge"),
+    "vertex count": (_path_geodesic((0, 1), (0, 1)), "2 vertices do not fit 2 hops"),
+    "ends do not join": (_path_geodesic((0, 1, 2, 3), (0, 1, 2)),
+                         "vertices 0..3 do not join Vertex(id=0) to Vertex(id=2)"),
+    "first failing hop": (_path_geodesic((0, 1, 2, 3), (0, 2, 1), 3, Vertex(3)),
+                          "hop 1 does not follow edge 2"),
+    "missing middle vertex": (_path_geodesic((0, 7, 2), (0, 1)), "hop 0 does not follow edge 0"),
+    "wrong length": (_path_geodesic((0, 1, 2), (0, 1), 3),
+                     "claimed length 3, segments sum to 2, metric distance is 2"),
+    "length as text": (_path_geodesic((0, 1, 2), (0, 1), "2"),
+                       "claimed length 2, segments sum to 2, metric distance is 2"),
+}
+
+
+@pytest.mark.parametrize("case", GEODESIC_REJECTIONS)
+def test_check_geodesic_rejections(case):
+    bad, message = GEODESIC_REJECTIONS[case]
+    with pytest.raises(NotAGeodesic) as got:
+        check_geodesic(path_graph(4), bad)
+    assert str(got.value) == message
+
+
+def test_check_geodesic_length_types():
+    for length in (2, 2.0, Fraction(2)):
+        check_geodesic(path_graph(4), _path_geodesic((0, 1, 2), (0, 1), length))
+
+
+def test_unhashable_ids_raise_the_library_errors(fam2):
+    """An unhashable id gets the error, and the message, of the branch
+    that rejects it, never a TypeError."""
+    g, g0 = path_graph(3), build_gamma0(fam2, 3)
+    f = QuasiMap(g, g, [(p, p) for p in half_net(g)])
+    cases = [
+        (lambda: check_geodesic(g, _path_geodesic((0, 1, 2), (0, [1]))),
+         NotAGeodesic, "no edge with id [1]"),
+        (lambda: check_geodesic(g, _path_geodesic(([0], 1, 2), (0, 1))),
+         NotAGeodesic, "vertices [0]..2 do not join Vertex(id=0) to Vertex(id=2)"),
+        (lambda: check_geodesic(g, _path_geodesic((0, [1], 2), (0, 1))),
+         NotAGeodesic, "hop 0 does not follow edge 0"),
+        (lambda: level_profile(g0, _path_geodesic((0, [1], 2), (0, 1))),
+         NotAGeodesic, "hop 0 does not follow edge 0"),
+        (lambda: g.vertex_distance([0], 1), InvalidPoint, "unknown vertex id"),
+        (lambda: multi_source_vertex_distances(g, [([0], 0)]), InvalidPoint, "unknown vertex id"),
+        (lambda: f.image_of(Vertex([1])), InvalidPoint,
+         "Vertex(id=[1]) is not in the map's domain"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as got:
+            call()
+        assert str(got.value) == message
+
+
 def test_point_along_and_segments():
     g = path_graph(5)
     geo = canonical_geodesic(g, Interior(0, H), Vertex(4))
@@ -586,8 +651,17 @@ def test_geodesics_match_dfs_oracle(query):
         assert (geo.start, geo.end, geo.length) == (p, q, d)
         check_geodesic(g, geo)
         mutants = [replace(geo, length=d + H)]
-        if geo.edges:
-            mutants.append(replace(geo, vertices=geo.vertices[1:], edges=geo.edges[1:]))
+        vs, es = geo.vertices, geo.edges
+        if es:
+            mutants.append(replace(geo, vertices=vs[1:], edges=es[1:]))
+            # the first hop over an edge that does not join its vertices
+            other = [e.id for e in g.edges if {e.u, e.v} != {vs[0], vs[1]}]
+            if other:
+                mutants.append(replace(geo, edges=(other[0],) + es[1:]))
+        if len(vs) > 2:
+            # another vertex in the middle: no edge joins it to both neighbours
+            vs = vs[:1] + ((vs[1] + 1) % g.n_vertices,) + vs[2:]
+            mutants.append(replace(geo, vertices=vs))
         for bad in mutants:
             if bad in geos:
                 # from an interior start the next vertex can be as near directly
