@@ -7,7 +7,7 @@ choice of exactly one element from each member set.  The extraction is
 deterministic, so hostile but honest section maps still produce valid
 transversals.
 
-Run: python3 demos/demo_choice_extraction.py   (about 2 seconds)
+Run: python3 demos/demo_choice_extraction.py   (about 1 second)
 """
 
 import time

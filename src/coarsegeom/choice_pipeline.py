@@ -31,7 +31,7 @@ from .gamma_spaces import (
     gamma1_vertex_id,
 )
 from .metric_graph import HALF, Interior, Vertex, _scaled
-from .tree_ops import assert_tree, prune_k
+from .tree_ops import _prune_rounds, assert_tree
 
 
 def pruning_rounds(n: int) -> int:
@@ -67,10 +67,11 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     Preconditions are checked in order: the constant (>= 4), the domain
     being a tree, the target graph, the truncation depth, then that m is
     an n-quasi-isometry on the tree's vertices (edge images unchecked).
-    Each frontier image is read once: its level from the distance to the
-    base that the root search found, its element from the graph's layout
-    (a vertex names itself, an edge point the end its edge is labeled with).
-    """
+    Pruning marks the tree's survivors, whose distances are the tree's own,
+    without copying it.  Each frontier image is read once: its level from
+    the distance to the base that the root search found, its element from
+    the graph's layout (a vertex names itself, an edge point the end its
+    edge is labeled with)."""
     n = int(n)
     if n < 4:
         raise ConstantTooSmall(f"extraction needs a constant >= 4, got {n}")
@@ -87,11 +88,13 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
         raise NotQuasiIsometry(f"map fails the constant-{n} check: "
                                f"{cert.violations[0]}")
     k = pruning_rounds(n)
-    pruned, _trace = prune_k(m.source, k)
-    if pruned.n_vertices == 0:
+    tree = m.source
+    alive, _ = _prune_rounds(tree, k)  # a subtree's vertices
+    if not alive:
         raise DepthError(f"{k} pruning rounds emptied the domain tree")
+    live = {e for e, u, v in zip(tree._eids, tree._eu, tree._ev) if u in alive and v in alive}
     kept = [(w, q) for w, q in m.assignments
-            if (pruned.has_vertex(w.id) if isinstance(w, Vertex) else w.edge in pruned._epos)]
+            if (w.id in alive if isinstance(w, Vertex) else w.edge in live)]
     unit, row = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in kept])
     near = []
     images = {}  # vertex id -> (image, its distance to the base), so no point is hashed
@@ -101,8 +104,8 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
         if d <= n * unit:
             near.append(w)
     # each near point's own vertex, or the ends of its edge within 1/2 of it
-    ks, near = _scaled(pruned, near)
-    near = {v for _, entries in near for v, c in entries if 2 * c <= ks * pruned._scale}
+    ks, near = _scaled(tree, near)
+    near = {v for _, entries in near for v, c in entries if 2 * c <= ks * tree._scale}
     if not near:
         raise DepthError("no surviving domain point maps within the constant "
                          "of the base")
@@ -113,8 +116,9 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
             f"an accepted constant-{n} certificate rules out"
         )
 
-    reach = 2 * k * pruned._scale  # integer rows count in units of 1/L
-    frontier = [u for u, d in zip(pruned.vertex_ids(), pruned._row(root)) if d == reach]
+    row = tree._search(((0, tree._index[root]),))  # uncached; a builder tree's closed form
+    reach = 2 * k * tree._scale  # integer rows count in units of 1/L
+    frontier = [u for u, d in zip(tree.vertex_ids(), row) if d == reach and u in alive]
     if not frontier:
         raise DepthError(f"no vertices at tree distance {2 * k} from the root")
 

@@ -107,6 +107,9 @@ def slim_triangle_delta(
     for i, j, k in _draws(len(ids), 3, mode, seed, count):
         checked += 1
         for (p, q), apex in _triple_roles(ids[i], ids[j], ids[k]):
+            # probes lie on p-q geodesics, p and q in the union: none is past d(p, q) / 2
+            if g._vdist(p, q) <= best:
+                continue
             pv, pe, _ = carrier(p, q)
             _, e1, r1 = carrier(p, apex)
             _, e2, r2 = carrier(apex, q)

@@ -245,6 +245,42 @@ class _ArmLayout:
             row += own if b == a else sibling if s == home else far
         return row
 
+    def search(self, seeds, k):
+        """LabeledMetricGraph._search without a heap (an index is an id
+        here): per set, each level's least seed cost over its arms, swept up
+        from the base and down from the top, gives every level its best cost
+        from the other levels and, one edge away, its sibling arms; the base
+        is reached through the cheapest cost + k * level of any set."""
+        depth, seeds = self.depth, list(seeds)
+        if not seeds:
+            return [-1] * self.n_vertices
+        far = max(c for c, _ in seeds) + 2 * k * depth + k  # past every distance
+        cost = [far] * self.n_vertices
+        for c, i in seeds:
+            if c < cost[i]:
+                cost[i] = c
+        sets, base = [], cost[0]
+        for first, arms, _ in self._blocks:
+            own = [cost[1 + a * depth:1 + (a + 1) * depth] for a in range(first, first + arms)]
+            least = own[0]
+            for arm in own[1:]:
+                least = [a if a < b else b for a, b in zip(least, arm)]
+            d = far  # down[i]: the best cost at level i + 1 from it and above
+            down = [d := c if c < d + k else d + k for c in reversed(least)][::-1]
+            base = min(base, down[0] + k)
+            sets.append((own, least, down))
+        row = [base]
+        for own, least, down in sets:
+            u = base  # up[i]: the best cost at level i from it and below
+            up = [base] + [u := c if c < u + k else u + k for c in least]
+            # one edge past the best of the level below, the level's own
+            # least (a sibling arm) and the level above
+            other = [k + (m if (m := a if a < b else b) < c else c)
+                     for a, b, c in zip(up, least, down[1:] + [far])]
+            for arm in own:
+                row += [a if a < b else b for a, b in zip(arm, other)]
+        return row
+
 
 class GammaZeroGraph:
     """The level-0 graph of a family at a depth, as build_gamma0 made it;

@@ -277,7 +277,9 @@ class LabeledMetricGraph:
     def _search(self, seeds, k=1):
         """Dijkstra from weighted seeds, given as (integer cost, vertex
         index) pairs.  Returns the distance to every vertex by index, in
-        units of 1/(k*L), with -1 where no seed reaches."""
+        units of 1/(k*L), with -1 where no seed reaches; closed forms first."""
+        if self._closed_form is not None:
+            return self._closed_form.search(seeds, k)
         adj = self._iadj
         dist = [-1] * len(adj)
         heap = list(seeds)

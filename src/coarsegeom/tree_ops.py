@@ -53,14 +53,11 @@ class PruneTrace:
         return len(self.stages)
 
 
-def prune_k(g: LabeledMetricGraph, k: int):
-    """Remove every valence-1 vertex, simultaneously, k times over.
-
-    Each round deletes all current leaves at once (two leaves joined by an
-    edge delete each other).  Stops early once nothing has valence 1.
-    Returns (new graph, trace); ids, labels, lengths, and a surviving
-    basepoint carry over.
-    """
+def _prune_rounds(g: LabeledMetricGraph, k: int):
+    """(alive, stages) of k rounds of leaf removal: the surviving vertex ids
+    and, per round, the sorted ids removed at once (two leaves joined by an
+    edge delete each other), stopping early once nothing has valence 1.
+    On a tree the survivors span a subtree."""
     if k < 0:
         raise ValueError("round count must be >= 0")
     nbr = {v: Counter() for v in g.vertex_ids()}
@@ -81,13 +78,21 @@ def prune_k(g: LabeledMetricGraph, k: int):
         alive -= doomed
         stages.append(tuple(leaves))
         leaves = sorted(w for w in touched if sum(nbr[w].values()) == 1)
+    return alive, tuple(stages)
+
+
+def prune_k(g: LabeledMetricGraph, k: int):
+    """Remove every valence-1 vertex, simultaneously, k times over, as
+    _prune_rounds does: (new graph, trace), ids, labels, lengths and a
+    surviving basepoint carried over."""
+    alive, stages = _prune_rounds(g, k)
     vertices = [(vid, g.vertex_labels[vid]) for vid in sorted(alive)]
     fr = g._fractions()
     edges = [(eid, u, v, fr[ln], lab) for eid, u, v, ln, lab
              in zip(g._eids, g._eu, g._ev, g._elen, g._elab) if u in alive and v in alive]
     base = g.basepoint if g.basepoint in alive else None
     out = LabeledMetricGraph(vertices, edges, basepoint=base)
-    return out, PruneTrace(k, tuple(stages), not alive)
+    return out, PruneTrace(k, stages, not alive)
 
 
 def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoint) -> GraphPoint:

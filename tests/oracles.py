@@ -2,12 +2,18 @@
 
 Everything here is deliberately naive: cubic loops, explicit path
 enumeration, candidate scans. Nothing imports the library's distance
-engine; disagreement with the package is always a finding.
+engine, except pruned_copy_extraction, an earlier design of the
+extraction kept as a reference for the one that replaced it;
+disagreement with the package is always a finding.
 """
 
 from fractions import Fraction
 
-from coarsegeom.metric_graph import Interior, Vertex
+from coarsegeom import choice_pipeline as cp
+from coarsegeom import errors
+from coarsegeom.coarse_maps import verify_quasi_isometry
+from coarsegeom.metric_graph import Interior, Vertex, distance
+from coarsegeom.tree_ops import assert_tree, prune_k
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -398,3 +404,82 @@ def geodesic_label_form(g, vseq, eseq):
         e = g.edge(eid)
         ef.append((vl(e.u), vl(e.v), e.length, None if e.label is None else vl(e.label)))
     return tuple(vl(v) for v in vseq), tuple(ef)
+
+
+def pruned_copy_extraction(m, g0, n):
+    """extract_choice as it ran on a pruned copy of the domain tree: the
+    same checks in the same order, then prune_k's new graph, each image's
+    Fraction distance to the base, and the root's row searched on the copy.
+    It uses the library's certificate check, pruning and point distance;
+    the survivor-set extraction must give equal certificates and errors."""
+    n = int(n)
+    if n < 4:
+        raise errors.ConstantTooSmall(f"extraction needs a constant >= 4, got {n}")
+    assert_tree(m.source)
+    if not m.target.same_structure(g0.graph):
+        raise errors.GraphMismatch("map target is not the given doubled-edge graph")
+    need = cp.required_gamma0_depth(n)
+    if g0.depth < need:
+        raise errors.DepthError(f"truncation depth {g0.depth} is below the required {need}")
+    cert = verify_quasi_isometry(m, n, mode="vertex-exhaustive")
+    if not cert.accepted:
+        raise errors.NotQuasiIsometry(f"map fails the constant-{n} check: "
+                                      f"{cert.violations[0]}")
+    k = cp.pruning_rounds(n)
+    pruned, _ = prune_k(m.source, k)
+    if pruned.n_vertices == 0:
+        raise errors.DepthError(f"{k} pruning rounds emptied the domain tree")
+    edges = {e.id: e for e in pruned.edges}
+    near, images = set(), {}
+    for w, q in m.assignments:
+        if isinstance(w, Vertex) and not pruned.has_vertex(w.id):
+            continue
+        if isinstance(w, Interior) and w.edge not in edges:
+            continue
+        d = distance(g0.graph, q, Vertex(0))
+        if isinstance(w, Vertex):
+            images[w.id] = q, d
+            if d <= n:
+                near.add(w.id)
+        elif d <= n:
+            e = edges[w.edge]
+            near.update(v for v in (e.u, e.v) if distance(pruned, w, Vertex(v)) <= Fraction(1, 2))
+    if not near:
+        raise errors.DepthError("no surviving domain point maps within the constant "
+                                "of the base")
+    root = min(near)
+    if images[root][1] > 3 * n:
+        raise errors.NotQuasiIsometry(
+            "root image strays beyond three constants from the base, which "
+            f"an accepted constant-{n} certificate rules out")
+    frontier = [u for u, d in pruned.vertex_row(root).items() if d == 2 * k]
+    if not frontier:
+        raise errors.DepthError(f"no vertices at tree distance {2 * k} from the root")
+    h_values, owner = [], {}
+    for u in frontier:
+        img, d = images[u]
+        level = d.numerator // d.denominator
+        if level == 0:
+            raise errors.LabelError(f"frontier vertex {u} maps into the base region")
+        if level < 10 * n:
+            raise errors.LabelError(f"frontier vertex {u} maps to level {level}, "
+                                    f"below the guaranteed {10 * n}")
+        elem, si, _ = g0.info(img.id if isinstance(img, Vertex)
+                              else g0.graph.edge(img.edge).label)
+        arm = g0.family.sets[si].name
+        if arm in owner:
+            raise errors.ArmCollision(f"frontier vertices {owner[arm]} and {u} both land on "
+                                      f"arm {arm!r}")
+        owner[arm] = u
+        h_values.append((u, elem))
+    assignment, transversal = [], []
+    for s in g0.family.sets:
+        u = owner.get(s.name)
+        if u is None:
+            raise errors.DepthError(f"no frontier vertex lands on arm {s.name!r}")
+        assignment.append((s.name, u))
+        transversal.append(dict(h_values)[u])
+    verified = (len(frontier) == len(g0.family.sets)
+                and cp.verify_transversal(transversal, g0.family))
+    return cp.ChoiceCertificate(n, k, root, tuple(frontier), tuple(assignment),
+                                tuple(h_values), tuple(transversal), verified)

@@ -1,6 +1,12 @@
 """End-to-end transversal extraction and its guard rails."""
 
+import random
+from collections import Counter
+
 import pytest
+
+import oracles
+from coarsegeom import choice_pipeline
 
 from coarsegeom import (
     HALF,
@@ -10,6 +16,7 @@ from coarsegeom import (
     GraphMismatch,
     Interior,
     InternalError,
+    LabeledMetricGraph,
     NotATree,
     NotQuasiIsometry,
     QuasiMap,
@@ -144,14 +151,102 @@ def test_extraction_seeded_section(pipe2):
 
 
 def test_extraction_caches_no_rows():
-    """Both pipeline graphs compute their rows in closed form, so a cold
-    extraction leaves no per-source row behind and memory stays O(V)."""
+    """Both pipeline graphs compute their rows and searches in closed
+    form, so a cold extraction leaves no per-source row and no search
+    adjacency behind, and memory stays O(V)."""
     fam = SetFamily.of_lists([["a"], ["b"]])
     g0 = build_gamma0(fam, 944)
     g1 = build_gamma1(fam, 944)
     m = section_map(g0, mode="seeded", seed=5, g1=g1)
     assert extract_choice(m, g0, 4).verified
     assert g0.graph._rows == {} and g1._rows == {}
+    assert "_iadj" not in vars(g0.graph) and "_iadj" not in vars(g1)
+
+
+def _hairy(g):
+    """g with a pendant unit edge at every third vertex from vertex 1, and
+    hairs(m): the new vertices and the edges' midpoints, each with the
+    image under m of the vertex its edge hangs from.  The new vertices
+    take ids below g's, so a pruned one would be the least near vertex,
+    and some sit at distance 2K from the roots met, on the frontier if
+    they were not pruned."""
+    e0, feet = g.n_edges, g.vertex_ids()[1::3]
+    tree = LabeledMetricGraph(
+        list(g.vertex_labels.items()) + [(-1 - j, None) for j in range(len(feet))],
+        list(g.edges) + [(e0 + j, v, -1 - j, 1) for j, v in enumerate(feet)],
+        basepoint=g.basepoint)
+
+    def hairs(m):
+        foot = {p.id: q for p, q in m.assignments if isinstance(p, Vertex)}
+        return [pair for j, v in enumerate(feet)
+                for pair in ((Vertex(-1 - j), foot[v]), (Interior(e0 + j, HALF), foot[v]))]
+
+    return tree, hairs
+
+
+def _moved(m, rng, g0):
+    """m with some images moved: the base's and its edges' midpoints' 5 to
+    7 up an arm, so that the root leaves the base, a few midpoints near the base sent to the
+    base, or one to three points sent to random vertices or edge
+    midpoints of the target."""
+    pairs = list(m.assignments)
+    how = rng.choice(("base", "midpoints", "random"))
+    if how == "base":  # with the midpoints at the base, which would root it
+        up = Vertex(g0.vertex_of(rng.choice(g0.family.all_elements()), rng.randint(5, 7)))
+        pairs = [(p, up if p == Vertex(0) or isinstance(p, Interior)
+                  and 0 in (m.source.edge(p.edge).u, m.source.edge(p.edge).v) else q)
+                 for p, q in pairs]
+    elif how == "midpoints":
+        low = [i for i, (p, _) in enumerate(pairs) if isinstance(p, Interior)][:40]
+        for i in rng.sample(low, rng.randint(1, 3)):
+            pairs[i] = pairs[i][0], Vertex(0)
+    else:
+        n = g0.graph.n_vertices
+        for i in rng.sample(range(len(pairs)), rng.randint(1, 3)):
+            q = rng.randrange(n + g0.graph.n_edges)
+            pairs[i] = pairs[i][0], Vertex(q) if q < n else Interior(q - n, HALF)
+    return QuasiMap(m.source, m.target, pairs)
+
+
+def test_extraction_matches_the_pruned_copy_reference(pipe2, monkeypatch):
+    """The survivor-set extraction gives the certificate or the error, by
+    type and message, that extraction on a pruned copy of the tree gave:
+    on sections over Γ1, over a constructor copy of Γ1 and over a hairy
+    tree, each as drawn and with moved images.  The runs of one map share
+    one certificate check, and a map over the copy shares its twin's over
+    Γ1: the check is not under test, and on a constructor tree it searches
+    every row."""
+    g0, g1 = pipe2
+    seen, check = {}, choice_pipeline.verify_quasi_isometry
+
+    def once(m, n, mode):
+        if m.assignments not in seen:
+            seen[m.assignments] = check(m, n, mode=mode)
+        return seen[m.assignments]
+
+    monkeypatch.setattr(choice_pipeline, "verify_quasi_isometry", once)
+    monkeypatch.setattr(oracles, "verify_quasi_isometry", once)
+    copy = LabeledMetricGraph(list(g1.vertex_labels.items()), g1.edges, basepoint=0)
+    hairy, hairs = _hairy(g1)
+    rng = random.Random(28)
+    outcomes = Counter()
+    for mode, seed in (("first", None), ("alternating", None), ("seeded", 3), ("seeded", 11)):
+        m = section_map(g0, mode=mode, seed=seed, g1=g1)
+        maps = [m] + [_moved(m, rng, g0) for _ in range(3)]
+        maps += [QuasiMap(copy, x.target, x.assignments) for x in maps]
+        if mode == "first":
+            maps += [QuasiMap(hairy, x.target, x.assignments + tuple(hairs(x))) for x in maps[:2]]
+        for x in maps:
+            got = []
+            for run in (extract_choice, oracles.pruned_copy_extraction):
+                try:
+                    got.append(run(x, g0, 4))
+                except CoarseGeomError as exc:
+                    got.append((type(exc), str(exc)))
+            assert got[0] == got[1], (mode, seed, x.source.n_vertices)
+            outcomes[got[0][0].__name__ if isinstance(got[0], tuple) else got[0].root] += 1
+    # roots at the base and off it, and refusals, all met
+    assert outcomes == {0: 17, 1: 15, "NotQuasiIsometry": 2}
 
 
 def test_extraction_reads_images_off_its_root_search(pipe2, monkeypatch):
@@ -180,6 +275,20 @@ def test_extraction_at_constant_5(fam3):
         assert cert.rounds == pruning_rounds(5) == 175
         assert len(cert.frontier) == 3
         assert verify_transversal(cert.transversal, fam3)
+
+
+def test_extraction_at_constant_8(fam3):
+    """Constant 8 needs depth 7,328 (43,969 Γ0 vertices): a seeded section
+    yields a verified transversal with no heap search and no cached row."""
+    depth = required_gamma0_depth(8)
+    assert depth == 7328
+    g0, g1 = build_gamma0(fam3, depth), build_gamma1(fam3, depth)
+    cert = extract_choice(section_map(g0, mode="seeded", seed=8, g1=g1), g0, 8)
+    assert cert.verified
+    assert cert.rounds == pruning_rounds(8) == 448
+    assert len(cert.frontier) == 3
+    for g in (g0.graph, g1):
+        assert g._rows == {} and "_iadj" not in vars(g)
 
 
 def test_constant_too_small(pipe2):

@@ -1,9 +1,12 @@
 """Doubled-edge graph, quotient tree, collapse map, and far witnesses."""
 
+import functools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from coarsegeom import choice_pipeline, documents, gamma_spaces
@@ -35,6 +38,7 @@ from coarsegeom import (
     level_of,
     level_profile,
     minimal_qi_constant,
+    multi_source_vertex_distances,
     prune_k,
     scale_metric,
     section_map,
@@ -169,6 +173,47 @@ def test_closed_form_matches_bfs(lists):
                 for v in ids:
                     assert g._closed_form.distance(u, v) == fw[u][v]
                     assert g.vertex_distance(u, v) == fw[u][v]
+
+
+SEARCH_FAMILIES = ([["a"], ["b"]], [["a", "b"]], [["a", "b"], ["c"]],
+                   [["a", "b"], ["c"], ["d", "e", "f"]], [["a", "b", "c", "d"]])
+
+
+@functools.lru_cache(maxsize=None)
+def _builder_and_copy(lists, depth, kind):
+    fam = SetFamily.of_lists(lists)
+    g = build_gamma0(fam, depth).graph if kind == "gamma0" else build_gamma1(fam, depth)
+    return g, LabeledMetricGraph(list(g.vertex_labels.items()), g.edges, basepoint=0)
+
+
+@st.composite
+def builder_searches(draw):
+    """A builder graph, its constructor copy, an edge factor k and 0-6
+    seeds: (cost up to 3k, vertex), the base and repeated vertices often."""
+    lists = draw(st.sampled_from(SEARCH_FAMILIES))
+    g, copy = _builder_and_copy(tuple(map(tuple, lists)), draw(st.integers(1, 13)),
+                                draw(st.sampled_from(("gamma0", "gamma1"))))
+    k = draw(st.integers(1, 4))
+    vertex = st.one_of(st.just(0), st.integers(0, g.n_vertices - 1))
+    seeds = draw(st.lists(st.tuples(st.integers(0, 3 * k), vertex), max_size=5))
+    if seeds and draw(st.booleans()):
+        seeds.append((draw(st.integers(0, 3 * k)), draw(st.sampled_from(seeds))[1]))
+    return g, copy, k, seeds
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(builder_searches())
+def test_closed_form_search_matches_dijkstra(case):
+    """A builder graph answers a multi-source search in closed form, with
+    no adjacency built, exactly as the heap search does on its copy; with
+    no seeds every entry is -1, and every multi-source distance None."""
+    g, copy, k, seeds = case
+    assert copy._closed_form is None
+    got = g._search(seeds, k)
+    assert got == copy._search(seeds, k)
+    assert "_iadj" not in vars(g)
+    assert g._search([], k) == [-1] * g.n_vertices
+    assert set(multi_source_vertex_distances(g, []).values()) == {None}
 
 
 def test_closed_form_only_on_builder_graphs(fam2):

@@ -144,3 +144,21 @@ def test_only_the_point_gate_module_reads_offsets():
         readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "offset"]
     assert not readers, readers
+
+
+def test_one_heap_search():
+    """Only metric_graph's Dijkstra imports heapq: every other distance is
+    a closed form or a read of its rows, so a second heap search is a
+    second engine."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "heapq" in names:
+                importers.append(path.name)
+    assert importers == ["metric_graph.py"], importers
