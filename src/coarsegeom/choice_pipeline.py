@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coarse_maps import QuasiMap, _distance_rows, verify_quasi_isometry
+from .coarse_maps import QuasiMap, _distance_rows, _require_int, verify_quasi_isometry
 from .errors import (
     ArmCollision,
     ConstantTooSmall,
@@ -64,15 +64,15 @@ class ChoiceCertificate:
 def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate:
     """Run the full extraction and certify the resulting transversal.
 
-    Preconditions are checked in order: the constant (>= 4), the domain
-    being a tree, the target graph, the truncation depth, then that m is
-    an n-quasi-isometry on the tree's vertices (edge images unchecked).
+    Preconditions are checked in order: the constant (an int >= 4), the
+    domain being a tree, the target graph, the truncation depth, then that
+    m is an n-quasi-isometry on the tree's vertices (edge images unchecked).
     Pruning marks the tree's survivors, whose distances are the tree's own,
     without copying it.  Each frontier image is read once: its level from
     the distance to the base that the root search found, its element from
     the graph's layout (a vertex names itself, an edge point the end its
     edge is labeled with)."""
-    n = int(n)
+    _require_int(n)
     if n < 4:
         raise ConstantTooSmall(f"extraction needs a constant >= 4, got {n}")
     assert_tree(m.source)

@@ -4,16 +4,16 @@ A QuasiMap assigns a target point to every point of a declared net of the
 source (the net must at minimum contain all source vertices).  Verification
 checks the two-sided distance bound with constant N together with coarse
 surjectivity: every point of the target half-net must lie within N of the
-image.  All comparisons are exact: one kernel certifies every pair on
-rows of integer distances at a scale common to both graphs, skipping the
-pairs the triangle inequality proves safe, and exhaustive verification
-and the minimal constant share it.
+image.  All comparisons are exact: one kernel certifies every pair in
+integer distances at a scale common to both graphs, whole blocks at once
+where the triangle inequality proves them safe, and exhaustive
+verification and the minimal constant share it.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -117,6 +117,12 @@ class QiCertificate:
         return not self.violations
 
 
+def _require_int(n):
+    """A constant is an int, not a bool: the kernel's slacks must be exact."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError("constant must be a positive integer")
+
+
 def _check_sampling(mode, modes, seed, count):
     """The argument checks of every exhaustive-or-sampled certificate."""
     if mode not in modes:
@@ -184,50 +190,79 @@ def _scaled_pairs(m, pairs):
 
 def _kernel_side(g, k, pts):
     """One graph's half of the pair kernel, in units of 1/(k*L): each
-    point's column and point i's row, from _point_rows, and the steps, the
-    distances from each point to the next.  Only a closed form gives steps
-    (else None): elsewhere each step would search a row the scan may skip."""
+    point's column and point i's row, from _point_rows, and on a closed
+    form the steps, the distances from each point to the next, and
+    dist(i, j), points i and j's distance read without a row.  Elsewhere
+    both are None: each step or read would search a row."""
     cols, row = _point_rows(g, k, pts)
-    steps = ([_scaled_distance(g, k, x, y) for x, y in zip(pts, pts[1:])]
-             if g._closed_form is not None else None)
-    return cols, lambda i: row(pts[i]), steps
+    dist = (None if g._closed_form is None
+            else lambda i, j: _scaled_distance(g, k, pts[i], pts[j]))
+    steps = dist and [dist(i, i + 1) for i in range(len(pts) - 1)]
+    return cols, lambda i: row(pts[i]), steps, dist
 
 
 def _first_violation(side_s, side_t, n, s, start):
     """The first pair (i, j), i < j, from ``start`` on in domain order whose
     distances break the bound with constant n, as (i, j, ds, dt) in units
-    of 1/s; None if every pair holds.  Pairs the triangle inequality proves
-    safe are certified unread: for j < j2 both distances move by at most
-    P[j2] - P[j], P a side's prefix sums of steps, so if (i, j) holds with
-    slacks g1, g2 no pair fails before Q1 = n*Ps + Pt or Q2 = Ps + n*Pt
-    grows past Q[j] + g.  Where a slack cannot cover the next step, the next
-    64 pairs are compared directly, so rows that cannot skip stay cheap."""
-    (a, row_s, steps_s), (b, row_t, steps_t) = side_s, side_t
+    of 1/s; None if every pair holds.  A stack holds bands: row ranges,
+    each with the sorted column spans past it that it still owes, handed
+    with its inner columns to its halves, lower half first.  From (i, j) to
+    (i2, j2) the slacks n*ds + n*s - dt and n*dt + n*n*s - ds fall by at
+    most the moves on Q1 = n*Ps + Pt and Q2 = Ps + n*Pt, P a side's prefix
+    sums of steps.  So on closed forms a band of rows reads (middle row, j)
+    back from each span's end, each read certifying the band's rows back
+    to where Q has fallen by its slack less the band's half-height h, up to
+    a read whose slack cannot cover h.  A single row reads all it owes, from
+    its rows past 64 columns or without a closed form, and only it reports,
+    in row order: the witness is the first failing pair."""
+    (a, row_s, steps_s, dist_s), (b, row_t, steps_t, dist_t) = side_s, side_t
     up, lo = n * s, n * n * s
-    count = len(a)
-    skip = steps_s is not None and steps_t is not None
-    if skip:
-        e1 = [n * x + y for x, y in zip(steps_s, steps_t)] + [0]
-        e2 = [x + n * y for x, y in zip(steps_s, steps_t)] + [0]
-        q1, q2 = list(accumulate(e1, initial=0)), list(accumulate(e2, initial=0))
+    closed = dist_s is not None and dist_t is not None
+    if closed:
+        q1 = list(accumulate((n * x + y for x, y in zip(steps_s, steps_t)), initial=0))
+        q2 = list(accumulate((x + n * y for x, y in zip(steps_s, steps_t)), initial=0))
     i0, j0 = start
-    for i in range(i0, count):
-        rs, rt = row_s(i), row_t(i)
-        j = j0 if i == i0 else i + 1
-        while j < count:
-            ds, dt = rs[a[j]], rt[b[j]]
-            g1, g2 = n * ds + up - dt, n * dt + lo - ds
-            if g1 < 0 or g2 < 0:
-                return i, j, ds, dt
-            if skip and e1[j] <= g1 and e2[j] <= g2:
-                j = min(bisect_right(q1, q1[j] + g1, j + 1, count),
-                        bisect_right(q2, q2[j] + g2, j + 1, count))
-                continue
-            for j in range(j + 1, min(j + 65, count)):
+    count = len(a)
+    stack = [(i0 + 1, count, []), (i0, i0 + 1, [(j0, count)])]
+    while stack:
+        r0, r1, spans = stack.pop()
+        if r1 - r0 > 1:
+            mid = (r0 + r1) // 2
+            if closed:
+                h1 = max(q1[mid] - q1[r0], q1[r1 - 1] - q1[mid])
+                h2 = max(q2[mid] - q2[r0], q2[r1 - 1] - q2[mid])
+                owed = []
+                for c0, c1 in spans:
+                    j = c1 - 1
+                    while j >= c0:
+                        ds, dt = dist_s(mid, j), dist_t(mid, j)
+                        g1, g2 = n * ds + up - dt - h1, n * dt + lo - ds - h2
+                        if g1 < 0 or g2 < 0:
+                            break
+                        j = max(bisect_left(q1, q1[j] - g1, c0, j),
+                                bisect_left(q2, q2[j] - g2, c0, j)) - 1
+                    if j >= c0:
+                        owed.append((c0, j + 1))
+                spans = owed
+            # the columns inside the band, joined to an owed span they meet
+            low = ([(mid, spans[0][1]), *spans[1:]] if spans and spans[0][0] == r1
+                   else [(mid, r1), *spans])
+            stack += (mid, r1, spans), (r0, mid, low)
+            continue
+        width = sum(c1 - c0 for c0, c1 in spans)
+        if width <= 0:
+            continue
+        if closed and width <= 64:
+            # rows of the owed columns alone
+            rs = {a[j]: dist_s(r0, j) for c0, c1 in spans for j in range(c0, c1)}
+            rt = {b[j]: dist_t(r0, j) for c0, c1 in spans for j in range(c0, c1)}
+        else:
+            rs, rt = row_s(r0), row_t(r0)
+        for c0, c1 in spans:
+            for j in range(c0, c1):
                 ds, dt = rs[a[j]], rt[b[j]]
                 if dt > n * ds + up or ds > n * dt + lo:
-                    return i, j, ds, dt
-            j += 1
+                    return r0, j, ds, dt
     return None
 
 
@@ -242,6 +277,7 @@ def verify_quasi_isometry(
     the coarse surjectivity radius.  The first violation (in domain order,
     or draw order when sampling) becomes the certificate witness, and
     pairs_checked counts pairs up to and including it, read or not."""
+    _require_int(n)
     if n < 1:
         raise ValueError("constant must be a positive integer")
     _check_sampling(mode, ("exhaustive", "vertex-exhaustive", "sampled"), seed, count)

@@ -4,7 +4,6 @@ one meet, one geodesic walk, per net point of the target."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -13,6 +12,7 @@ from .coarse_maps import (
     QiCertificate,
     QuasiMap,
     _distance_rows,
+    _require_int,
     compose,
     minimal_qi_constant,
     surjectivity_radius,
@@ -60,24 +60,25 @@ def _prune_rounds(g: LabeledMetricGraph, k: int):
     On a tree the survivors span a subtree."""
     if k < 0:
         raise ValueError("round count must be >= 0")
-    nbr = {v: Counter() for v in g.vertex_ids()}
+    ids, ix = g._ids, g._index
+    nbr = [[] for _ in ids]  # by index, a neighbor per edge end
     for u, v in zip(g._eu, g._ev):
-        nbr[u][v] += 1
-        nbr[v][u] += 1
-    alive = set(nbr)
+        nbr[ix[u]].append(ix[v])
+        nbr[ix[v]].append(ix[u])
+    ends, dead = list(map(len, nbr)), set()  # live edge ends by index
     # a vertex first has valence 1 after a round that took one of its
     # neighbors, so each round's leaves are found among the last ones'
-    leaves = [v for v in sorted(nbr) if sum(nbr[v].values()) == 1]
+    leaves = [i for i, c in enumerate(ends) if c == 1]
     stages = []
     while leaves and len(stages) < k:
-        doomed, touched = set(leaves), set()
-        for v in leaves:
-            for w in nbr[v].keys() - doomed:
-                del nbr[w][v]
-                touched.add(w)
-        alive -= doomed
-        stages.append(tuple(leaves))
-        leaves = sorted(w for w in touched if sum(nbr[w].values()) == 1)
+        dead.update(leaves)
+        # a leaf's one live end is the edge it takes away
+        touched = [w for v in leaves for w in nbr[v] if w not in dead]
+        for w in touched:
+            ends[w] -= 1
+        stages.append(tuple(ids[v] for v in leaves))
+        leaves = sorted({w for w in touched if ends[w] == 1})
+    alive = {vid for i, vid in enumerate(ids) if i not in dead}
     return alive, tuple(stages)
 
 
@@ -156,6 +157,7 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     the result at 9n^2 exhaustively, and only a larger one runs the check
     at 9n^2 for its witness.
     """
+    _require_int(n)
     if n < 1:
         raise ValueError("constant must be >= 1")
     tree = f.source

@@ -3,16 +3,18 @@
 Everything here is deliberately naive: cubic loops, explicit path
 enumeration, candidate scans. Nothing imports the library's distance
 engine, except pruned_copy_extraction, an earlier design of the
-extraction kept as a reference for the one that replaced it;
-disagreement with the package is always a finding.
+extraction kept as a reference for the one that replaced it, and
+pair_scan, which reads the engine's point distance pair by pair as the
+reference for the pair kernel's bands; disagreement with the package is
+always a finding.
 """
 
 from fractions import Fraction
 
 from coarsegeom import choice_pipeline as cp
 from coarsegeom import errors
-from coarsegeom.coarse_maps import verify_quasi_isometry
-from coarsegeom.metric_graph import Interior, Vertex, distance
+from coarsegeom.coarse_maps import _scaled_pairs, verify_quasi_isometry
+from coarsegeom.metric_graph import Interior, Vertex, _scaled_distance, distance
 from coarsegeom.tree_ops import assert_tree, prune_k
 
 ZERO = Fraction(0)
@@ -483,3 +485,19 @@ def pruned_copy_extraction(m, g0, n):
                 and cp.verify_transversal(transversal, g0.family))
     return cp.ChoiceCertificate(n, k, root, tuple(frontier), tuple(assignment),
                                 tuple(h_values), tuple(transversal), verified)
+
+
+def pair_scan(m, pairs, n, start=(0, 1)):
+    """coarse_maps._first_violation by a plain lexicographic loop: the
+    first pair (i, j) of ``pairs`` from ``start`` on whose distances break
+    the bound with constant n, as (i, j, ds, dt) in units of 1/s, each
+    distance read with _scaled_distance; no rows, no bands, no skipping."""
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    i0, j0 = start
+    for i in range(i0, len(pairs)):
+        for j in range(j0 if i == i0 else i + 1, len(pairs)):
+            ds = _scaled_distance(src, ks, ps[i], ps[j])
+            dt = _scaled_distance(tgt, kt, pt[i], pt[j])
+            if dt > n * ds + n * s or ds > n * dt + n * n * s:
+                return i, j, ds, dt
+    return None

@@ -25,6 +25,7 @@ from coarsegeom import (
     build_gamma1,
     compose,
     distance,
+    extract_choice,
     half_net,
     minimal_qi_constant,
     quasi_inverse,
@@ -42,6 +43,7 @@ from coarsegeom.coarse_maps import (
     _snap,
     surjectivity_radius,
 )
+from coarsegeom.gamma_spaces import gamma1_edge_id, gamma1_vertex_id
 
 H = Fraction(1, 2)
 
@@ -358,6 +360,77 @@ def test_pair_kernel_skips_exactly_on_builder_graphs(m_fws, n, seed):
     assert_qi_matches_oracle(m, n, seed, GAMMA_ORACLES[key])
 
 
+def level_scaling_map(lists, depth, f):
+    """Γ1 of a family at a depth into Γ1 at f times the depth, every
+    half-net point sent to the point f times as high on its arm: target
+    distances are exactly f times the source's, so constant f is tight."""
+    fam = SetFamily.of_lists(lists)
+    src, tgt = build_gamma1(fam, depth), build_gamma1(fam, f * depth)
+    pairs = [(Vertex(0), Vertex(0))]
+    for si in range(len(lists)):
+        for lev in range(1, depth + 1):
+            top = gamma1_vertex_id(f * depth, si, f * lev)
+            pairs.append((Vertex(gamma1_vertex_id(depth, si, lev)), Vertex(top)))
+            # the midpoint below, f/2 under the image of its upper end
+            mid = (Vertex(top - 1) if f == 2
+                   else Interior(gamma1_edge_id(f * depth, si, f * lev - 1), H))
+            pairs.append((Interior(gamma1_edge_id(depth, si, lev), H), mid))
+    return QuasiMap(src, tgt, pairs)
+
+
+def constructor_copy(m):
+    """m between constructor-built copies of its graphs: no closed form."""
+    src, tgt = (LabeledMetricGraph(list(g.vertex_labels.items()), g.edges)
+                for g in (m.source, m.target))
+    return QuasiMap(src, tgt, m.assignments)
+
+
+@st.composite
+def band_cases(draw):
+    """A seeded section, a collapse map or a level-scaling map with up to
+    three images moved to vertices or to offsets k/7, the pairs of one of
+    the two exhaustive modes, a constant and a start pair."""
+    depth = draw(st.sampled_from((13, 40, 21, 8, 5, 3)))
+    lists = draw(st.sampled_from(GAMMA_FAMILIES[:1] if depth == 40 else GAMMA_FAMILIES))
+    kind = draw(st.sampled_from(("section", "collapse", "scaling")))
+    if kind == "scaling":
+        m = level_scaling_map(lists, depth, draw(st.sampled_from((2, 3))))
+    else:
+        fam = SetFamily.of_lists(lists)
+        g0, g1 = build_gamma0(fam, depth), build_gamma1(fam, depth)
+        m = (build_collapse_map(g0, g1) if kind == "collapse"
+             else section_map(g0, mode="seeded", seed=draw(st.integers(0, 2**16)), g1=g1))
+    pairs = list(m.assignments)
+    last = len(pairs) - 1
+    moved = (st.builds(Vertex, st.sampled_from(m.target.vertex_ids()))
+             | st.builds(Interior, st.sampled_from(m.target._eids),
+                         st.integers(1, 6).map(lambda k: Fraction(k, 7))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, last) | st.integers(last - 8, last))
+        pairs[i] = pairs[i][0], draw(moved)
+    m = QuasiMap(m.source, m.target, pairs)
+    if draw(st.booleans()):  # vertex-exhaustive
+        pairs = [pq for pq in m.assignments if isinstance(pq[0], Vertex)]
+    else:
+        pairs = list(m.assignments)
+    i = draw(st.integers(0, len(pairs) - 2))
+    start = draw(st.just((0, 1)) | st.tuples(st.just(i), st.integers(i + 1, len(pairs) - 1)))
+    return m, pairs, draw(st.sampled_from((4, 2, 6, 1, 3, 5))), start
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(band_cases())
+def test_band_kernel_matches_pair_scan(case):
+    m, pairs, n, start = case
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    sides = _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt)
+    assert all(side[3] is not None for side in sides)  # the band path
+    assert _first_violation(*sides, n, s, start) == oracles.pair_scan(m, pairs, n, start)
+    if start == (0, 1) and len(pairs) == len(m):
+        # the minimal constant resumes at every violation: the same without bands
+        assert minimal_qi_constant(m) == minimal_qi_constant(constructor_copy(m))
+
+
 class CountingList(list):
     """A list that counts its item reads."""
 
@@ -368,27 +441,71 @@ class CountingList(list):
         return super().__getitem__(i)
 
 
-def kernel_reads(m, n):
-    """(pairs read, pairs in all) of one kernel scan of m at constant n."""
-    pairs = list(m.assignments)
+def kernel_work(m, n, mode="exhaustive"):
+    """(pairs read, rows built on each side, points) of one accepting
+    kernel scan of m at constant n: a pair is read from a source row or
+    by the source's closed-form distance."""
+    pairs = [pq for pq in m.assignments if mode == "exhaustive" or isinstance(pq[0], Vertex)]
     s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
-    cols, row, steps = _kernel_side(src, ks, ps)
-    cols = CountingList(cols)
-    assert _first_violation((cols, row, steps), _kernel_side(tgt, kt, pt), n, s, (0, 1)) is None
-    return cols.reads, len(pairs) * (len(pairs) - 1) // 2
+    (a, row_s, steps_s, dist_s), (b, row_t, steps_t, dist_t) = (
+        _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt))
+    source_rows, target_rows, dists = [], [], []
+
+    def source_row(i):
+        source_rows.append(CountingList(row_s(i)))
+        return source_rows[-1]
+
+    def target_row(i):
+        target_rows.append(i)
+        return row_t(i)
+
+    def source_dist(i, j):
+        dists.append((i, j))
+        return dist_s(i, j)
+
+    sides = (a, source_row, steps_s, dist_s and source_dist), (b, target_row, steps_t, dist_t)
+    assert _first_violation(*sides, n, s, (0, 1)) is None
+    read = len(dists) + sum(r.reads for r in source_rows)
+    return read, (len(source_rows), len(target_rows)), len(pairs)
 
 
-def test_kernel_skips_only_with_a_closed_form(fam2):
-    g0 = build_gamma0(fam2, 100)
-    m = section_map(g0, mode="seeded", seed=4)
-    read, total = kernel_reads(m, 4)
-    assert read < total // 10
+def test_kernel_skips_only_with_a_closed_form():
+    fam = SetFamily.of_lists([["a"], ["b"]])
+    maps = [section_map(build_gamma0(fam, depth), mode="seeded", seed=4) for depth in (100, 400)]
+    for m in maps:
+        read, rows, size = kernel_work(m, 4)
+        assert read <= 8 * size
+        assert rows[0] <= 1 and rows[1] <= 1
     # the same map between constructor-built copies of the graphs is
-    # scanned densely, since their steps would cost searches
-    src, tgt = (LabeledMetricGraph(list(g.vertex_labels.items()), g.edges)
-                for g in (m.source, m.target))
-    copy = QuasiMap(src, tgt, m.assignments)
-    assert kernel_reads(copy, 4) == (total, total)
+    # read pair by pair from rows, since a closed-form read would search
+    read, _, size = kernel_work(constructor_copy(maps[0]), 4)
+    assert read == size * (size - 1) // 2
+
+
+def test_tight_maps_build_each_row_once():
+    """Maps with no slack to certify by are read from rows, each built once."""
+    fam = SetFamily.of_lists([["a"], ["b"]])
+    g0 = build_gamma0(fam, 150)
+    identity = identity_map(g0.graph)
+    doubling = level_scaling_map((("a",), ("b",), ("c",)), 60, 2)
+    for m, n, mode in ((identity, 1, "vertex-exhaustive"), (doubling, 2, "exhaustive")):
+        _, rows, size = kernel_work(m, n, mode)
+        assert rows[0] <= size and rows[1] <= size
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, Fraction(3, 2), Fraction(4), True, False, "4", None])
+def test_constants_must_be_integers(n, pipe2):
+    """A float or Fraction slack could round, so every constant is an int."""
+    g = path_graph(5)
+    g0, g1 = pipe2
+    calls = (
+        lambda: verify_quasi_isometry(identity_map(g), n),
+        lambda: quasi_inverse(identity_map(g), n),
+        lambda: extract_choice(section_map(g0, mode="first", g1=g1), g0, n),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^constant must be a positive integer$"):
+            call()
 
 
 def test_early_rejection_searches_one_row():

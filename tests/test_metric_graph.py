@@ -726,7 +726,7 @@ def test_point_rows_match_oracle(case):
             ball_complement_components(g, x, H)
     else:
         ball_complement_components(g, x, H)
-    _, kernel_row, _ = _kernel_side(g, k, pts)
+    _, kernel_row, _, _ = _kernel_side(g, k, pts)
     for i in range(len(pts)):
         kernel_row(i)
     _, row = _distance_rows(g, [x], net)
