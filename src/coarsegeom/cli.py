@@ -20,7 +20,6 @@ import sys
 
 from .choice_pipeline import (
     extract_choice,
-    required_gamma0_depth,
     section_map,
     verify_transversal,
 )
@@ -118,16 +117,17 @@ def _cmd_collapse(args):
 
 def _cmd_check_qi(args):
     m = load_map_file(args.map)
-    mode, seed, count = args.mode, args.seed, args.count
-    if mode == "exhaustive" and len(m.assignments) > EXHAUSTIVE_GUARD and not args.force:
+    mode, seed, count = args.mode or "exhaustive", args.seed, args.count
+    # the guard stands in for a --mode not given; an explicit one is obeyed
+    if args.mode is None and len(m.assignments) > EXHAUSTIVE_GUARD:
         over = (f"{len(m.assignments)} net points exceed the exhaustive guard "
                 f"of {EXHAUSTIVE_GUARD}")
         if seed is None or count is None:
-            print(f"error: {over}; pass --force, or --seed and --count for "
-                  "sampled mode", file=sys.stderr)
+            print(f"error: {over}; pass --mode exhaustive, or --seed and --count "
+                  "for sampled mode", file=sys.stderr)
             return 2
-        print(f"note: {over}; switching to sampled mode (--force overrides)",
-              file=sys.stderr)
+        print(f"note: {over}; switching to sampled mode (--mode exhaustive "
+              "overrides)", file=sys.stderr)
         mode = "sampled"
     cert = verify_quasi_isometry(m, args.constant, mode=mode, seed=seed, count=count)
     _emit(args, qi_certificate_doc(cert))
@@ -260,14 +260,6 @@ def _cmd_extract_choice(args):
         raise SchemaError(f'a section "mode" must be a string, got {mode!r}')
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise SchemaError(f'a section "seed" must be an integer, got {seed!r}')
-    if args.adversarial_seed is not None:
-        mode, seed = "seeded", args.adversarial_seed
-    need = required_gamma0_depth(args.constant)
-    if args.depth < need:
-        print(
-            f"note: constant {args.constant} needs depth >= {need}",
-            file=sys.stderr,
-        )
     g0 = build_gamma0(family, args.depth)
     m = section_map(g0, mode=mode, seed=seed)
     cert = extract_choice(m, g0, args.constant)
@@ -277,8 +269,6 @@ def _cmd_extract_choice(args):
         "depth": args.depth,
         "constant": args.constant,
     }
-    if args.adversarial_seed is not None:
-        inputs["adversarial_seed"] = args.adversarial_seed
     _emit(args, choice_certificate_doc(cert, inputs))
     return 0
 
@@ -316,8 +306,8 @@ def _build_parser():
     req, num = {"required": True}, {"type": int, "required": True}
     family = ("--family", req), ("--depth", num)
 
-    def mode(*modes):
-        return (("--mode", {"choices": modes, "default": "exhaustive"}),
+    def mode(*modes, default="exhaustive"):
+        return (("--mode", {"choices": modes, "default": default}),
                 ("--seed", {"type": int, "help": "RNG seed (required when sampled)"}),
                 ("--count", {"type": int, "help": "sample count (required when sampled)"}))
 
@@ -329,9 +319,8 @@ def _build_parser():
          (("--gamma0", req), ("--gamma1", req))),
         ("check-qi", _cmd_check_qi, "verify a map document at a constant",
          (("--map", req), ("--constant", num),
-          *mode("exhaustive", "vertex-exhaustive", "sampled"),
-          ("--force", {"action": "store_true",
-                       "help": f"run exhaustively past the {EXHAUSTIVE_GUARD}-point guard"}))),
+          # no --mode: exhaustive, unless the map passes EXHAUSTIVE_GUARD
+          *mode("exhaustive", "vertex-exhaustive", "sampled", default=None))),
         ("min-qi", _cmd_min_qi, "smallest accepted constant of a map",
          (("--map", req), ("--cap", {"type": int, "default": None}))),
         ("delta", _cmd_delta, "slim-triangle thinness of a graph",
@@ -357,8 +346,7 @@ def _build_parser():
          (("--map", req), ("--constant", num),
           ("--root", {"help": "root point JSON (default smallest vertex)"}))),
         ("extract-choice", _cmd_extract_choice, "run the transversal extraction pipeline",
-         (*family, ("--constant", num), ("--section", {**req, "help": "section spec JSON file"}),
-          ("--adversarial-seed", {"type": int, "default": None}))),
+         (*family, ("--constant", num), ("--section", {**req, "help": "section spec JSON file"}))),
         ("verify-transversal", _cmd_verify_transversal, "check one-element-per-set coverage",
          (("--family", req), ("--elements", {**req, "help": "JSON file of element names"}))),
     ):
@@ -373,9 +361,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        # the command is looked up by name when it runs, not taken from the
-        # parser built earlier, so one replaced on this module is the one run
-        return globals()[args.func.__name__](args)
+        return args.func(args)
     except (SchemaError, InvalidPoint, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

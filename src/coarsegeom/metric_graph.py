@@ -108,6 +108,18 @@ class Geodesic:
     length: Fraction
 
 
+def _is_id(x):
+    """Ids are ints and not bools: True, 1.0 and the like only compare
+    equal to a vertex or edge id, and are refused wherever ids enter."""
+    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
+
+
+def _all_ids(xs):
+    """Whether every x of the sequence xs is an id: one pass over the
+    types, and a call per x only when some type is not int."""
+    return set(map(type, xs)) <= {int} or all(map(_is_id, xs))
+
+
 def _edge_row(item):
     """An edge as an (id, u, v, length, label) tuple, its length a Fraction."""
     if isinstance(item, Edge):
@@ -117,7 +129,7 @@ def _edge_row(item):
         (label,) = label or (None,)
     except (TypeError, ValueError):
         raise GraphStructureError(f"edge {item!r} is not (id, u, v, length[, label])") from None
-    if not (isinstance(eid, int) and isinstance(u, int) and isinstance(v, int)):
+    if not (_is_id(eid) and _is_id(u) and _is_id(v)):
         raise GraphStructureError(f"edge {eid!r}: id and endpoints must be integers")
     return eid, u, v, length if isinstance(length, Fraction) else Fraction(length), label
 
@@ -143,7 +155,7 @@ class LabeledMetricGraph:
                 vid, lab = item
             else:
                 vid, lab = item, None
-            if not isinstance(vid, int):
+            if not _is_id(vid):
                 raise GraphStructureError("vertex ids must be integers")
             if vid in labels:
                 raise GraphStructureError(f"duplicate vertex id {vid}")
@@ -177,7 +189,7 @@ class LabeledMetricGraph:
             if not all(ok()):  # a second pass finds the first failure
                 i = next(compress(count(), map(not_, ok())))
                 raise GraphStructureError(f"edge {ids[i % len(ids)]} {what}")
-        if basepoint is not None and basepoint not in labels:
+        if basepoint is not None and not (_is_id(basepoint) and basepoint in labels):
             raise GraphStructureError(f"basepoint {basepoint} is not a vertex")
         self.vertex_labels = labels
         self.basepoint = basepoint
@@ -191,12 +203,21 @@ class LabeledMetricGraph:
         # metric has one (ids 0..V-1, so vertex ids index its rows)
         self._closed_form = None
 
+    # these two take every id a point or a reader names: an exact int skips
+    # the call to _is_id
+
     def _at(self, eid):
         """The position of edge eid in the columns."""
-        try:
-            return self._epos[eid]
-        except (KeyError, TypeError):
-            raise InvalidPoint(f"no edge with id {eid}") from None
+        if (type(eid) is int or _is_id(eid)) and (i := self._epos.get(eid)) is not None:
+            return i
+        raise InvalidPoint(f"no edge with id {eid}")
+
+    def _vertex_at(self, vid, message=None):
+        """The index of vertex vid; InvalidPoint, with message if given,
+        unless vid is the id of a vertex."""
+        if (type(vid) is int or _is_id(vid)) and (i := self._index.get(vid)) is not None:
+            return i
+        raise InvalidPoint(message or f"no vertex with id {vid}")
 
     def _fractions(self):
         """Each distinct integer edge length's Fraction."""
@@ -234,19 +255,18 @@ class LabeledMetricGraph:
     def vertex_ids(self):
         return self._ids
 
-    def has_vertex(self, vid):
-        return vid in self.vertex_labels
-
     def edge(self, eid):
         return self.edges[self._at(eid)]
 
     def edges_at(self, vid):
         """(neighbor id, Edge) pairs at vid, by (neighbor id, edge id)."""
+        self._vertex_at(vid)
         edges, pos = self.edges, self._epos
         return tuple((w, edges[pos[eid]]) for w, eid in self._adj[vid])
 
     def degree(self, vid):
         """Number of edge ends at vid (parallel edges each count)."""
+        self._vertex_at(vid)
         return len(self._adj[vid])
 
     @property
@@ -316,15 +336,13 @@ class LabeledMetricGraph:
         return d
 
     def vertex_distance(self, u, v):
-        try:
-            self._index[u], self._index[v]
-        except (KeyError, TypeError):
-            raise InvalidPoint("unknown vertex id") from None
+        self._vertex_at(u, "unknown vertex id"), self._vertex_at(v, "unknown vertex id")
         return Fraction(self._vdist(u, v), self._scale)
 
     def vertex_row(self, src):
         """Exact distances from src to every vertex, as a dict id -> Fraction
         (None where unreachable)."""
+        self._vertex_at(src)
         s = self._scale
         return {
             vid: Fraction(d, s) if d >= 0 else None
@@ -344,7 +362,7 @@ def _point_scale(g, points, k=1):
     entry cost of the points is a whole number of units of 1/(m*L).  A
     Vertex must name a vertex of g, an Interior an edge of g at a Fraction
     offset strictly between 0 and 1; anything else raises InvalidPoint."""
-    at, index, lens = g._at, g._index, g._elen
+    at, vertex_at, lens = g._at, g._vertex_at, g._elen
     for p in points:
         if isinstance(p, Interior):
             i, t = at(p.edge), p.offset
@@ -357,10 +375,7 @@ def _point_scale(g, points, k=1):
             if k % den:  # else k already makes this point's costs whole
                 k = lcm(k, den // gcd(den, lens[i]))
         elif isinstance(p, Vertex):
-            try:
-                index[p.id]
-            except (KeyError, TypeError):
-                raise InvalidPoint(f"no vertex with id {p.id}") from None
+            vertex_at(p.id)
         else:
             raise InvalidPoint(f"not a graph point: {p!r}")
     return k
@@ -567,11 +582,14 @@ def check_geodesic(g, geo: Geodesic):
     its length in units of 1/(k*L) must be the claim and the distance.
     One adjacency lookup per hop tests the hop and gives its length."""
     p, q, vs, es = geo.start, geo.end, geo.vertices, geo.edges
+    exact = _all_ids((*vs, *es))  # 1.0 or True would pass as a key
     try:
         k, (x, y) = _scaled(g, (p, q))
         try:  # one pass over the edge ids, and a second to name a bad one
+            if not exact:
+                raise KeyError
             hops = list(map(g._epos.__getitem__, es))
-        except (KeyError, TypeError):
+        except KeyError:
             hops = list(map(g._at, es))
     except InvalidPoint as exc:
         raise NotAGeodesic(str(exc)) from exc
@@ -584,14 +602,18 @@ def check_geodesic(g, geo: Geodesic):
         if len(vs) != len(es) + 1:
             raise NotAGeodesic(f"{len(vs)} vertices do not fit {len(es)} hops")
         try:  # a hop whose edge does not join its vertices reads None
+            if not exact:
+                raise KeyError
             units = dict(px)[vs[0]] + sum(map(dict.get, map(g._adj.get, vs, repeat({})),
                                               zip(vs[1:], es))) * k + dict(py)[vs[-1]]
         except (KeyError, TypeError):  # a second pass, by ==, finds the first failure
-            if not any(v == vs[0] for v, _ in px) or not any(v == vs[-1] for v, _ in py):
+            ids = list(map(_is_id, vs))
+            if not (ids[0] and any(v == vs[0] for v, _ in px)
+                    and ids[-1] and any(v == vs[-1] for v, _ in py)):
                 raise NotAGeodesic(f"vertices {vs[0]}..{vs[-1]} do not join {p} to {q}") from None
             eu, ev = g._eu, g._ev
-            i = next(i for i, (a, b, h) in enumerate(zip(vs, vs[1:], hops))
-                     if (eu[h], ev[h]) not in ((a, b), (b, a)))
+            i = next(i for i, (a, b, h, b_id) in enumerate(zip(vs, vs[1:], hops, ids[1:]))
+                     if not b_id or (eu[h], ev[h]) not in ((a, b), (b, a)))
             raise NotAGeodesic(f"hop {i} does not follow edge {es[i]}") from None
     span = _scaled_distance(g, k, x, y)
     scale, claim = k * g._scale, geo.length
@@ -761,19 +783,11 @@ def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius
     return ComplementIndex(center, Fraction(radius), vertex_component, tuple(fragments), n)
 
 
-def complement_component_of(idx: ComplementIndex, p: GraphPoint):
-    """Component id of a surviving point, or None if the ball swallowed it."""
-    if isinstance(p, Vertex):
-        return idx.vertex_component.get(p.id)
-    for f in idx.fragments:
-        if f.edge == p.edge and f.lo < p.offset < f.hi:
-            return f.component
-    return None
-
-
 def is_separated(g, x: GraphPoint, y: GraphPoint, w: GraphPoint, r) -> bool:
     """True iff every path from x to y meets the closed ball around w of
     radius r: no avoiding path exists."""
+    validate_point(g, x)
+    validate_point(g, y)
     return _avoiding_path(g, w, r, x, y) is None
 
 
@@ -782,9 +796,8 @@ def _avoiding_path(g, center, radius, x, y):
     center: [] when one vertex-free part holds both, None when the ball
     holds either point or separates them.  The search runs from the
     surviving vertices that x reaches inside its edge to those of y.  x and
-    y are checked, not scaled: the cut keeps the center's own scale."""
-    validate_point(g, x)
-    validate_point(g, y)
+    y must have passed the gate; they are not scaled: the cut keeps the
+    center's own scale."""
     alive, pieces = _ball_cut(g, center, radius)
 
     def part(p):
@@ -818,10 +831,7 @@ def multi_source_vertex_distances(g, seeds):
     (None where unreachable).
     """
     seeds = [(vid, Fraction(c)) for vid, c in seeds]
-    try:
-        ix = [g._index[vid] for vid, _ in seeds]
-    except (KeyError, TypeError):
-        raise InvalidPoint("unknown vertex id") from None
+    ix = [g._vertex_at(vid, "unknown vertex id") for vid, _ in seeds]
     s = lcm(g._scale, *(c.denominator for _, c in seeds))
     dist = g._search(
         [(c.numerator * (s // c.denominator), i) for (_, c), i in zip(seeds, ix)],

@@ -434,7 +434,7 @@ def pruned_copy_extraction(m, g0, n):
     edges = {e.id: e for e in pruned.edges}
     near, images = set(), {}
     for w, q in m.assignments:
-        if isinstance(w, Vertex) and not pruned.has_vertex(w.id):
+        if isinstance(w, Vertex) and w.id not in pruned.vertex_labels:
             continue
         if isinstance(w, Interior) and w.edge not in edges:
             continue

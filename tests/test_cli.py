@@ -144,6 +144,28 @@ def test_check_qi_exhaustive_guard(capsys, tmp_path):
     assert doc["mode"] == "sampled" and doc["accepted"] is True
 
 
+def test_check_qi_explicit_exhaustive_passes_the_guard(capsys, tmp_path, monkeypatch):
+    """The guard applies only when --mode is not given: an explicit
+    --mode exhaustive checks every pair of a map past it."""
+    monkeypatch.setattr(cli, "EXHAUSTIVE_GUARD", 10)
+    g = path_graph(12)
+    graph_file(tmp_path, g, "g.json")
+    net = [(Vertex(v), Vertex(v)) for v in range(12)]
+    mp = tmp_path / "map.json"
+    mp.write_text(canonical_dumps(map_doc(QuasiMap(g, g, net), "g.json", "g.json", n=1)))
+
+    code, doc, err = run(capsys, "check-qi", "--map", str(mp), "--constant", "1",
+                         "--mode", "exhaustive")
+    assert code == 0 and err == ""
+    assert doc["mode"] == "exhaustive" and doc["accepted"] is True
+    assert doc["pairs_checked"] == 12 * 11 // 2
+
+    code, doc, err = run(capsys, "check-qi", "--map", str(mp), "--constant", "1")
+    assert code == 2 and doc is None
+    assert err == ("error: 12 net points exceed the exhaustive guard of 10; pass "
+                   "--mode exhaustive, or --seed and --count for sampled mode\n")
+
+
 def test_sampled_commands_on_one_vertex(capsys, tmp_path):
     g = LabeledMetricGraph([0], [])
     gp = graph_file(tmp_path, g, "one.json")
@@ -444,11 +466,11 @@ def test_extract_choice_paths(capsys, tmp_path, fam_file):
     sec = tmp_path / "sec.json"
     sec.write_text(canonical_dumps({"mode": "first"}))
 
-    # depth below what the constant needs: noted, then refused
+    # depth below what the constant needs: refused, the error naming the depth
     code, _, err = run(capsys, "extract-choice", "--family", fam_file,
                        "--depth", "20", "--constant", "4", "--section", str(sec))
     assert code == 3
-    assert "depth >= 944" in err and "DepthError" in err
+    assert err == "error: DepthError: truncation depth 20 is below the required 944\n"
 
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_dumps({"seed": 3}))
@@ -457,7 +479,7 @@ def test_extract_choice_paths(capsys, tmp_path, fam_file):
     assert code == 2
 
     # a seed that is not an integer is refused before any graph is built
-    # (the depth note comes first otherwise)
+    # (the DepthError comes first otherwise)
     for seed in ([1], True, 1.5, "x"):
         bad.write_text(canonical_dumps({"mode": "seeded", "seed": seed}))
         code, _, err = run(capsys, "extract-choice", "--family", fam_file,
@@ -484,15 +506,41 @@ def test_extract_choice_paths(capsys, tmp_path, fam_file):
     assert set(doc["inputs"]) == {"family", "section", "depth", "constant"}
 
 
-def test_extract_choice_adversarial_seed(capsys, tmp_path, fam_file):
+def test_extract_choice_seeded_section(capsys, tmp_path, fam_file):
+    """A seeded section is chosen by its spec file alone, and the inputs
+    record nothing else; an unknown section mode is malformed input."""
+    sec = tmp_path / "sec.json"
+    sec.write_text(canonical_dumps({"mode": "seeded", "seed": 99}))
+    code, doc, err = run(capsys, "extract-choice", "--family", fam_file,
+                         "--depth", "944", "--constant", "4", "--section", str(sec))
+    assert code == 0 and err == ""
+    assert doc["verified"] is True
+    assert set(doc["inputs"]) == {"family", "section", "depth", "constant"}
+
+    sec.write_text(canonical_dumps({"mode": "bogus"}))
+    code, doc, err = run(capsys, "extract-choice", "--family", fam_file,
+                         "--depth", "944", "--constant", "4", "--section", str(sec))
+    assert code == 2 and doc is None
+    assert err == "error: unknown mode 'bogus'\n"
+
+
+def test_removed_options_are_refused(capsys, tmp_path, fam_file):
+    """check-qi --force and extract-choice --adversarial-seed are gone:
+    not in the help, and refused as unknown options."""
     sec = tmp_path / "sec.json"
     sec.write_text(canonical_dumps({"mode": "first"}))
-    code, doc, _ = run(capsys, "extract-choice", "--family", fam_file,
-                       "--depth", "944", "--constant", "4",
-                       "--section", str(sec), "--adversarial-seed", "99")
-    assert code == 0
-    assert doc["verified"] is True
-    assert doc["inputs"]["adversarial_seed"] == 99
+    for command, given, removed in (
+            ("check-qi", ["--map", str(sec), "--constant", "1"], ["--force"]),
+            ("extract-choice", ["--family", fam_file, "--depth", "944", "--constant", "4",
+                                "--section", str(sec)], ["--adversarial-seed", "99"])):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0 and removed[0] not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([command, *given, *removed])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "unrecognized arguments: " + " ".join(removed) in out.err
 
 
 def test_verify_transversal_cli(capsys, tmp_path, fam_file):
@@ -526,10 +574,10 @@ def test_internal_errors_exit_4(capsys, monkeypatch, tmp_path, fam_file):
     g0p = str(tmp_path / "g0.json")
     main(["gamma0", "--family", fam_file, "--depth", "30", "--out", g0p])
 
-    def boom(args):
+    def boom(*args):
         raise KeyError("lost")
 
-    monkeypatch.setattr(cli, "_cmd_gamma0", boom)
+    monkeypatch.setattr(cli, "build_gamma0", boom)
     code, doc, err = run(capsys, "gamma0", "--family", fam_file, "--depth", "2")
     assert code == 4 and doc is None
     assert err == "error: internal: KeyError: 'lost'\n"

@@ -18,6 +18,7 @@ from coarsegeom import (
     EmptyMemberSet,
     FamilyMismatch,
     Interior,
+    InvalidPoint,
     LabeledMetricGraph,
     LevelProfile,
     NoAlternateArm,
@@ -225,7 +226,7 @@ def test_closed_form_only_on_builder_graphs(fam2):
         assert parse_graph(graph_doc(g))._closed_form is None
         assert scale_metric(g, 1)._closed_form is None
         assert prune_k(g, 1)[0]._closed_form is None
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidPoint, match="no vertex with id 10"):
         g0.graph.vertex_row(g0.graph.n_vertices)
 
 

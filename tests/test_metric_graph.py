@@ -54,7 +54,6 @@ from coarsegeom.metric_graph import (
     _point_rows,
     _point_scale,
     _scaled_point,
-    complement_component_of,
 )
 
 H = Fraction(1, 2)
@@ -261,9 +260,10 @@ def test_bad_offsets_keep_their_messages():
 
 
 # a missing vertex, a missing edge, offsets 0 and 3/2, a float offset, a
-# non-point and an unhashable vertex id
+# non-point, an unhashable vertex id, and a vertex and an edge id that only
+# compare equal to one
 BAD_POINTS = [Vertex(99), Interior(99, H), Interior(0, Fraction(0)), Interior(0, Fraction(3, 2)),
-              Interior(0, 0.5), (0, 1), Vertex([1])]
+              Interior(0, 0.5), (0, 1), Vertex([1]), Vertex(True), Interior(True, H)]
 
 
 def _point_readers(g0, t, bad):
@@ -501,6 +501,52 @@ def test_unhashable_ids_raise_the_library_errors(fam2):
         assert str(got.value) == message
 
 
+# one reader of ids per row, each given an id that only compares equal to
+# one (True, False, 1.0) or a missing one, with the error and message that
+# reader gives for a missing id
+NOT_IDS = {
+    "vertex id": (lambda g: LabeledMetricGraph([True, 2], [(0, True, 2, 1)]),
+                  GraphStructureError, "vertex ids must be integers"),
+    "edge end": (lambda g: LabeledMetricGraph([1, 2], [(0, True, 2, 1)]),
+                 GraphStructureError, "edge 0: id and endpoints must be integers"),
+    "edge id": (lambda g: LabeledMetricGraph([1, 2], [(1.0, 1, 2, 1)]),
+                GraphStructureError, "edge 1.0: id and endpoints must be integers"),
+    "basepoint": (lambda g: LabeledMetricGraph([0, 1], [(0, 0, 1, 1)], basepoint=True),
+                  GraphStructureError, "basepoint True is not a vertex"),
+    "vertex point": (lambda g: distance(g, Vertex(1.0), Vertex(True)),
+                     InvalidPoint, "no vertex with id 1.0"),
+    "interior point": (lambda g: distance(g, Interior(True, H), Vertex(0)),
+                       InvalidPoint, "no edge with id True"),
+    "vertex_distance": (lambda g: g.vertex_distance(1.0, True),
+                        InvalidPoint, "unknown vertex id"),
+    "multi_source_vertex_distances": (lambda g: multi_source_vertex_distances(g, [(True, 0)]),
+                                      InvalidPoint, "unknown vertex id"),
+    "edge": (lambda g: g.edge(True), InvalidPoint, "no edge with id True"),
+    "vertex_row": (lambda g: g.vertex_row(99), InvalidPoint, "no vertex with id 99"),
+    "vertex_row of True": (lambda g: g.vertex_row(True), InvalidPoint, "no vertex with id True"),
+    "degree": (lambda g: g.degree(99), InvalidPoint, "no vertex with id 99"),
+    "degree of 1.0": (lambda g: g.degree(1.0), InvalidPoint, "no vertex with id 1.0"),
+    "edges_at": (lambda g: g.edges_at(99), InvalidPoint, "no vertex with id 99"),
+    "geodesic middle vertex": (lambda g: check_geodesic(g, _path_geodesic((0, 1.0, 2), (0, 1))),
+                               NotAGeodesic, "hop 0 does not follow edge 0"),
+    "geodesic first vertex": (lambda g: check_geodesic(g, _path_geodesic((False, 1, 2), (0, 1))),
+                              NotAGeodesic,
+                              "vertices False..2 do not join Vertex(id=0) to Vertex(id=2)"),
+    "geodesic edge": (lambda g: check_geodesic(g, _path_geodesic((0, 1, 2), (0, True))),
+                      NotAGeodesic, "no edge with id True"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_IDS)
+def test_ids_are_exact_ints(name):
+    """Ids are ints and not bools, as documents reads them, wherever they
+    enter: what only compares equal to an id is refused like a missing id."""
+    call, error, message = NOT_IDS[name]
+    with pytest.raises(error) as got:
+        call(path_graph(3))
+    assert str(got.value) == message
+
+
 def test_point_along_and_segments():
     g = path_graph(5)
     geo = canonical_geodesic(g, Interior(0, H), Vertex(4))
@@ -545,6 +591,14 @@ def test_scale_metric_scales_distances():
 # -- ball complements --------------------------------------------------------
 
 
+def _component(idx, p):
+    """The component of the complement holding p, None if the ball holds it."""
+    if isinstance(p, Vertex):
+        return idx.vertex_component.get(p.id)
+    return next((f.component for f in idx.fragments
+                 if f.edge == p.edge and f.lo < p.offset < f.hi), None)
+
+
 def test_complement_partition_matches_oracle():
     graphs = [random_graph(seed, 11, extra=4, rational=seed % 2 == 1) for seed in range(5)]
     # edges longer than twice the radius: the center's own edge is cut
@@ -558,7 +612,7 @@ def test_complement_partition_matches_oracle():
                 want = oracles.surviving_vertex_partition(g, center, radius)
                 got = {}
                 for v in g.vertex_ids():
-                    c = complement_component_of(idx, Vertex(v))
+                    c = _component(idx, Vertex(v))
                     if c is not None:
                         got.setdefault(c, set()).add(v)
                 assert frozenset(frozenset(s) for s in got.values()) == want
@@ -623,7 +677,7 @@ def test_separation_matches_point_oracle(query):
     want = oracles.point_separated(g, x, y, w, r)
     assert is_separated(g, x, y, w, r) == want
     idx = ball_complement_components(g, w, r)
-    cx, cy = complement_component_of(idx, x), complement_component_of(idx, y)
+    cx, cy = _component(idx, x), _component(idx, y)
     assert (cx is None or cy is None or cx != cy) == want
 
 
@@ -856,13 +910,13 @@ def test_isolated_mid_edge_fragment():
     g = LabeledMetricGraph([0, 1], [(0, 0, 1, 10)])
     idx = ball_complement_components(g, Vertex(0), Fraction(4))
     # vertex 1 is at distance 10, alive; the stretch (4, 6) is its own piece
-    assert complement_component_of(idx, Vertex(1)) is not None
+    assert _component(idx, Vertex(1)) is not None
     mid = Interior(0, H)
-    c_mid = complement_component_of(idx, mid)
-    c_v1 = complement_component_of(idx, Vertex(1))
+    c_mid = _component(idx, mid)
+    c_v1 = _component(idx, Vertex(1))
     assert c_mid is not None
     g2 = LabeledMetricGraph([0, 1], [(0, 0, 1, 10)])
     idx2 = ball_complement_components(g2, Interior(0, H), Fraction(1))
-    a = complement_component_of(idx2, Vertex(0))
-    b = complement_component_of(idx2, Vertex(1))
+    a = _component(idx2, Vertex(0))
+    b = _component(idx2, Vertex(1))
     assert a is not None and b is not None and a != b
