@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 
-from .coarse_maps import QuasiMap, _distance_rows, _require_int, verify_quasi_isometry
+from .coarse_maps import QuasiMap, _distance_rows, _picked, _require_int, verify_quasi_isometry
 from .errors import (
     ArmCollision,
     ConstantTooSmall,
@@ -30,7 +31,7 @@ from .gamma_spaces import (
     gamma1_edge_id,
     gamma1_vertex_id,
 )
-from .metric_graph import HALF, Interior, Vertex, _scaled
+from .metric_graph import _net_columns, _scaled_rows
 from .tree_ops import _prune_rounds, assert_tree
 
 
@@ -93,24 +94,27 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     if not alive:
         raise DepthError(f"{k} pruning rounds emptied the domain tree")
     live = {e for e, u, v in zip(tree._eids, tree._eu, tree._ev) if u in alive and v in alive}
-    kept = [(w, q) for w, q in m.assignments
-            if (w.id in alive if isinstance(w, Vertex) else w.edge in live)]
-    unit, row = _distance_rows(g0.graph, [Vertex(0)], [q for _, q in kept])
+    (kinds, ids, _, _), (img_kinds, imgs, _, _) = m._src[0], m._tgt[0]
+    kept = [r for r, kind, i in zip(range(len(m)), kinds, ids) if i in (live if kind else alive)]
+    base = [(0, 0, 0, 1)], [1]  # the base vertex, as _picked gives points
+    unit, row = _distance_rows(g0.graph, base, _picked(m._tgt, kept))
     near = []
-    images = {}  # vertex id -> (image, its distance to the base), so no point is hashed
-    for (w, q), d in zip(kept, row(0)):
-        if isinstance(w, Vertex):
-            images[w.id] = q, d
+    images = {}  # vertex id -> (image kind, image id, its distance to the base)
+    for r, d in zip(kept, row(0)):
+        if not kinds[r]:
+            images[ids[r]] = img_kinds[r], imgs[r], d
         if d <= n * unit:
-            near.append(w)
+            near.append(r)
     # each near point's own vertex, or the ends of its edge within 1/2 of it
-    ks, near = _scaled(tree, near)
-    near = {v for _, entries in near for v, c in entries if 2 * c <= ks * tree._scale}
+    near, needs = _picked(m._src, near)
+    ks = lcm(*set(needs))
+    near = {v for _, entries in _scaled_rows(tree, ks, near) for v, c in entries
+            if 2 * c <= ks * tree._scale}
     if not near:
         raise DepthError("no surviving domain point maps within the constant "
                          "of the base")
     root = min(near)
-    if images[root][1] > 3 * n * unit:
+    if images[root][2] > 3 * n * unit:
         raise NotQuasiIsometry(
             "root image strays beyond three constants from the base, which "
             f"an accepted constant-{n} certificate rules out"
@@ -125,7 +129,7 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     h_values = []
     owner = {}
     for u in frontier:
-        img, d = images[u]
+        img_kind, img, d = images[u]
         level = d // unit
         if level == 0:
             raise LabelError(f"frontier vertex {u} maps into the base region")
@@ -135,8 +139,7 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
                 f"below the guaranteed {10 * n}"
             )
         # above level 0 an edge joins two arms of one set, labeled by one end
-        elem, si, _ = g0.info(img.id if isinstance(img, Vertex)
-                              else g0.graph._elab[g0.graph._epos[img.edge]])
+        elem, si, _ = g0.info(g0.graph._elab[g0.graph._epos[img]] if img_kind else img)
         arm = g0.family.sets[si].name
         if arm in owner:
             raise ArmCollision(
@@ -194,18 +197,20 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
     elif not _is_gamma1(g1, g0.family, depth):
         raise GraphMismatch("supplied quotient tree does not match the family")
     layout = g0.graph._closed_form
-    lifts, mids = [(Vertex(0), Vertex(0))], []
+    rows = []
     for si, s in enumerate(g0.family.sets):
         below = 0  # the lift one level down; level 0 is the base, no choice there
         for lev in range(1, depth + 1):
             v = layout.vertex(s.elements[pick(lev, len(s.elements))], lev)
-            # _is_gamma1 holds, so g1's edge ids are gamma1_edge_id's
-            lifts.append((Vertex(gamma1_vertex_id(depth, si, lev)), Vertex(v)))
-            mids.append((Interior(gamma1_edge_id(depth, si, lev), HALF),
-                         Interior(layout.up_edge(below, v), HALF)))
+            # _is_gamma1 holds, so g1's ids are gamma1_vertex_id's and gamma1_edge_id's
+            rows.append((gamma1_vertex_id(depth, si, lev), gamma1_edge_id(depth, si, lev),
+                         v, layout.up_edge(below, v)))
             below = v
-    # vertices, then midpoints, by id: QuasiMap's sort finds two sorted runs
-    return QuasiMap(g1, g0.graph, lifts + mids, asserted_constant=2)
+    verts, edges, lifts, ups = zip(*rows)
+    # the base to itself, then by id each vertex to its lift and each edge's
+    # midpoint to the midpoint of the edge below the lift
+    return QuasiMap._of_columns(g1, g0.graph, _net_columns((0, *verts), edges),
+                                _net_columns((0, *lifts), ups), asserted_constant=2)
 
 
 def verify_transversal(a, family) -> bool:

@@ -119,8 +119,8 @@ def _cmd_check_qi(args):
     m = load_map_file(args.map)
     mode, seed, count = args.mode or "exhaustive", args.seed, args.count
     # the guard stands in for a --mode not given; an explicit one is obeyed
-    if args.mode is None and len(m.assignments) > EXHAUSTIVE_GUARD:
-        over = (f"{len(m.assignments)} net points exceed the exhaustive guard "
+    if args.mode is None and len(m) > EXHAUSTIVE_GUARD:
+        over = (f"{len(m)} net points exceed the exhaustive guard "
                 f"of {EXHAUSTIVE_GUARD}")
         if seed is None or count is None:
             print(f"error: {over}; pass --mode exhaustive, or --seed and --count "

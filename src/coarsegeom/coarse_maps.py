@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
 from math import lcm
+from operator import lt
 from typing import Optional
 
 from .errors import (
@@ -30,13 +31,15 @@ from .errors import (
 )
 from .metric_graph import (
     GraphPoint,
-    Vertex,
+    _columns,
     _farthest,
+    _gate,
     _point_rows,
+    _point_rows_of,
     _point_scale,
-    _scaled,
+    _points_of,
     _scaled_distance,
-    _scaled_point,
+    _scaled_rows,
     point_key,
 )
 
@@ -48,25 +51,49 @@ def _ceil(fr: Fraction) -> int:
 class QuasiMap:
     """A point assignment between two graphs.
 
-    assignments: iterable of (source point, target point).  They are stored
-    sorted by the source point order, which fixes the domain order used by
-    every downstream computation.
+    assignments: iterable of (source point, target point).  Each side is
+    kept as the gate's columns with each point's least scale, gated once,
+    in source point order, which fixes the domain order used by every
+    downstream computation; the points are a view, made on first read.
     """
 
     def __init__(self, source, target, assignments, asserted_constant=None):
-        self.source = source
-        self.target = target
         pairs = list(assignments)
-        # each side passes the gate whole before point_key reads a point
-        _point_scale(source, [p for p, _ in pairs])
-        _point_scale(target, [q for _, q in pairs])
-        pairs.sort(key=lambda pq: point_key(pq[0]))
-        # equal points have equal keys, so a duplicate follows its twin
-        for (p, _), (q, _) in zip(pairs, pairs[1:]):
-            if p == q:
-                raise DomainNotNet(f"duplicate domain point {p}")
-        self.assignments = tuple(pairs)
-        self.asserted_constant = asserted_constant
+        sides = [p for p, _ in pairs], [q for _, q in pairs]
+        self._keep(source, target, *(_columns(_point_rows_of(s)) for s in sides),
+                   asserted_constant, sides)
+
+    @classmethod
+    def _of_columns(cls, source, target, src, tgt, asserted_constant=None):
+        """The map whose sides are given as the gate's columns."""
+        (m := cls.__new__(cls))._keep(source, target, src, tgt, asserted_constant)
+        return m
+
+    def _keep(self, source, target, src, tgt, asserted_constant, points=(None, None)):
+        """Gate each side once, naming a bad point by the points if given,
+        and sort by the source points when their (kind, id) columns are not
+        strictly increasing: a duplicate then follows its twin."""
+        needs = _gate(source, src, points[0]), _gate(target, tgt, points[1])
+        kinds, ids = src[:2]
+        nv = kinds.count(0)  # in order: the nv vertices first, ids rising in each kind
+        if 0 in kinds[nv:] or not (all(map(lt, ids[:nv], ids[1:nv]))
+                                   and all(map(lt, ids[nv:], ids[nv + 1:]))):
+            pts = _points_of(zip(*src))
+            order = sorted(range(len(ids)), key=lambda i: point_key(pts[i]))
+            for p, q in zip(order, order[1:]):
+                if pts[p] == pts[q]:
+                    raise DomainNotNet(f"duplicate domain point {pts[p]}")
+            src, tgt, needs = ([[col[i] for i in order] for col in cols]
+                               for cols in (src, tgt, needs))
+        self.source, self.target, self.asserted_constant = source, target, asserted_constant
+        # a side: (the gate's columns, each point's least scale); vertices
+        # sort first, so the domain's vertex points are a prefix
+        self._src, self._tgt = (src, needs[0]), (tgt, needs[1])
+        self._n_vertex_points = nv
+
+    @cached_property
+    def assignments(self):
+        return tuple(zip(_points_of(zip(*self._src[0])), _points_of(zip(*self._tgt[0]))))
 
     @cached_property
     def _image(self):
@@ -76,13 +103,25 @@ class QuasiMap:
         return tuple(p for p, _ in self.assignments)
 
     def image_of(self, p: GraphPoint) -> GraphPoint:
+        """The image of p, which passes the source's gate first: ids and
+        offsets that only compare equal to a point's are refused."""
+        _point_scale(self.source, (p,))
         try:
             return self._image[p]
-        except (KeyError, TypeError):
+        except KeyError:
             raise InvalidPoint(f"{p} is not in the map's domain") from None
 
     def __len__(self):
-        return len(self.assignments)
+        return len(self._src[1])
+
+
+def _picked(side, rows=slice(None)):
+    """A side's points at rows, a slice or a sequence of indices: (their
+    rows (kind, id, num, den), their least scales)."""
+    (kinds, ids, nums, dens), needs = side
+    if isinstance(rows, slice):
+        return list(zip(kinds[rows], ids[rows], nums[rows], dens[rows])), needs[rows]
+    return [(kinds[i], ids[i], nums[i], dens[i]) for i in rows], [needs[i] for i in rows]
 
 
 @dataclass(frozen=True)
@@ -149,19 +188,20 @@ def _require_connected(m: QuasiMap):
 
 
 def _require_vertex_cover(m: QuasiMap):
-    have = {p.id for p, _ in m.assignments if isinstance(p, Vertex)}
-    for vid in m.source.vertex_ids():
-        if vid not in have:
-            raise DomainNotNet(f"domain does not cover source vertex {vid}")
+    # the domain's vertex points are gated and distinct: they cover if as many
+    if m._n_vertex_points < m.source.n_vertices:
+        have = set(m._src[0][1][:m._n_vertex_points])
+        vid = next(v for v in m.source.vertex_ids() if v not in have)
+        raise DomainNotNet(f"domain does not cover source vertex {vid}")
 
 
 def surjectivity_radius(m: QuasiMap):
     """Exact max over the target half-net of the distance to the image and a
     witness point attaining it, from one search seeded at distinct images."""
-    tgt = m.target
-    k, images = _scaled(tgt, [q for _, q in m.assignments])
+    tgt, (cols, needs) = m.target, m._tgt
+    k = lcm(*set(needs))
     seeds, on_edge = [], {}
-    for edge, entries in dict.fromkeys(images):
+    for edge, entries in _scaled_rows(tgt, k, dict.fromkeys(zip(*cols))):
         seeds.extend((c, tgt._index[v]) for v, c in entries)
         if edge is not None:
             on_edge.setdefault(edge, []).append(entries[0][1])
@@ -172,20 +212,23 @@ def surjectivity_radius(m: QuasiMap):
     return Fraction(best, 2 * k * tgt._scale), point
 
 
-def _scaled_pairs(m, pairs):
-    """The pairs' domain and image points in integer units of 1/S, one
-    common scale for both graphs: (S, source points, target points)."""
+def _scaled_pairs(m, rows):
+    """The points of m's rows (see _picked) in integer units of 1/S, S common
+    to both graphs and the least for these points: (S, source, target)."""
     src, tgt = m.source, m.target
-    s = lcm(
-        src._scale * _point_scale(src, (p for p, _ in pairs)),
-        tgt._scale * _point_scale(tgt, (q for _, q in pairs)),
-    )
+    (rs, ns), (rt, nt) = _picked(m._src, rows), _picked(m._tgt, rows)
+    s = lcm(src._scale * lcm(*set(ns)), tgt._scale * lcm(*set(nt)))
     ks, kt = s // src._scale, s // tgt._scale
     return (
         s,
-        (src, ks, [_scaled_point(src, p, ks) for p, _ in pairs]),
-        (tgt, kt, [_scaled_point(tgt, q, kt) for _, q in pairs]),
+        (src, ks, _scaled_rows(src, ks, rs)),
+        (tgt, kt, _scaled_rows(tgt, kt, rt)),
     )
+
+
+def _breaks(n, s, ds, dt):
+    """Whether distances ds and dt, in units of 1/s, break the bound of n."""
+    return dt > n * ds + n * s or ds > n * dt + n * n * s
 
 
 def _kernel_side(g, k, pts):
@@ -261,7 +304,7 @@ def _first_violation(side_s, side_t, n, s, start):
         for c0, c1 in spans:
             for j in range(c0, c1):
                 ds, dt = rs[a[j]], rt[b[j]]
-                if dt > n * ds + up or ds > n * dt + lo:
+                if _breaks(n, s, ds, dt):
                     return r0, j, ds, dt
     return None
 
@@ -289,28 +332,24 @@ def verify_quasi_isometry(
         violation = SurjectivityViolation(rad_witness, radius, Fraction(n))
         return QiCertificate(n, mode, seed, count, 0, radius, (violation,))
 
-    pairs = [
-        pq for pq in m.assignments
-        if mode != "vertex-exhaustive" or isinstance(pq[0], Vertex)
-    ]
     hit = None
     if mode == "sampled":
         # each draw at its own scale: only the drawn points are scaled
         pairs_checked = 0
-        for i, j in _draws(len(pairs), 2, mode, seed, count):
+        for i, j in _draws(len(m), 2, mode, seed, count):
             pairs_checked += 1
-            s, (src, ks, (x, y)), (tgt, kt, (u, v)) = _scaled_pairs(m, (pairs[i], pairs[j]))
-            ds = _scaled_distance(src, ks, x, y)
-            dt = _scaled_distance(tgt, kt, u, v)
-            if dt > n * ds + n * s or ds > n * dt + n * n * s:
+            s, (src, ks, (x, y)), (tgt, kt, (u, v)) = _scaled_pairs(m, (i, j))
+            ds, dt = _scaled_distance(src, ks, x, y), _scaled_distance(tgt, kt, u, v)
+            if _breaks(n, s, ds, dt):
                 hit = i, j, ds, dt
                 break
     else:
-        s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+        # the vertex points are the domain's first rows, at their own scale
+        size = m._n_vertex_points if mode == "vertex-exhaustive" else len(m)
+        s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, slice(size))
         hit = _first_violation(
             _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt), n, s, (0, 1)
         )
-        size = len(pairs)
         pairs_checked = size * (size - 1) // 2
         if hit:
             i, j = hit[:2]
@@ -320,9 +359,8 @@ def verify_quasi_isometry(
     if hit:
         i, j, ds, dt = hit
         ds, dt = Fraction(ds, s), Fraction(dt, s)
-        violations = (PairViolation(
-            pairs[i][0], pairs[j][0], ds, dt, ds / n - n, n * ds + n
-        ),)
+        x, y = _points_of(_picked(m._src, (i, j))[0])
+        violations = (PairViolation(x, y, ds, dt, ds / n - n, n * ds + n),)
     return QiCertificate(n, mode, seed, count, pairs_checked, radius, violations)
 
 
@@ -340,8 +378,7 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
     _require_vertex_cover(m)
     radius, _ = surjectivity_radius(m)
     best = max(1, _ceil(radius))
-    pairs = list(m.assignments)
-    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, slice(None))
     sides = _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt)
     hit = (0, 1)
     while True:
@@ -359,12 +396,14 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
 
 
 def _distance_rows(g, sources, targets):
-    """(k*L, row), k the gate's one scale for all the points, each scaled
-    once: row(i), i an index into sources then targets, is that point's
-    integer distances to all targets in units of 1/(k*L) from _point_rows,
-    raising DisconnectedGraph where one does not reach."""
-    k, pts = _scaled(g, (*sources, *targets))
-    cols, point_row = _point_rows(g, k, pts[len(sources):])
+    """(k*L, row), sources and targets gated points of g as _picked gives
+    them, k the least scale of them all, each point scaled once: row(i), i
+    an index into sources then targets, is that point's integer distances
+    to all targets in units of 1/(k*L) from _point_rows, raising
+    DisconnectedGraph where one does not reach."""
+    k = lcm(*set(sources[1]), *set(targets[1]))
+    pts = _scaled_rows(g, k, [*sources[0], *targets[0]])
+    cols, point_row = _point_rows(g, k, pts[len(sources[1]):])
 
     def row(i):
         _, entries = x = pts[i]
@@ -377,13 +416,14 @@ def _distance_rows(g, sources, targets):
     return k * g._scale, row
 
 
-def _snap(g, queries, points):
-    """The nearest of ``points`` to each query: each row's first least entry in point_key order."""
-    net = sorted(points, key=point_key)
-    if queries and not net:
+def _snap(g, queries, net):
+    """The index in the net of each query's nearest point, both gated points
+    of g as _picked gives them, the net in point_key order: ties go to the
+    smaller point key."""
+    if queries[1] and not net[1]:
         raise InvalidPoint("cannot snap onto an empty net")
     row = _distance_rows(g, queries, net)[1]
-    return [net[r.index(min(r))] for r in map(row, range(len(queries)))]
+    return [r.index(min(r)) for r in map(row, range(len(queries[1])))]
 
 
 def compose(m2: QuasiMap, m1: QuasiMap) -> QuasiMap:
@@ -392,7 +432,6 @@ def compose(m2: QuasiMap, m1: QuasiMap) -> QuasiMap:
     where an image and a domain point lie in different components."""
     if not m1.target.same_structure(m2.source):
         raise GraphMismatch("middle graphs of the composition differ")
-    snapped = _snap(m1.target, [q for _, q in m1.assignments], m2.domain())
-    out = [(p, m2.image_of(x)) for (p, _), x in zip(m1.assignments, snapped)]
-    return QuasiMap(m1.source, m2.target, out)
-
+    snapped = _snap(m1.target, _picked(m1._tgt), _picked(m2._src))
+    images = [list(map(col.__getitem__, snapped)) for col in m2._tgt[0]]
+    return QuasiMap._of_columns(m1.source, m2.target, m1._src[0], images)

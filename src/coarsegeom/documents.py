@@ -8,7 +8,7 @@ Schemas:
   family  {"sets":[{"name":str,"elements":[str,...]},...]}
   gamma   graph keys plus {"kind":"gamma0"|"gamma1","depth":int,"family":...}
   map     {"source":path,"target":path,"N":int?,
-           "assign":[{"from":point,"to":point},...]}
+           "assign":[{"from":point,"to":point},...]}, no other keys
   reports {field:value,...} by dataclass field name: rationals "p/q", points
           as above, tuples as arrays, nested reports alike; plus "accepted",
           "rounds_run", a violation's "kind", the choice pairs as objects
@@ -45,6 +45,8 @@ from .metric_graph import (
     Interior,
     LabeledMetricGraph,
     Vertex,
+    _columns,
+    _points_of,
 )
 from .tree_ops import assert_tree
 
@@ -54,7 +56,7 @@ def _fail(msg):
 
 
 def _expect_int(value, what):
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         _fail(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -72,7 +74,7 @@ def _expect_list(value, what):
 
 
 def _expect_obj(value, what):
-    if not isinstance(value, dict):
+    if type(value) is not dict and not isinstance(value, dict):
         _fail(f"{what} must be an object")
     return value
 
@@ -130,17 +132,17 @@ def point_doc(p: GraphPoint) -> dict:
 
 
 def parse_point(doc) -> GraphPoint:
-    return _parse_point(doc, parse_rational)
+    return _points_of([_parse_point(doc, parse_rational)])[0]
 
 
 def _parse_point(doc, rational):
+    """A point document as a row (kind, id, num, den) of the gate's columns."""
     _expect_obj(doc, "point")
     if len(doc) == 1 and "vertex" in doc:
-        return Vertex(_expect_int(doc["vertex"], "vertex id"))
+        return 0, _expect_int(doc["vertex"], "vertex id"), 0, 1
     if len(doc) == 2 and "edge" in doc and "offset" in doc:
-        return Interior(
-            _expect_int(doc["edge"], "edge id"), rational(doc["offset"])
-        )
+        i, t = _expect_int(doc["edge"], "edge id"), rational(doc["offset"])
+        return 1, i, t.numerator, t.denominator
     _fail('a point is {"vertex":id} or {"edge":id,"offset":"p/q"}, '
           f"got keys {sorted(doc)}")
 
@@ -319,16 +321,20 @@ def parse_gamma1(doc):
 # -- maps --------------------------------------------------------------------
 
 
+def _point_docs(cols):
+    """point_doc of each point of the gate's columns."""
+    return [{"edge": i, "offset": f"{num}/{den}"} if kind else {"vertex": i}
+            for kind, i, num, den in zip(*cols)]
+
+
 def map_doc(m: QuasiMap, source_path: str, target_path: str, n=None) -> dict:
     if n is None:
         n = m.asserted_constant
     doc = {
         "source": source_path,
         "target": target_path,
-        "assign": [
-            {"from": point_doc(p), "to": point_doc(q)}
-            for p, q in m.assignments
-        ],
+        "assign": [{"from": p, "to": q}
+                   for p, q in zip(_point_docs(m._src[0]), _point_docs(m._tgt[0]))],
     }
     if n is not None:
         doc["N"] = int(n)
@@ -337,11 +343,13 @@ def map_doc(m: QuasiMap, source_path: str, target_path: str, n=None) -> dict:
 
 def parse_map(doc, base_dir: str) -> QuasiMap:
     """Relative source/target paths resolve against base_dir (the map
-    file's own directory)."""
+    file's own directory).  Keys other than the schema's are refused."""
     _expect_obj(doc, "map document")
     for key in ("source", "target", "assign"):
         if key not in doc:
             _fail(f'a map document needs "{key}"')
+    if extra := doc.keys() - {"source", "target", "assign", "N"}:
+        _fail(f"unknown map document keys {sorted(extra)}")
 
     def resolve(path):
         _expect_str(path, "graph path")
@@ -352,15 +360,18 @@ def parse_map(doc, base_dir: str) -> QuasiMap:
     n = doc.get("N")
     if n is not None:
         n = _expect_int(n, '"N"')
-    pairs, rational = [], _rational_reader()
+    sides, rational = ([], []), _rational_reader()
     for item in _expect_list(doc["assign"], '"assign"'):
         _expect_obj(item, "assignment entry")
         if "from" not in item or "to" not in item:
             _fail('each assignment needs "from" and "to"')
-        pairs.append((_parse_point(item["from"], rational),
-                      _parse_point(item["to"], rational)))
+        if len(item) > 2:
+            _fail(f'an assignment has only "from" and "to", got keys {sorted(item)}')
+        sides[0].append(_parse_point(item["from"], rational))
+        sides[1].append(_parse_point(item["to"], rational))
+    sides = list(map(_columns, sides))  # the rows go once their columns are made
     try:
-        return QuasiMap(source, target, pairs, asserted_constant=n)
+        return QuasiMap._of_columns(source, target, *sides, asserted_constant=n)
     except CoarseGeomError as exc:
         raise SchemaError(f"bad map document: {exc}") from exc
 

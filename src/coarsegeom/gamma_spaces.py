@@ -34,12 +34,12 @@ from .errors import (
     NotAGeodesic,
 )
 from .metric_graph import (
-    HALF,
     Geodesic,
     GraphPoint,
     Interior,
     LabeledMetricGraph,
     Vertex,
+    _net_columns,
     check_geodesic,
     distance,
     is_separated,
@@ -366,13 +366,12 @@ def build_collapse_map(g0: GammaZeroGraph, g1: LabeledMetricGraph) -> QuasiMap:
     # the tree edge between the images of its ends
     image = [0] + [tree.vertex(g0.family.sets[si].name, level)
                    for _, si, level in map(g0.info, range(1, g0.graph.n_vertices))]
-    assignments = [(Vertex(v), Vertex(t)) for v, t in enumerate(image)]
     g = g0.graph
-    for eid, u, v in zip(g._eids, g._eu, g._ev):
-        a, b = sorted((image[u], image[v]))
-        assignments.append((Interior(eid, HALF),
-                            Vertex(a) if a == b else Interior(tree.up_edge(a, b), HALF)))
-    return QuasiMap(g0.graph, g1, assignments, asserted_constant=2)
+    images = [(0, t, 0, 1) for t in image]
+    images += [(0, a, 0, 1) if a == b else (1, tree.up_edge(min(a, b), max(a, b)), 1, 2)
+               for a, b in zip(map(image.__getitem__, g._eu), map(image.__getitem__, g._ev))]
+    return QuasiMap._of_columns(g, g1, _net_columns(g.vertex_ids(), g._eids),
+                                tuple(zip(*images)), asserted_constant=2)
 
 
 def find_far_witness(g0: GammaZeroGraph, x: GraphPoint, y: GraphPoint, bound) -> int:

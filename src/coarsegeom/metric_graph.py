@@ -14,9 +14,10 @@ Vertex distances come from one engine: a Dijkstra over integer edge
 weights in units of 1/L, L the lcm of the edge-length denominators, whose
 single-source rows are cached per graph; graphs built with a closed-form
 metric answer from it instead.  Point distances scale the same integers by
-a factor that makes the points' offsets whole, found by the gate,
-_point_scale, in the pass that checks the points; Fractions appear only
-where results leave the engine.  One builder, _point_rows, turns engine
+a factor that makes the points' offsets whole, found by the gate in the
+pass that checks the points: _point_scale for point objects, _gate for
+the integer columns a map keeps; Fractions appear only where results
+leave the engine.  One builder, _point_rows, turns engine
 rows into a point's row to every vertex and to the interior points of a
 net, and one sweep, _farthest, finds the farthest vertex or edge midpoint
 on a given row.  One table, _arc, gives the integer arc length of each
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, lcm
-from operator import itemgetter, ne, not_
+from operator import floordiv, itemgetter, lt, ne, not_
 from typing import Optional, Union
 
 from .errors import (
@@ -386,6 +387,45 @@ def validate_point(g: LabeledMetricGraph, p: GraphPoint):
     _point_scale(g, (p,))
 
 
+def _point_rows_of(points):
+    """Points as rows (kind, id, num, den): a vertex is kind 0 at offset
+    0/1, an interior point kind 1 with its edge id, anything else all None."""
+    # an exact type test first: isinstance against Fraction's ABC is slow
+    return [(0, p.id, 0, 1) if isinstance(p, Vertex)
+            else (1, p.edge, t.numerator, t.denominator) if isinstance(p, Interior)
+            and (type(t := p.offset) is Fraction or isinstance(t, Fraction))
+            else (None,) * 4 for p in points]
+
+
+def _columns(rows):
+    """Rows as the gate's columns (kinds, ids, nums, dens)."""
+    return tuple(zip(*rows)) or ((),) * 4
+
+
+def _gate(g, cols, points=None):
+    """The gate for points as columns: one pass per column makes the checks
+    of _point_scale, and returns each point's least scale, the least m
+    making its entry costs whole in units of 1/(m*L).  When a point fails,
+    _point_scale on the points, made from the columns unless given, names it."""
+    kinds, ids, nums, dens = cols
+    if None not in kinds and _all_ids(ids):
+        at = list(map(g._epos.get, compress(ids, kinds)))
+        inner_n, inner_d = list(compress(nums, kinds)), list(compress(dens, kinds))
+        if (None not in at and all(map(g._index.__contains__, compress(ids, map(not_, kinds))))
+                and all(map((0).__lt__, inner_n)) and all(map(lt, inner_n, inner_d))):
+            inner = map(floordiv, inner_d, map(gcd, inner_d, map(g._elen.__getitem__, at)))
+            return [next(inner) if kind else 1 for kind in kinds]
+    _point_scale(g, _points_of(zip(*cols)) if points is None else points)
+    raise AssertionError("a point the columns refuse passed the gate")
+
+
+def _gated(g, points):
+    """(rows, least scales) of points that pass the gate."""
+    points = list(points)
+    rows = _point_rows_of(points)
+    return rows, _gate(g, _columns(rows), points)
+
+
 def _scaled(g, points, k=1):
     """(k, scaled): the gate's scale for a sequence of points, a multiple
     of k, and each point at it from _scaled_point."""
@@ -402,6 +442,28 @@ def _scaled_point(g, p, k):
     ln = g._elen[i] * k
     pos = p.offset.numerator * ln // p.offset.denominator
     return p.edge, ((g._eu[i], pos), (g._ev[i], ln - pos))
+
+
+def _scaled_rows(g, k, rows):
+    """Gated points given as rows, each in integer units of 1/(k*L) as
+    _scaled_point scales a point object, k a multiple of their least
+    scales."""
+    epos, eu, ev, elen = g._epos, g._eu, g._ev, g._elen
+    out = []
+    for kind, i, num, den in rows:
+        if kind:
+            c = num * (ln := elen[e := epos[i]] * k) // den
+            out.append((i, ((eu[e], c), (ev[e], ln - c))))
+        else:
+            out.append((None, ((i, 0),)))
+    return out
+
+
+def _points_of(rows):
+    """Gated points as Vertex and Interior objects, one Fraction per offset."""
+    fr = {}
+    return [Interior(i, fr.get((n, d)) or fr.setdefault((n, d), Fraction(n, d)))
+            if kind else Vertex(i) for kind, i, n, d in rows]
 
 
 def _scaled_distance(g, k, x, y):
@@ -488,9 +550,13 @@ def distance(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
 
 def half_net(g: LabeledMetricGraph):
     """Vertices plus the midpoint of every edge, in deterministic order."""
-    pts = [Vertex(vid) for vid in g.vertex_ids()]
-    pts.extend(map(Interior, g._eids, repeat(HALF)))
-    return pts
+    return _points_of(zip(*_net_columns(g.vertex_ids(), g._eids)))
+
+
+def _net_columns(vids, eids):
+    """The gate's columns of the vertices vids, then of the edges' midpoints."""
+    v, e = [0] * len(vids), [1] * len(eids)
+    return v + e, [*vids, *eids], v + e, [1] * len(vids) + [2] * len(eids)
 
 
 def scale_metric(g: LabeledMetricGraph, lam) -> LabeledMetricGraph:

@@ -12,6 +12,7 @@ from .coarse_maps import (
     QiCertificate,
     QuasiMap,
     _distance_rows,
+    _picked,
     _require_int,
     compose,
     minimal_qi_constant,
@@ -23,6 +24,12 @@ from .metric_graph import (
     GraphPoint,
     LabeledMetricGraph,
     Vertex,
+    _columns,
+    _gate,
+    _gated,
+    _net_columns,
+    _point_rows_of,
+    _points_of,
     canonical_geodesic,
     distance,
     half_net,
@@ -103,17 +110,19 @@ def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoi
     along the geodesic toward a.  _meets gates z, a and b, in that order.
     """
     assert_tree(g)
-    return _meets(g, z, (a, b))((0, 1))
+    return _meets(g, z, _gated(g, (a, b)))((0, 1))
 
 
-def _meets(g, z, points):
-    """meet(cloud), cloud a list of indices into points: where the paths
-    from z to the cloud's points part ways in a tree.  That is on the
-    geodesic from z to the first point y1, at the least Gromov product
-    (y1|y)_z = (d(z,y1) + d(z,y) - d(y1,y)) / 2 over the cloud, where the
-    fold of medians with root z lands in any order; z's integer row is
-    read once, and each meet reads its first point's."""
-    unit, row = _distance_rows(g, (z,), points)
+def _meets(g, z, side):
+    """meet(cloud), cloud a list of indices into side, gated points of g as
+    _picked gives them: where the paths from z to the cloud's points part
+    ways in a tree.  That is on the geodesic from z to the first point
+    y1, at the least Gromov product (y1|y)_z = (d(z,y1) + d(z,y) -
+    d(y1,y)) / 2 over the cloud, where the fold of medians with root z
+    lands in any order; z's integer row is read once, and each meet reads
+    its first point's."""
+    unit, row = _distance_rows(g, _gated(g, (z,)), side)
+    points = _points_of(side[0])
     from_z = row(0)
 
     def meet(cloud):
@@ -164,16 +173,17 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     assert_tree(tree)
     if z is None:
         z = Vertex(min(tree.vertex_ids()))
-    net = half_net(f.target)
-    unit, row = _distance_rows(f.target, net, [q for _, q in f.assignments])
-    meet = _meets(tree, z, f.domain())  # z passes the gate here
-    assignments = []
-    for i, x in enumerate(net):
+    tgt = f.target
+    net = _net_columns(tgt.vertex_ids(), tgt._eids)  # the half-net
+    unit, row = _distance_rows(tgt, _picked((net, _gate(tgt, net))), _picked(f._tgt))
+    meet = _meets(tree, z, _picked(f._src))  # z passes the gate here
+    images = []
+    for i in range(len(net[0])):
         cloud = [j for j, d in enumerate(row(i)) if d <= n * unit]
         if not cloud:
-            raise EmptyPreimage(f"no image within {n} of {x}")
-        assignments.append((x, meet(cloud)))
-    h = QuasiMap(f.target, tree, assignments)
+            raise EmptyPreimage(f"no image within {n} of {half_net(tgt)[i]}")
+        images.append(meet(cloud))
+    h = QuasiMap._of_columns(tgt, tree, net, _columns(_point_rows_of(images)))
     bound = 9 * n * n
     best = minimal_qi_constant(h)
     if best > bound:

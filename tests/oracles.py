@@ -487,17 +487,42 @@ def pruned_copy_extraction(m, g0, n):
                                 tuple(h_values), tuple(transversal), verified)
 
 
-def pair_scan(m, pairs, n, start=(0, 1)):
+def pair_scan(m, rows, n, start=(0, 1)):
     """coarse_maps._first_violation by a plain lexicographic loop: the
-    first pair (i, j) of ``pairs`` from ``start`` on whose distances break
-    the bound with constant n, as (i, j, ds, dt) in units of 1/s, each
-    distance read with _scaled_distance; no rows, no bands, no skipping."""
-    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    first pair (i, j) of m's rows, a slice, from ``start`` on whose
+    distances break the bound with constant n, as (i, j, ds, dt) in units
+    of 1/s, each distance read with _scaled_distance; no rows, no bands,
+    no skipping."""
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, rows)
     i0, j0 = start
-    for i in range(i0, len(pairs)):
-        for j in range(j0 if i == i0 else i + 1, len(pairs)):
+    for i in range(i0, len(ps)):
+        for j in range(j0 if i == i0 else i + 1, len(ps)):
             ds = _scaled_distance(src, ks, ps[i], ps[j])
             dt = _scaled_distance(tgt, kt, pt[i], pt[j])
             if dt > n * ds + n * s or ds > n * dt + n * n * s:
                 return i, j, ds, dt
     return None
+
+
+def map_document(pairs, source_path, target_path, n=None):
+    """A map's document written point by point from its (source point,
+    target point) pairs: the pairs in domain order (vertices by id, then
+    interior points by edge id and offset), each offset "p/q"."""
+
+    def key(p):
+        return (0, p.id, ZERO) if isinstance(p, Vertex) else (1, p.edge, p.offset)
+
+    def point(p):
+        if isinstance(p, Vertex):
+            return {"vertex": p.id}
+        return {"edge": p.edge, "offset": f"{p.offset.numerator}/{p.offset.denominator}"}
+
+    doc = {
+        "source": source_path,
+        "target": target_path,
+        "assign": [{"from": point(p), "to": point(q)}
+                   for p, q in sorted(pairs, key=lambda pq: key(pq[0]))],
+    }
+    if n is not None:
+        doc["N"] = n
+    return doc

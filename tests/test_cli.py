@@ -126,6 +126,24 @@ def test_collapse_and_min_qi(capsys, tmp_path, fam_file):
     assert doc["accepted"] is False and doc["violations"]
 
 
+def test_check_qi_refuses_unknown_map_keys(capsys, tmp_path):
+    """An extra key in a map document or in one of its entries exits 2
+    with one error line, and the same document without it certifies."""
+    g = path_graph(3)
+    graph_file(tmp_path, g, "g.json")
+    doc = map_doc(QuasiMap(g, g, [(Vertex(v), Vertex(v)) for v in range(3)]),
+                  "g.json", "g.json", n=1)
+    extra_entry = {**doc, "assign": [{**doc["assign"][0], "from_": {"vertex": 0}},
+                                     *doc["assign"][1:]]}
+    for d, want in ((doc, 0), ({**doc, "source_": "g.json"}, 2), (extra_entry, 2)):
+        mp = tmp_path / "map.json"
+        mp.write_text(canonical_dumps(d))
+        code, out, err = run(capsys, "check-qi", "--map", str(mp), "--constant", "1")
+        assert code == want
+        if want:
+            assert out is None and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_qi_exhaustive_guard(capsys, tmp_path):
     g = path_graph(4001)
     gp = graph_file(tmp_path, g, "big.json")

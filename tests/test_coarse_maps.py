@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import path_graph, random_tree
-from coarsegeom import coarse_maps
+from coarsegeom import choice_pipeline, cli, coarse_maps, documents, gamma_spaces, metric_graph, tree_ops
 from coarsegeom import (
     DisconnectedGraph,
     DomainNotNet,
@@ -44,6 +44,7 @@ from coarsegeom.coarse_maps import (
     surjectivity_radius,
 )
 from coarsegeom.gamma_spaces import gamma1_edge_id, gamma1_vertex_id
+from coarsegeom.metric_graph import _gated, point_key
 
 H = Fraction(1, 2)
 
@@ -76,6 +77,60 @@ def test_image_of_unknown_point():
     m = identity_map(g)
     with pytest.raises(InvalidPoint):
         m.image_of(Interior(0, H))
+
+
+def test_image_of_gates_the_query():
+    """Ids and offsets that only compare equal to a point's are refused by
+    the gate before the lookup, with the gate's message."""
+    g = path_graph(3)
+    m = QuasiMap(g, g, [(p, p) for p in half_net(g)])
+    assert m.image_of(Interior(1, H)) == Interior(1, H)
+    for bad, message in ((Vertex(True), "no vertex with id True"),
+                         (Vertex(1.0), "no vertex with id 1.0"),
+                         (Interior(True, H), "no edge with id True")):
+        with pytest.raises(InvalidPoint) as err:
+            m.image_of(bad)
+        assert str(err.value) == message
+
+
+def test_each_map_side_passes_the_gate_once(fam2, pipe2, tmp_path, monkeypatch):
+    """A map's construction gates each side once, as columns; check-qi on
+    a map file and extract_choice on a section map then gate no point."""
+    calls = []
+    real_gate, real_scale = metric_graph._gate, metric_graph._point_scale
+
+    def gate(g, cols, points=None):
+        calls.append(len(cols[0]))
+        return real_gate(g, cols, points)
+
+    def scale(g, points, k=1):
+        points = list(points)
+        calls.append(len(points))
+        return real_scale(g, points, k)
+
+    for module in (metric_graph, coarse_maps, tree_ops, choice_pipeline, gamma_spaces, documents):
+        for name, fake in (("_gate", gate), ("_point_scale", scale)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
+    g0, g1 = build_gamma0(fam2, 3), build_gamma1(fam2, 3)
+    (tmp_path / "g0.json").write_text(documents.canonical_dumps(documents.gamma0_doc(g0)))
+    (tmp_path / "g1.json").write_text(documents.canonical_dumps(documents.gamma1_doc(g1)))
+    m = build_collapse_map(g0, g1)
+    assert calls == [len(m), len(m)]
+    (tmp_path / "map.json").write_text(
+        documents.canonical_dumps(documents.map_doc(m, "g0.json", "g1.json")))
+    for mode in ("exhaustive", "sampled"):
+        calls.clear()
+        argv = ["check-qi", "--map", str(tmp_path / "map.json"), "--constant", "2",
+                "--mode", mode, "--seed", "1", "--count", "40"]
+        assert cli.main(argv + ["--out", str(tmp_path / "qi.json")]) == 0
+        assert calls == [len(m), len(m)]  # parse_map's construction
+    calls.clear()
+    section = section_map(pipe2[0], mode="seeded", seed=3, g1=pipe2[1])
+    assert calls == [len(section), len(section)]
+    calls.clear()
+    assert extract_choice(section, pipe2[0], 4).verified
+    assert calls == []
 
 
 def test_assignments_sorted_by_point_key():
@@ -172,18 +227,19 @@ def test_sampled_mode_is_seeded(g0_d3, g1_d3):
 
 
 def test_sampled_mode_scales_only_the_drawn_points(fam3, monkeypatch):
-    """Each draw scales its own four points, so a sampled check of the
-    cli chain's 4,185-point collapse map at count 500 makes at most 2,000
-    _scaled_point calls in coarse_maps: the surjectivity radius scales the
-    images through metric_graph._scaled, which the patch does not count."""
+    """A sampled check of the cli chain's 4,185-point collapse map at count
+    500 scales the 601 distinct images once, for the surjectivity radius,
+    then each draw its own two points on each side, from the map's
+    columns: no other point is scaled."""
     m = build_collapse_map(build_gamma0(fam3, 100), build_gamma1(fam3, 100))
     assert len(m) == 4185
-    calls = []
-    real = coarse_maps._scaled_point
-    monkeypatch.setattr(coarse_maps, "_scaled_point", lambda *a: calls.append(1) or real(*a))
+    sizes = []
+    real = coarse_maps._scaled_rows
+    monkeypatch.setattr(coarse_maps, "_scaled_rows",
+                        lambda *a: sizes.append(len(out := real(*a))) or out)
     cert = verify_quasi_isometry(m, 2, mode="sampled", seed=5, count=500)
     assert cert.accepted and cert.pairs_checked == 500
-    assert len(calls) <= 2000
+    assert sizes == [601] + [2] * 1000
 
 
 # -- the pair kernel against the oracles ------------------------------------
@@ -422,10 +478,12 @@ def band_cases(draw):
 @given(band_cases())
 def test_band_kernel_matches_pair_scan(case):
     m, pairs, n, start = case
-    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    # the vertex points are the domain's first rows
+    rows = slice(len(pairs))
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, rows)
     sides = _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt)
     assert all(side[3] is not None for side in sides)  # the band path
-    assert _first_violation(*sides, n, s, start) == oracles.pair_scan(m, pairs, n, start)
+    assert _first_violation(*sides, n, s, start) == oracles.pair_scan(m, rows, n, start)
     if start == (0, 1) and len(pairs) == len(m):
         # the minimal constant resumes at every violation: the same without bands
         assert minimal_qi_constant(m) == minimal_qi_constant(constructor_copy(m))
@@ -446,7 +504,7 @@ def kernel_work(m, n, mode="exhaustive"):
     kernel scan of m at constant n: a pair is read from a source row or
     by the source's closed-form distance."""
     pairs = [pq for pq in m.assignments if mode == "exhaustive" or isinstance(pq[0], Vertex)]
-    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, pairs)
+    s, (src, ks, ps), (tgt, kt, pt) = _scaled_pairs(m, slice(len(pairs)))
     (a, row_s, steps_s, dist_s), (b, row_t, steps_t, dist_t) = (
         _kernel_side(src, ks, ps), _kernel_side(tgt, kt, pt))
     source_rows, target_rows, dists = [], [], []
@@ -565,24 +623,31 @@ def test_not_coarsely_surjective_cap():
         minimal_qi_constant(m, cap=3)
 
 
+def snap(g, queries, points):
+    """_snap on point objects: the nearest of the points, sorted by
+    point_key, to each query."""
+    net = sorted(points, key=point_key)
+    return [net[i] for i in _snap(g, _gated(g, queries), _gated(g, net))]
+
+
 def test_snap_ties_break_lexicographically():
     g = path_graph(3)
     pts = [Vertex(0), Vertex(2)]
     # vertex 1 is equidistant from both: the smaller point key wins
-    assert _snap(g, [Vertex(1), Vertex(2)], pts) == [Vertex(0), Vertex(2)]
+    assert snap(g, [Vertex(1), Vertex(2)], pts) == [Vertex(0), Vertex(2)]
     mid = Interior(1, H)
-    assert _snap(g, [mid], [Vertex(0), mid]) == [mid]
+    assert snap(g, [mid], [Vertex(0), mid]) == [mid]
 
 
 def test_snap_on_a_disconnected_graph():
     # two components: 0-1 and 2-3
     g = LabeledMetricGraph(range(4), [(0, 0, 1, 1), (1, 2, 3, 1)])
     # only rows between points of one component are read
-    assert _snap(g, [Vertex(0)], [Vertex(1)]) == [Vertex(1)]
+    assert snap(g, [Vertex(0)], [Vertex(1)]) == [Vertex(1)]
     third = Interior(0, Fraction(1, 3))
-    assert _snap(g, [third], [Vertex(0), Interior(0, H)]) == [Interior(0, H)]
+    assert snap(g, [third], [Vertex(0), Interior(0, H)]) == [Interior(0, H)]
     with pytest.raises(DisconnectedGraph):
-        _snap(g, [Vertex(0)], [Vertex(1), Vertex(2)])
+        snap(g, [Vertex(0)], [Vertex(1), Vertex(2)])
     m1 = QuasiMap(g, g, [(Vertex(0), Vertex(0))])
     m2 = QuasiMap(g, g, [(Vertex(1), Vertex(1)), (Vertex(2), Vertex(2))])
     with pytest.raises(DisconnectedGraph):
@@ -613,10 +678,10 @@ def snap_cases(draw):
 @given(snap_cases(), st.booleans())
 def test_snap_matches_oracle(case, lazy):
     g, fw, q, pts = case
-    unit, row = _distance_rows(g, [q], pts)
+    unit, row = _distance_rows(g, _gated(g, [q]), _gated(g, pts))
     want = [oracles.point_distance(g, fw, q, x) for x in pts]
     assert [Fraction(d, unit) for d in row(0)] == want
-    [got] = _snap(g, [q], iter(pts) if lazy else pts)
+    [got] = snap(g, [q], iter(pts) if lazy else pts)
     assert got == oracles.nearest_point(g, fw, q, pts)
 
 

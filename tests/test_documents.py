@@ -4,6 +4,7 @@ import gc
 import importlib
 import json
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from coarsegeom import (
     BottleneckWitness,
+    DomainNotNet,
     Interior,
     LabeledMetricGraph,
     QuasiMap,
@@ -57,6 +59,7 @@ from coarsegeom.documents import (
     separation_report_doc,
     violation_doc,
 )
+import oracles
 from conftest import cycle_graph, path_graph, random_graph, random_tree
 
 
@@ -533,6 +536,83 @@ def test_map_schema_rejections(tmp_path):
     p = tmp_path / "b4.json"; p.write_text("{not json")
     with pytest.raises(SchemaError):
         load_map_file(str(p))
+
+
+def test_map_documents_refuse_unknown_keys(tmp_path):
+    """A map document has only the keys source, target, assign and N, and
+    an entry only from and to: any other key is a SchemaError."""
+    g = path_graph(3)
+    (tmp_path / "g.json").write_text(canonical_dumps(graph_doc(g)))
+    base = {"source": "g.json", "target": "g.json", "N": 1,
+            "assign": [{"from": {"vertex": v}, "to": {"vertex": v}} for v in range(3)]}
+    assert len(documents.parse_map(base, str(tmp_path))) == 3
+    cases = [
+        ({**base, "source_": "g.json"}, "unknown map document keys ['source_']"),
+        ({**base, "assign": [{**base["assign"][0], "from_": {"vertex": 0}},
+                             *base["assign"][1:]]},
+         'an assignment has only "from" and "to", got keys [\'from\', \'from_\', \'to\']'),
+        ({**base, "assign": [{"from": {"vertex": 0}}]}, 'each assignment needs "from" and "to"'),
+    ]
+    for doc, message in cases:
+        with pytest.raises(SchemaError) as err:
+            documents.parse_map(doc, str(tmp_path))
+        assert str(err.value) == message
+
+
+# offsets whose least scales differ from edge to edge, on lengths that are not whole
+MAP_LENGTHS = [Fraction(1), Fraction(1, 2), Fraction(5, 3), Fraction(7, 4)]
+MAP_OFFSETS = [Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), Fraction(2, 3), Fraction(6, 7)]
+
+
+@st.composite
+def mixed_maps(draw):
+    """(source, target, pairs): two rational graphs of no builder, and
+    pairs that mix vertices and interior points on both sides, with no
+    domain point twice, in a drawn order."""
+    graphs, pools = [], []
+    for _ in range(2):
+        n = draw(st.integers(1, 6))
+        g = LabeledMetricGraph(range(n), [
+            (i - 1, draw(st.integers(0, i - 1)), i, draw(st.sampled_from(MAP_LENGTHS)))
+            for i in range(1, n)])
+        graphs.append(g)
+        pools.append([Vertex(v) for v in range(n)]
+                     + [Interior(e, t) for e in g._eids for t in MAP_OFFSETS])
+    dom = draw(st.lists(st.sampled_from(pools[0]), min_size=1, max_size=12, unique=True))
+    pairs = [(p, draw(st.sampled_from(pools[1]))) for p in dom]
+    return graphs[0], graphs[1], draw(st.permutations(pairs))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(mixed_maps())
+def test_map_columns_match_point_documents(tmp_path_factory, case):
+    """map_doc writes from the columns what a point-by-point writer writes;
+    parse_map reads every pair back, the same by columns and entry by
+    entry; a duplicate domain point keeps its message."""
+    src, tgt, pairs = case
+    m = QuasiMap(src, tgt, pairs, asserted_constant=3)
+    text = canonical_dumps(map_doc(m, "s.json", "t.json"))
+    want = oracles.map_document(pairs, "s.json", "t.json", 3)
+    assert text == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    where = tmp_path_factory.mktemp("map")
+    (where / "s.json").write_text(canonical_dumps(graph_doc(src)))
+    (where / "t.json").write_text(canonical_dumps(graph_doc(tgt)))
+    doc = json.loads(text)
+    back = documents.parse_map(doc, str(where))
+    assert back.assignments == m.assignments
+    assert sorted(back.assignments, key=str) == sorted(pairs, key=str)
+    # entries that are no exact dicts are read entry by entry
+    slow = {**doc, "assign": [OrderedDict(item) for item in doc["assign"]]}
+    assert documents.parse_map(slow, str(where)).assignments == m.assignments
+    p, q = pairs[-1]
+    message = f"duplicate domain point {p}"
+    with pytest.raises(DomainNotNet) as err:
+        QuasiMap(src, tgt, [(p, q), *pairs])
+    assert str(err.value) == message
+    doc["assign"].append(doc["assign"][0])
+    with pytest.raises(SchemaError) as err:
+        documents.parse_map(doc, str(where))
+    assert str(err.value) == f"bad map document: duplicate domain point {m.assignments[0][0]}"
 
 
 def test_load_graph_file_dispatch(tmp_path, fam2):
