@@ -36,11 +36,11 @@ from .metric_graph import (
     _gate,
     _point_rows,
     _point_rows_of,
-    _point_scale,
     _points_of,
     _scaled_distance,
     _scaled_rows,
     point_key,
+    validate_point,
 )
 
 
@@ -70,10 +70,10 @@ class QuasiMap:
         return m
 
     def _keep(self, source, target, src, tgt, asserted_constant, points=(None, None)):
-        """Gate each side once, naming a bad point by the points if given,
+        """Gate each side's rows once, points if given naming a non-point,
         and sort by the source points when their (kind, id) columns are not
         strictly increasing: a duplicate then follows its twin."""
-        needs = _gate(source, src, points[0]), _gate(target, tgt, points[1])
+        needs = _gate(source, zip(*src), points[0]), _gate(target, zip(*tgt), points[1])
         kinds, ids = src[:2]
         nv = kinds.count(0)  # in order: the nv vertices first, ids rising in each kind
         if 0 in kinds[nv:] or not (all(map(lt, ids[:nv], ids[1:nv]))
@@ -105,7 +105,7 @@ class QuasiMap:
     def image_of(self, p: GraphPoint) -> GraphPoint:
         """The image of p, which passes the source's gate first: ids and
         offsets that only compare equal to a point's are refused."""
-        _point_scale(self.source, (p,))
+        validate_point(self.source, p)
         try:
             return self._image[p]
         except KeyError:

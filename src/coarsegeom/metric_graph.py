@@ -14,13 +14,13 @@ Vertex distances come from one engine: a Dijkstra over integer edge
 weights in units of 1/L, L the lcm of the edge-length denominators, whose
 single-source rows are cached per graph; graphs built with a closed-form
 metric answer from it instead.  Point distances scale the same integers by
-a factor that makes the points' offsets whole, found by the gate in the
-pass that checks the points: _point_scale for point objects, _gate for
-the integer columns a map keeps; Fractions appear only where results
-leave the engine.  One builder, _point_rows, turns engine
-rows into a point's row to every vertex and to the interior points of a
-net, and one sweep, _farthest, finds the farthest vertex or edge midpoint
-on a given row.  One table, _arc, gives the integer arc length of each
+a factor that makes the points' offsets whole, found by the gate, _gate,
+in its one loop over the points' rows (kind, id, num, den), made from
+point objects or read from a map's columns; Fractions appear only where
+results leave the engine.  One builder, _point_rows, turns engine rows
+into a point's row to every vertex and to the interior points of a net,
+and one sweep, _farthest, finds the farthest vertex or edge midpoint on
+a given row.  One table, _arc, gives the integer arc length of each
 vertex a geodesic hits, and points along it are read off that table.  One
 cut, _ball_cut, gives what survives a closed ball, and one breadth-first
 search over the survivors, _reach, decides separation, gives the witness
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from math import gcd, lcm
-from operator import floordiv, itemgetter, lt, ne, not_
+from operator import itemgetter, ne, not_
 from typing import Optional, Union
 
 from .errors import (
@@ -357,43 +357,15 @@ class LabeledMetricGraph:
 # -- points ----------------------------------------------------------------
 
 
-def _point_scale(g, points, k=1):
-    """The gate every point passes before it becomes integers: checks the
-    points in order and returns the least multiple m of k such that every
-    entry cost of the points is a whole number of units of 1/(m*L).  A
-    Vertex must name a vertex of g, an Interior an edge of g at a Fraction
-    offset strictly between 0 and 1; anything else raises InvalidPoint."""
-    at, vertex_at, lens = g._at, g._vertex_at, g._elen
-    for p in points:
-        if isinstance(p, Interior):
-            i, t = at(p.edge), p.offset
-            # an exact type test first: isinstance against Fraction's ABC is slow
-            if type(t) is not Fraction and not isinstance(t, Fraction):
-                raise InvalidPoint("interior offset must be a Fraction")
-            num, den = t.numerator, t.denominator
-            if not 0 < num < den:
-                raise InvalidPoint(f"interior offset {t} of edge {p.edge} is outside (0, 1)")
-            if k % den:  # else k already makes this point's costs whole
-                k = lcm(k, den // gcd(den, lens[i]))
-        elif isinstance(p, Vertex):
-            vertex_at(p.id)
-        else:
-            raise InvalidPoint(f"not a graph point: {p!r}")
-    return k
-
-
-def validate_point(g: LabeledMetricGraph, p: GraphPoint):
-    """Raise InvalidPoint unless p is a point of g: the gate on one point."""
-    _point_scale(g, (p,))
-
-
 def _point_rows_of(points):
     """Points as rows (kind, id, num, den): a vertex is kind 0 at offset
-    0/1, an interior point kind 1 with its edge id, anything else all None."""
+    0/1, an interior point kind 1 with its edge id, its offset None/None
+    unless a Fraction, anything else all None."""
     # an exact type test first: isinstance against Fraction's ABC is slow
     return [(0, p.id, 0, 1) if isinstance(p, Vertex)
-            else (1, p.edge, t.numerator, t.denominator) if isinstance(p, Interior)
-            and (type(t := p.offset) is Fraction or isinstance(t, Fraction))
+            else ((1, p.edge, t.numerator, t.denominator)
+                  if type(t := p.offset) is Fraction or isinstance(t, Fraction)
+                  else (1, p.edge, None, None)) if isinstance(p, Interior)
             else (None,) * 4 for p in points]
 
 
@@ -402,52 +374,56 @@ def _columns(rows):
     return tuple(zip(*rows)) or ((),) * 4
 
 
-def _gate(g, cols, points=None):
-    """The gate for points as columns: one pass per column makes the checks
-    of _point_scale, and returns each point's least scale, the least m
-    making its entry costs whole in units of 1/(m*L).  When a point fails,
-    _point_scale on the points, made from the columns unless given, names it."""
-    kinds, ids, nums, dens = cols
-    if None not in kinds and _all_ids(ids):
-        at = list(map(g._epos.get, compress(ids, kinds)))
-        inner_n, inner_d = list(compress(nums, kinds)), list(compress(dens, kinds))
-        if (None not in at and all(map(g._index.__contains__, compress(ids, map(not_, kinds))))
-                and all(map((0).__lt__, inner_n)) and all(map(lt, inner_n, inner_d))):
-            inner = map(floordiv, inner_d, map(gcd, inner_d, map(g._elen.__getitem__, at)))
-            return [next(inner) if kind else 1 for kind in kinds]
-    _point_scale(g, _points_of(zip(*cols)) if points is None else points)
-    raise AssertionError("a point the columns refuse passed the gate")
+def _gate(g, rows, points=None):
+    """The gate every point passes: one loop over rows (kind, id, num, den)
+    returns each point's least scale m, making its entry costs whole in units
+    of 1/(m*L).  A vertex names a vertex of g, an interior point an edge of
+    g, then a Fraction offset strictly inside (0, 1); the first row that
+    fails raises InvalidPoint, points naming a row that is no point."""
+    index, epos, elen = g._index, g._epos, g._elen
+    needs = []
+    for kind, i, num, den in rows:
+        if kind:
+            if type(i) is not int or (e := epos.get(i)) is None:
+                e = g._at(i)
+            if num is None:
+                raise InvalidPoint("interior offset must be a Fraction")
+            if not 0 < num < den:
+                raise InvalidPoint(
+                    f"interior offset {Fraction(num, den)} of edge {i} is outside (0, 1)")
+            needs.append(den // gcd(den, elen[e]))
+        elif kind == 0:
+            if type(i) is not int or i not in index:
+                g._vertex_at(i)
+            needs.append(1)
+        else:
+            raise InvalidPoint(f"not a graph point: {points[len(needs)]!r}")
+    return needs
+
+
+def validate_point(g: LabeledMetricGraph, p: GraphPoint):
+    """Raise InvalidPoint unless p is a point of g: the gate on one point."""
+    _gated(g, (p,))
 
 
 def _gated(g, points):
-    """(rows, least scales) of points that pass the gate."""
-    points = list(points)
+    """(rows, least scales) of a sequence of points that pass the gate."""
     rows = _point_rows_of(points)
-    return rows, _gate(g, _columns(rows), points)
+    return rows, _gate(g, rows, points)
 
 
 def _scaled(g, points, k=1):
-    """(k, scaled): the gate's scale for a sequence of points, a multiple
-    of k, and each point at it from _scaled_point."""
-    k = _point_scale(g, points, k)
-    return k, [_scaled_point(g, p, k) for p in points]
-
-
-def _scaled_point(g, p, k):
-    """A gated point in integer units of 1/(k*L): (edge id, or None for a
-    vertex; the (vertex id, cost) pairs of the ways of leaving it)."""
-    if isinstance(p, Vertex):
-        return None, ((p.id, 0),)
-    i = g._epos[p.edge]
-    ln = g._elen[i] * k
-    pos = p.offset.numerator * ln // p.offset.denominator
-    return p.edge, ((g._eu[i], pos), (g._ev[i], ln - pos))
+    """(m, scaled): m the least multiple of k that makes a sequence of
+    points whole, by the gate, and each point at m from _scaled_rows."""
+    rows, needs = _gated(g, points)
+    k = lcm(k, *needs)
+    return k, _scaled_rows(g, k, rows)
 
 
 def _scaled_rows(g, k, rows):
-    """Gated points given as rows, each in integer units of 1/(k*L) as
-    _scaled_point scales a point object, k a multiple of their least
-    scales."""
+    """Gated points given as rows, each in integer units of 1/(k*L), k a
+    multiple of their least scales: (edge id, or None for a vertex; the
+    (vertex id, cost) pairs of the ways of leaving it)."""
     epos, eu, ev, elen = g._epos, g._eu, g._ev, g._elen
     out = []
     for kind, i, num, den in rows:
@@ -467,7 +443,7 @@ def _points_of(rows):
 
 
 def _scaled_distance(g, k, x, y):
-    """Distance between two points from _scaled_point, in units of
+    """Distance between two points from _scaled_rows, in units of
     1/(k*L)."""
     (ex, px), (ey, py) = x, y
     vd = g._vdist
@@ -480,7 +456,7 @@ def _scaled_distance(g, k, x, y):
 
 
 def _point_rows(g, k, net):
-    """(cols, row), over net, a list of points from _scaled_point: row(x),
+    """(cols, row), over net, a list of points from _scaled_rows: row(x),
     x such a point, gives x's integer distances in units of 1/(k*L) to
     every vertex by index, then to each distinct interior point of net,
     -1 exactly where x does not reach; cols[t] is net[t]'s column.  A vertex
@@ -704,16 +680,19 @@ def _arc(g, geo):
 
 def point_along(g, geo: Geodesic, s) -> GraphPoint:
     """The point at arc length s along a geodesic (0 <= s <= length).  Its
-    ends pass the gate in _arc, or here at either end or inside one edge."""
+    ends pass the gate in _arc, or here in one call at either end or inside
+    one edge, where a geodesic that hits no vertex must have both ends;
+    else NotAGeodesic, as check_geodesic says."""
     s = Fraction(s)
     if not (0 <= s <= geo.length):
         raise InvalidPoint(f"arc length {s} outside [0, {geo.length}]")
     vs = geo.vertices
     if not vs or s == 0 or s == geo.length:
-        validate_point(g, geo.start)
-        validate_point(g, geo.end)
+        (ka, ea, _, _), (kb, eb, _, _) = _gated(g, (geo.start, geo.end))[0]
         if s == 0 or s == geo.length:
             return geo.start if s == 0 else geo.end
+        if not (ka and kb and ea == eb):
+            raise NotAGeodesic("an empty vertex sequence needs both ends inside one edge")
         a, b = geo.start.offset, geo.end.offset
         local = s * g._scale / g._elen[g._epos[geo.start.edge]]
         return Interior(geo.start.edge, a + local if b > a else a - local)
@@ -852,8 +831,7 @@ def ball_complement_components(g: LabeledMetricGraph, center: GraphPoint, radius
 def is_separated(g, x: GraphPoint, y: GraphPoint, w: GraphPoint, r) -> bool:
     """True iff every path from x to y meets the closed ball around w of
     radius r: no avoiding path exists."""
-    validate_point(g, x)
-    validate_point(g, y)
+    _gated(g, (x, y))
     return _avoiding_path(g, w, r, x, y) is None
 
 

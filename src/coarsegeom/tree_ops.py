@@ -107,22 +107,23 @@ def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoi
     """The unique point lying on all three pairwise geodesics of a tree.
 
     Measured from z it sits (d(z,a) + d(z,b) - d(a,b)) / 2 of the way
-    along the geodesic toward a.  _meets gates z, a and b, in that order.
+    along the geodesic toward a.  One gate call checks z, a and b in order.
     """
     assert_tree(g)
-    return _meets(g, z, _gated(g, (a, b)))((0, 1))
+    rows, needs = _gated(g, (z, a, b))
+    return _meets(g, (rows[:1], needs[:1]), (rows[1:], needs[1:]))((0, 1))
 
 
-def _meets(g, z, side):
-    """meet(cloud), cloud a list of indices into side, gated points of g as
-    _picked gives them: where the paths from z to the cloud's points part
-    ways in a tree.  That is on the geodesic from z to the first point
-    y1, at the least Gromov product (y1|y)_z = (d(z,y1) + d(z,y) -
-    d(y1,y)) / 2 over the cloud, where the fold of medians with root z
-    lands in any order; z's integer row is read once, and each meet reads
-    its first point's."""
-    unit, row = _distance_rows(g, _gated(g, (z,)), side)
-    points = _points_of(side[0])
+def _meets(g, root, side):
+    """meet(cloud), cloud a list of indices into side, root and side gated
+    points of g as _picked gives them, root the one point z: where the
+    paths from z to the cloud's points part ways in a tree.  That is on
+    the geodesic from z to the first point y1, at the least Gromov product
+    (y1|y)_z = (d(z,y1) + d(z,y) - d(y1,y)) / 2 over the cloud, where the
+    fold of medians with root z lands in any order; z's integer row is
+    read once, and each meet reads its first point's."""
+    unit, row = _distance_rows(g, root, side)
+    (z,), points = _points_of(root[0]), _points_of(side[0])
     from_z = row(0)
 
     def meet(cloud):
@@ -175,8 +176,8 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
         z = Vertex(min(tree.vertex_ids()))
     tgt = f.target
     net = _net_columns(tgt.vertex_ids(), tgt._eids)  # the half-net
-    unit, row = _distance_rows(tgt, _picked((net, _gate(tgt, net))), _picked(f._tgt))
-    meet = _meets(tree, z, _picked(f._src))  # z passes the gate here
+    unit, row = _distance_rows(tgt, _picked((net, _gate(tgt, zip(*net)))), _picked(f._tgt))
+    meet = _meets(tree, _gated(tree, (z,)), _picked(f._src))
     images = []
     for i in range(len(net[0])):
         cloud = [j for j, d in enumerate(row(i)) if d <= n * unit]

@@ -144,6 +144,25 @@ def test_check_qi_refuses_unknown_map_keys(capsys, tmp_path):
             assert out is None and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_check_qi_names_the_first_bad_point(capsys, tmp_path):
+    """A map document with two bad points exits 2 with one error line that
+    names the first in document order, though the second sorts first."""
+    g = path_graph(3)
+    graph_file(tmp_path, g, "g.json")
+    doc = map_doc(QuasiMap(g, g, [(Vertex(v), Vertex(v)) for v in range(3)]),
+                  "g.json", "g.json", n=1)
+    bad = ({"edge": 0, "offset": "3/2"}, "interior offset 3/2 of edge 0 is outside (0, 1)"), \
+        ({"vertex": 99}, "no vertex with id 99")
+    for (first, message), (second, _) in (bad, bad[::-1]):
+        assign = [doc["assign"][0], {"from": first, "to": {"vertex": 1}},
+                  {"from": second, "to": {"vertex": 2}}]
+        mp = tmp_path / "map.json"
+        mp.write_text(canonical_dumps({**doc, "assign": assign}))
+        code, out, err = run(capsys, "check-qi", "--map", str(mp), "--constant", "1")
+        assert (code, out) == (2, None)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(f"{message}\n")
+
+
 def test_check_qi_exhaustive_guard(capsys, tmp_path):
     g = path_graph(4001)
     gp = graph_file(tmp_path, g, "big.json")

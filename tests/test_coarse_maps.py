@@ -94,25 +94,24 @@ def test_image_of_gates_the_query():
 
 
 def test_each_map_side_passes_the_gate_once(fam2, pipe2, tmp_path, monkeypatch):
-    """A map's construction gates each side once, as columns; check-qi on
-    a map file and extract_choice on a section map then gate no point."""
+    """A map's construction gates each side once, as rows of its columns;
+    check-qi on a map file and extract_choice on a section map then gate
+    no point, and a distance gates its two points in one call."""
     calls = []
-    real_gate, real_scale = metric_graph._gate, metric_graph._point_scale
+    real_gate = metric_graph._gate
 
-    def gate(g, cols, points=None):
-        calls.append(len(cols[0]))
-        return real_gate(g, cols, points)
-
-    def scale(g, points, k=1):
-        points = list(points)
-        calls.append(len(points))
-        return real_scale(g, points, k)
+    def gate(g, rows, points=None):
+        rows = list(rows)
+        calls.append(len(rows))
+        return real_gate(g, rows, points)
 
     for module in (metric_graph, coarse_maps, tree_ops, choice_pipeline, gamma_spaces, documents):
-        for name, fake in (("_gate", gate), ("_point_scale", scale)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, fake)
+        if hasattr(module, "_gate"):
+            monkeypatch.setattr(module, "_gate", gate)
     g0, g1 = build_gamma0(fam2, 3), build_gamma1(fam2, 3)
+    distance(g0.graph, Vertex(0), Interior(0, H))
+    assert calls == [2]
+    calls.clear()
     (tmp_path / "g0.json").write_text(documents.canonical_dumps(documents.gamma0_doc(g0)))
     (tmp_path / "g1.json").write_text(documents.canonical_dumps(documents.gamma1_doc(g1)))
     m = build_collapse_map(g0, g1)

@@ -1,6 +1,7 @@
 import re
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -53,8 +54,7 @@ from coarsegeom.metric_graph import (
     _avoiding_path,
     _gated,
     _point_rows,
-    _point_scale,
-    _scaled_point,
+    _scaled_rows,
 )
 
 H = Fraction(1, 2)
@@ -261,10 +261,34 @@ def test_bad_offsets_keep_their_messages():
 
 
 # a missing vertex, a missing edge, offsets 0 and 3/2, a float offset, a
-# non-point, an unhashable vertex id, and a vertex and an edge id that only
-# compare equal to one
+# missing edge at a float offset, a non-point, an unhashable vertex id, and
+# a vertex and an edge id that only compare equal to one
 BAD_POINTS = [Vertex(99), Interior(99, H), Interior(0, Fraction(0)), Interior(0, Fraction(3, 2)),
-              Interior(0, 0.5), (0, 1), Vertex([1]), Vertex(True), Interior(True, H)]
+              Interior(0, 0.5), Interior(99, 0.5), (0, 1), Vertex([1]), Vertex(True),
+              Interior(True, H)]
+
+
+def test_the_gate_names_the_edge_before_the_offset():
+    with pytest.raises(InvalidPoint) as err:
+        validate_point(path_graph(3), Interior(99, 0.5))
+    assert str(err.value) == "no edge with id 99"
+
+
+def test_the_gate_names_the_first_bad_point():
+    """Of two bad points, the first in input order is named, though the
+    second sorts first: by a map's construction, distance and is_separated."""
+    g, y = path_graph(3), Vertex(1)
+    for first, second in ((Interior(0, Fraction(3, 2)), Vertex(99)),
+                          (Vertex(99), Interior(0, Fraction(3, 2)))):
+        with pytest.raises(InvalidPoint) as want:
+            validate_point(g, first)
+        for call in (lambda: QuasiMap(g, g, [(Vertex(0), y), (first, y), (second, y)]),
+                     lambda: QuasiMap(g, g, [(Vertex(0), first), (y, second)]),
+                     lambda: distance(g, first, second),
+                     lambda: is_separated(g, first, second, y, 0)):
+            with pytest.raises(InvalidPoint) as got:
+                call()
+            assert str(got.value) == str(want.value)
 
 
 def _point_readers(g0, t, bad):
@@ -560,6 +584,20 @@ def test_point_along_and_segments():
         point_along(g, geo, 4)
 
 
+def test_point_along_needs_a_vertex_or_one_edge():
+    """A geodesic that hits no vertex must run inside one edge: point_along
+    refuses one whose ends are vertices or lie on two edges."""
+    g = path_graph(4)
+    for geo in (Geodesic(Vertex(0), Vertex(1), (), (), Fraction(1)),
+                Geodesic(Interior(0, H), Interior(2, H), (), (), Fraction(2))):
+        with pytest.raises(NotAGeodesic) as err:
+            point_along(g, geo, H)
+        assert str(err.value) == "an empty vertex sequence needs both ends inside one edge"
+        with pytest.raises(NotAGeodesic) as err:
+            check_geodesic(g, geo)
+        assert str(err.value) == "an empty vertex sequence needs both ends inside one edge"
+
+
 def test_point_along_matches_the_segment_walk():
     # ends are the half-net and the 1/3 points, so some geodesics run inside
     # one edge, in both directions; 13 arc lengths per geodesic
@@ -749,7 +787,7 @@ def point_row_cases(draw):
     if kind == "any":
         pool += [Interior(e.id, t) for e in g.edges for t in SEP_OFFSETS]
     net = draw(st.lists(st.sampled_from(pool), max_size=8))
-    return g, x, net, _point_scale(g, (x, *net)) * draw(st.sampled_from([1, 1, 2, 3]))
+    return g, x, net, lcm(*_gated(g, (x, *net))[1]) * draw(st.sampled_from([1, 1, 2, 3]))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -764,9 +802,9 @@ def test_point_rows_match_oracle(case):
         except ValueError:  # q lies in the other component
             return -1
 
-    pts = [_scaled_point(g, q, k) for q in net]
+    sx, *pts = _scaled_rows(g, k, _gated(g, (x, *net))[0])
     cols, row = _point_rows(g, k, pts)
-    r = row(_scaled_point(g, x, k))
+    r = row(sx)
     n = g.n_vertices
     assert len(r) == n + len({q for q in net if isinstance(q, Interior)})
     assert list(r[:n]) == [want(Vertex(v)) for v in g.vertex_ids()]

@@ -144,6 +144,23 @@ def test_only_the_point_gate_module_reads_offsets():
     assert not readers, readers
 
 
+def test_one_point_gate():
+    """Only metric_graph._gate checks a point: the gate's message text
+    "interior offset" is in no other function of the package, docstrings
+    aside, so no second copy of its checks can drift from it."""
+    holders = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            doc = fn.body[0].value if isinstance(fn.body[0], ast.Expr) else None
+            if any(isinstance(node, ast.Constant) and node is not doc
+                   and isinstance(node.value, str) and "interior offset" in node.value
+                   for node in ast.walk(fn)):
+                holders.append(f"{path.stem}.{fn.name}")
+    assert holders == ["metric_graph._gate"], holders
+
+
 def test_one_heap_search():
     """Only metric_graph's Dijkstra imports heapq: every other distance is
     a closed form or a read of its rows, so a second heap search is a

@@ -12,6 +12,7 @@ from coarsegeom import (
     EmptyPreimage,
     GraphMismatch,
     Interior,
+    InvalidPoint,
     LabeledMetricGraph,
     NotATree,
     PruneTrace,
@@ -157,6 +158,14 @@ def meet_fold(t, z, points):
     return functools.reduce(lambda m, p: tree_median(t, z, m, p), points)
 
 
+def test_tree_median_gates_z_first():
+    """z, a and b pass the gate in that order: a bad z is named before a bad a."""
+    t = build_gamma1(SetFamily.of_lists([["a"], ["b"]]), 3)
+    with pytest.raises(InvalidPoint) as err:
+        tree_median(t, Vertex(99), Vertex(98), Vertex(1))
+    assert str(err.value) == "no vertex with id 99"
+
+
 def test_meet_fold():
     p = path_graph(10)
     assert meet_fold(p, Vertex(0), [Vertex(7), Vertex(3), Vertex(5)]) == Vertex(3)
@@ -173,7 +182,7 @@ def test_meet_fold_order_independent():
         for _ in range(4):
             rng.shuffle(chosen)
             assert meet_fold(t, z, chosen) == base
-            assert tree_ops._meets(t, z, _gated(t, chosen))(range(len(chosen))) == base
+            assert tree_ops._meets(t, _gated(t, (z,)), _gated(t, chosen))(range(len(chosen))) == base
 
 
 def test_tree_meet_needs_base():
