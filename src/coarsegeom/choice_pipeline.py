@@ -31,7 +31,7 @@ from .gamma_spaces import (
     gamma1_edge_id,
     gamma1_vertex_id,
 )
-from .metric_graph import _net_columns, _scaled_rows
+from .metric_graph import _net_rows, _scaled_rows
 from .tree_ops import _prune_rounds, assert_tree
 
 
@@ -94,15 +94,15 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
     if not alive:
         raise DepthError(f"{k} pruning rounds emptied the domain tree")
     live = {e for e, u, v in zip(tree._eids, tree._eu, tree._ev) if u in alive and v in alive}
-    (kinds, ids, _, _), (img_kinds, imgs, _, _) = m._src[0], m._tgt[0]
-    kept = [r for r, kind, i in zip(range(len(m)), kinds, ids) if i in (live if kind else alive)]
-    base = [(0, 0, 0, 1)], [1]  # the base vertex, as _picked gives points
+    src, tgt = m._src[0], m._tgt[0]
+    kept = [r for r, (kind, i, _, _) in enumerate(src) if i in (live if kind else alive)]
+    base = [(0, 0, 0, 1)], [1]  # the base vertex, as a side (see QuasiMap)
     unit, row = _distance_rows(g0.graph, base, _picked(m._tgt, kept))
     near = []
     images = {}  # vertex id -> (image kind, image id, its distance to the base)
     for r, d in zip(kept, row(0)):
-        if not kinds[r]:
-            images[ids[r]] = img_kinds[r], imgs[r], d
+        if not src[r][0]:
+            images[src[r][1]] = *tgt[r][:2], d
         if d <= n * unit:
             near.append(r)
     # each near point's own vertex, or the ends of its edge within 1/2 of it
@@ -209,8 +209,8 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
     verts, edges, lifts, ups = zip(*rows)
     # the base to itself, then by id each vertex to its lift and each edge's
     # midpoint to the midpoint of the edge below the lift
-    return QuasiMap._of_columns(g1, g0.graph, _net_columns((0, *verts), edges),
-                                _net_columns((0, *lifts), ups), asserted_constant=2)
+    return QuasiMap._of_rows(g1, g0.graph, _net_rows((0, *verts), edges),
+                             _net_rows((0, *lifts), ups), asserted_constant=2)
 
 
 def verify_transversal(a, family) -> bool:

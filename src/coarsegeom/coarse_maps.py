@@ -31,7 +31,6 @@ from .errors import (
 )
 from .metric_graph import (
     GraphPoint,
-    _columns,
     _farthest,
     _gate,
     _point_rows,
@@ -51,49 +50,47 @@ def _ceil(fr: Fraction) -> int:
 class QuasiMap:
     """A point assignment between two graphs.
 
-    assignments: iterable of (source point, target point).  Each side is
-    kept as the gate's columns with each point's least scale, gated once,
-    in source point order, which fixes the domain order used by every
-    downstream computation; the points are a view, made on first read.
+    assignments: iterable of (source point, target point).  Each side of
+    the map is kept as a side, (rows, least scales): the gate's row (kind,
+    id, num, den) of each of its points and that point's least scale,
+    gated once.  Both are in source point order, which fixes the domain
+    order used by every downstream computation; the points are a view,
+    made on first read.
     """
 
     def __init__(self, source, target, assignments, asserted_constant=None):
         pairs = list(assignments)
-        sides = [p for p, _ in pairs], [q for _, q in pairs]
-        self._keep(source, target, *(_columns(_point_rows_of(s)) for s in sides),
-                   asserted_constant, sides)
+        self._keep(source, target, _point_rows_of(p for p, _ in pairs),
+                   _point_rows_of(q for _, q in pairs), asserted_constant)
 
     @classmethod
-    def _of_columns(cls, source, target, src, tgt, asserted_constant=None):
-        """The map whose sides are given as the gate's columns."""
+    def _of_rows(cls, source, target, src, tgt, asserted_constant=None):
+        """The map whose sides are given as the gate's rows."""
         (m := cls.__new__(cls))._keep(source, target, src, tgt, asserted_constant)
         return m
 
-    def _keep(self, source, target, src, tgt, asserted_constant, points=(None, None)):
-        """Gate each side's rows once, points if given naming a non-point,
-        and sort by the source points when their (kind, id) columns are not
-        strictly increasing: a duplicate then follows its twin."""
-        needs = _gate(source, zip(*src), points[0]), _gate(target, zip(*tgt), points[1])
-        kinds, ids = src[:2]
-        nv = kinds.count(0)  # in order: the nv vertices first, ids rising in each kind
-        if 0 in kinds[nv:] or not (all(map(lt, ids[:nv], ids[1:nv]))
-                                   and all(map(lt, ids[nv:], ids[nv + 1:]))):
-            pts = _points_of(zip(*src))
-            order = sorted(range(len(ids)), key=lambda i: point_key(pts[i]))
+    def _keep(self, source, target, src, tgt, asserted_constant):
+        """Gate each side's rows once and sort by the source points when
+        their (kind, id) keys are not strictly increasing: a duplicate then
+        follows its twin."""
+        needs = _gate(source, src), _gate(target, tgt)
+        keys = [row[:2] for row in src]
+        if not all(map(lt, keys, keys[1:])):
+            pts = _points_of(src)
+            order = sorted(range(len(pts)), key=lambda i: point_key(pts[i]))
             for p, q in zip(order, order[1:]):
                 if pts[p] == pts[q]:
                     raise DomainNotNet(f"duplicate domain point {pts[p]}")
-            src, tgt, needs = ([[col[i] for i in order] for col in cols]
-                               for cols in (src, tgt, needs))
+            src, tgt, *needs = ([side[i] for i in order] for side in (src, tgt, *needs))
+            keys.sort()
         self.source, self.target, self.asserted_constant = source, target, asserted_constant
-        # a side: (the gate's columns, each point's least scale); vertices
-        # sort first, so the domain's vertex points are a prefix
         self._src, self._tgt = (src, needs[0]), (tgt, needs[1])
-        self._n_vertex_points = nv
+        # vertices sort first, so the domain's vertex points are a prefix
+        self._n_vertex_points = bisect_left(keys, (1,))
 
     @cached_property
     def assignments(self):
-        return tuple(zip(_points_of(zip(*self._src[0])), _points_of(zip(*self._tgt[0]))))
+        return tuple(zip(_points_of(self._src[0]), _points_of(self._tgt[0])))
 
     @cached_property
     def _image(self):
@@ -115,13 +112,12 @@ class QuasiMap:
         return len(self._src[1])
 
 
-def _picked(side, rows=slice(None)):
-    """A side's points at rows, a slice or a sequence of indices: (their
-    rows (kind, id, num, den), their least scales)."""
-    (kinds, ids, nums, dens), needs = side
+def _picked(side, rows):
+    """A side's points at rows, a slice or a sequence of indices, as a side."""
+    pts, needs = side
     if isinstance(rows, slice):
-        return list(zip(kinds[rows], ids[rows], nums[rows], dens[rows])), needs[rows]
-    return [(kinds[i], ids[i], nums[i], dens[i]) for i in rows], [needs[i] for i in rows]
+        return pts[rows], needs[rows]
+    return [pts[i] for i in rows], [needs[i] for i in rows]
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,7 @@ def _require_connected(m: QuasiMap):
 def _require_vertex_cover(m: QuasiMap):
     # the domain's vertex points are gated and distinct: they cover if as many
     if m._n_vertex_points < m.source.n_vertices:
-        have = set(m._src[0][1][:m._n_vertex_points])
+        have = {vid for _, vid, _, _ in m._src[0][:m._n_vertex_points]}
         vid = next(v for v in m.source.vertex_ids() if v not in have)
         raise DomainNotNet(f"domain does not cover source vertex {vid}")
 
@@ -198,10 +194,10 @@ def _require_vertex_cover(m: QuasiMap):
 def surjectivity_radius(m: QuasiMap):
     """Exact max over the target half-net of the distance to the image and a
     witness point attaining it, from one search seeded at distinct images."""
-    tgt, (cols, needs) = m.target, m._tgt
+    tgt, (rows, needs) = m.target, m._tgt
     k = lcm(*set(needs))
     seeds, on_edge = [], {}
-    for edge, entries in _scaled_rows(tgt, k, dict.fromkeys(zip(*cols))):
+    for edge, entries in _scaled_rows(tgt, k, dict.fromkeys(rows)):
         seeds.extend((c, tgt._index[v]) for v, c in entries)
         if edge is not None:
             on_edge.setdefault(edge, []).append(entries[0][1])
@@ -396,9 +392,9 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
 
 
 def _distance_rows(g, sources, targets):
-    """(k*L, row), sources and targets gated points of g as _picked gives
-    them, k the least scale of them all, each point scaled once: row(i), i
-    an index into sources then targets, is that point's integer distances
+    """(k*L, row), sources and targets gated points of g as sides (see
+    QuasiMap), k the least scale of them all, each point scaled once: row(i),
+    i an index into sources then targets, is that point's integer distances
     to all targets in units of 1/(k*L) from _point_rows, raising
     DisconnectedGraph where one does not reach."""
     k = lcm(*set(sources[1]), *set(targets[1]))
@@ -418,7 +414,7 @@ def _distance_rows(g, sources, targets):
 
 def _snap(g, queries, net):
     """The index in the net of each query's nearest point, both gated points
-    of g as _picked gives them, the net in point_key order: ties go to the
+    of g as sides (see QuasiMap), the net in point_key order: ties go to the
     smaller point key."""
     if queries[1] and not net[1]:
         raise InvalidPoint("cannot snap onto an empty net")
@@ -432,6 +428,6 @@ def compose(m2: QuasiMap, m1: QuasiMap) -> QuasiMap:
     where an image and a domain point lie in different components."""
     if not m1.target.same_structure(m2.source):
         raise GraphMismatch("middle graphs of the composition differ")
-    snapped = _snap(m1.target, _picked(m1._tgt), _picked(m2._src))
-    images = [list(map(col.__getitem__, snapped)) for col in m2._tgt[0]]
-    return QuasiMap._of_columns(m1.source, m2.target, m1._src[0], images)
+    snapped = _snap(m1.target, m1._tgt, m2._src)
+    images = list(map(m2._tgt[0].__getitem__, snapped))
+    return QuasiMap._of_rows(m1.source, m2.target, m1._src[0], images)

@@ -45,7 +45,6 @@ from .metric_graph import (
     Interior,
     LabeledMetricGraph,
     Vertex,
-    _columns,
     _points_of,
 )
 from .tree_ops import assert_tree
@@ -136,7 +135,7 @@ def parse_point(doc) -> GraphPoint:
 
 
 def _parse_point(doc, rational):
-    """A point document as a row (kind, id, num, den) of the gate's columns."""
+    """A point document as the gate's row (kind, id, num, den)."""
     _expect_obj(doc, "point")
     if len(doc) == 1 and "vertex" in doc:
         return 0, _expect_int(doc["vertex"], "vertex id"), 0, 1
@@ -321,10 +320,10 @@ def parse_gamma1(doc):
 # -- maps --------------------------------------------------------------------
 
 
-def _point_docs(cols):
-    """point_doc of each point of the gate's columns."""
+def _point_docs(rows):
+    """point_doc of each point of the gate's rows."""
     return [{"edge": i, "offset": f"{num}/{den}"} if kind else {"vertex": i}
-            for kind, i, num, den in zip(*cols)]
+            for kind, i, num, den in rows]
 
 
 def map_doc(m: QuasiMap, source_path: str, target_path: str, n=None) -> dict:
@@ -369,9 +368,8 @@ def parse_map(doc, base_dir: str) -> QuasiMap:
             _fail(f'an assignment has only "from" and "to", got keys {sorted(item)}')
         sides[0].append(_parse_point(item["from"], rational))
         sides[1].append(_parse_point(item["to"], rational))
-    sides = list(map(_columns, sides))  # the rows go once their columns are made
     try:
-        return QuasiMap._of_columns(source, target, *sides, asserted_constant=n)
+        return QuasiMap._of_rows(source, target, *sides, asserted_constant=n)
     except CoarseGeomError as exc:
         raise SchemaError(f"bad map document: {exc}") from exc
 

@@ -39,7 +39,7 @@ from .metric_graph import (
     Interior,
     LabeledMetricGraph,
     Vertex,
-    _net_columns,
+    _net_rows,
     check_geodesic,
     distance,
     is_separated,
@@ -370,8 +370,8 @@ def build_collapse_map(g0: GammaZeroGraph, g1: LabeledMetricGraph) -> QuasiMap:
     images = [(0, t, 0, 1) for t in image]
     images += [(0, a, 0, 1) if a == b else (1, tree.up_edge(min(a, b), max(a, b)), 1, 2)
                for a, b in zip(map(image.__getitem__, g._eu), map(image.__getitem__, g._ev))]
-    return QuasiMap._of_columns(g, g1, _net_columns(g.vertex_ids(), g._eids),
-                                tuple(zip(*images)), asserted_constant=2)
+    return QuasiMap._of_rows(g, g1, _net_rows(g.vertex_ids(), g._eids), images,
+                             asserted_constant=2)
 
 
 def find_far_witness(g0: GammaZeroGraph, x: GraphPoint, y: GraphPoint, bound) -> int:

@@ -16,7 +16,7 @@ single-source rows are cached per graph; graphs built with a closed-form
 metric answer from it instead.  Point distances scale the same integers by
 a factor that makes the points' offsets whole, found by the gate, _gate,
 in its one loop over the points' rows (kind, id, num, den), made from
-point objects or read from a map's columns; Fractions appear only where
+point objects or kept as a map's sides; Fractions appear only where
 results leave the engine.  One builder, _point_rows, turns engine rows
 into a point's row to every vertex and to the interior points of a net,
 and one sweep, _farthest, finds the farthest vertex or edge midpoint on
@@ -360,26 +360,21 @@ class LabeledMetricGraph:
 def _point_rows_of(points):
     """Points as rows (kind, id, num, den): a vertex is kind 0 at offset
     0/1, an interior point kind 1 with its edge id, its offset None/None
-    unless a Fraction, anything else all None."""
+    unless a Fraction, anything else (None, itself, None, None)."""
     # an exact type test first: isinstance against Fraction's ABC is slow
     return [(0, p.id, 0, 1) if isinstance(p, Vertex)
             else ((1, p.edge, t.numerator, t.denominator)
                   if type(t := p.offset) is Fraction or isinstance(t, Fraction)
                   else (1, p.edge, None, None)) if isinstance(p, Interior)
-            else (None,) * 4 for p in points]
+            else (None, p, None, None) for p in points]
 
 
-def _columns(rows):
-    """Rows as the gate's columns (kinds, ids, nums, dens)."""
-    return tuple(zip(*rows)) or ((),) * 4
-
-
-def _gate(g, rows, points=None):
+def _gate(g, rows):
     """The gate every point passes: one loop over rows (kind, id, num, den)
     returns each point's least scale m, making its entry costs whole in units
     of 1/(m*L).  A vertex names a vertex of g, an interior point an edge of
     g, then a Fraction offset strictly inside (0, 1); the first row that
-    fails raises InvalidPoint, points naming a row that is no point."""
+    fails raises InvalidPoint, a non-point's naming the object in its row."""
     index, epos, elen = g._index, g._epos, g._elen
     needs = []
     for kind, i, num, den in rows:
@@ -397,7 +392,7 @@ def _gate(g, rows, points=None):
                 g._vertex_at(i)
             needs.append(1)
         else:
-            raise InvalidPoint(f"not a graph point: {points[len(needs)]!r}")
+            raise InvalidPoint(f"not a graph point: {i!r}")
     return needs
 
 
@@ -409,7 +404,7 @@ def validate_point(g: LabeledMetricGraph, p: GraphPoint):
 def _gated(g, points):
     """(rows, least scales) of a sequence of points that pass the gate."""
     rows = _point_rows_of(points)
-    return rows, _gate(g, rows, points)
+    return rows, _gate(g, rows)
 
 
 def _scaled(g, points, k=1):
@@ -526,13 +521,12 @@ def distance(g: LabeledMetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
 
 def half_net(g: LabeledMetricGraph):
     """Vertices plus the midpoint of every edge, in deterministic order."""
-    return _points_of(zip(*_net_columns(g.vertex_ids(), g._eids)))
+    return _points_of(_net_rows(g.vertex_ids(), g._eids))
 
 
-def _net_columns(vids, eids):
-    """The gate's columns of the vertices vids, then of the edges' midpoints."""
-    v, e = [0] * len(vids), [1] * len(eids)
-    return v + e, [*vids, *eids], v + e, [1] * len(vids) + [2] * len(eids)
+def _net_rows(vids, eids):
+    """The gate's rows of the vertices vids, then of the edges' midpoints."""
+    return [(0, v, 0, 1) for v in vids] + [(1, e, 1, 2) for e in eids]
 
 
 def scale_metric(g: LabeledMetricGraph, lam) -> LabeledMetricGraph:

@@ -12,7 +12,6 @@ from .coarse_maps import (
     QiCertificate,
     QuasiMap,
     _distance_rows,
-    _picked,
     _require_int,
     compose,
     minimal_qi_constant,
@@ -24,10 +23,9 @@ from .metric_graph import (
     GraphPoint,
     LabeledMetricGraph,
     Vertex,
-    _columns,
     _gate,
     _gated,
-    _net_columns,
+    _net_rows,
     _point_rows_of,
     _points_of,
     canonical_geodesic,
@@ -116,7 +114,7 @@ def tree_median(g: LabeledMetricGraph, z: GraphPoint, a: GraphPoint, b: GraphPoi
 
 def _meets(g, root, side):
     """meet(cloud), cloud a list of indices into side, root and side gated
-    points of g as _picked gives them, root the one point z: where the
+    points of g as sides (see QuasiMap), root the one point z: where the
     paths from z to the cloud's points part ways in a tree.  That is on
     the geodesic from z to the first point y1, at the least Gromov product
     (y1|y)_z = (d(z,y1) + d(z,y) - d(y1,y)) / 2 over the cloud, where the
@@ -175,16 +173,16 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
     if z is None:
         z = Vertex(min(tree.vertex_ids()))
     tgt = f.target
-    net = _net_columns(tgt.vertex_ids(), tgt._eids)  # the half-net
-    unit, row = _distance_rows(tgt, _picked((net, _gate(tgt, zip(*net)))), _picked(f._tgt))
-    meet = _meets(tree, _gated(tree, (z,)), _picked(f._src))
+    net = _net_rows(tgt.vertex_ids(), tgt._eids)  # the half-net
+    unit, row = _distance_rows(tgt, (net, _gate(tgt, net)), f._tgt)
+    meet = _meets(tree, _gated(tree, (z,)), f._src)
     images = []
-    for i in range(len(net[0])):
+    for i in range(len(net)):
         cloud = [j for j, d in enumerate(row(i)) if d <= n * unit]
         if not cloud:
             raise EmptyPreimage(f"no image within {n} of {half_net(tgt)[i]}")
         images.append(meet(cloud))
-    h = QuasiMap._of_columns(tgt, tree, net, _columns(_point_rows_of(images)))
+    h = QuasiMap._of_rows(tgt, tree, net, _point_rows_of(images))
     bound = 9 * n * n
     best = minimal_qi_constant(h)
     if best > bound:

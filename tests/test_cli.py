@@ -4,13 +4,18 @@ Commands are exercised in process through main(argv); one subprocess case
 checks the installed entry point end to end.
 """
 
+import copy
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsegeom import (
     LabeledMetricGraph,
@@ -21,6 +26,7 @@ from coarsegeom import (
     build_gamma0,
     build_gamma1,
     gamma1_vertex_id,
+    half_net,
     quasi_inverse,
     required_gamma0_depth,
     slim_triangle_delta,
@@ -161,6 +167,80 @@ def test_check_qi_names_the_first_bad_point(capsys, tmp_path):
         code, out, err = run(capsys, "check-qi", "--map", str(mp), "--constant", "1")
         assert (code, out) == (2, None)
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(f"{message}\n")
+
+
+# the leaves a fuzzed map document may get: ids in and out of range, floats,
+# bools, None, lists, a huge int, and rationals bad, unreduced or outside (0, 1)
+FUZZ_LEAVES = [0, 1, 4, 99, -1, 0.5, 1.0, True, False, None, [], [0], {}, 10**30,
+               "1/2", "2/4", "1/3", "1/0", "3/2", "0/1", "-1/2", "1/1", "x", ""]
+FUZZ_COMMANDS = (("check-qi", "--constant", "1"),
+                 ("check-qi", "--constant", "1", "--mode", "exhaustive"),
+                 ("check-qi", "--constant", "1", "--mode", "sampled", "--seed", "1",
+                  "--count", "20"),
+                 ("min-qi",),
+                 ("quasi-inverse", "--constant", "2"))
+
+
+def _json_paths(doc, at=()):
+    """(path, value) of every value inside a JSON document, the root excluded."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield (*at, key), value
+        yield from _json_paths(value, (*at, key))
+
+
+@st.composite
+def fuzzed_map_docs(draw, base):
+    """base with one to three mutations: a scalar replaced by a fuzz leaf, a
+    key or an item deleted, or an assignment entry duplicated."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("leaf", "leaf", "leaf", "delete", "duplicate")))
+        assign = doc.get("assign")
+        if op == "duplicate" and isinstance(assign, list) and assign:
+            assign.append(copy.deepcopy(draw(st.sampled_from(assign))))
+            continue
+        paths = [path for path, value in _json_paths(doc)
+                 if op == "delete" or not isinstance(value, (dict, list))]
+        if not paths:
+            break
+        *at, key = draw(st.sampled_from(paths))
+        parent = doc
+        for k in at:
+            parent = parent[k]
+        if op == "delete":
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_LEAVES)))
+    return doc
+
+
+P5 = path_graph(5)
+P5_MAP = map_doc(QuasiMap(P5, P5, [(p, p) for p in half_net(P5)]), "p5.json", "p5.json", n=1)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(fuzzed_map_docs(P5_MAP))
+def test_fuzzed_map_documents_never_crash(tmp_path_factory, doc):
+    """Every map command on a mutated identity map of a 5-vertex path
+    exits 0-3: a document on stdout when it certifies or rejects, else
+    nothing on stdout and one error line on stderr."""
+    where = tmp_path_factory.getbasetemp() / "fuzz"
+    where.mkdir(exist_ok=True)
+    (where / "p5.json").write_text(canonical_dumps(graph_doc(P5, tree=True)))
+    mp = where / "map.json"
+    mp.write_text(json.dumps(doc))
+    for command in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*command, "--map", str(mp)])
+        assert code in (0, 1, 2, 3), (command, doc, err.getvalue())
+        if code < 2:
+            assert isinstance(json.loads(out.getvalue()), dict)
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_check_qi_exhaustive_guard(capsys, tmp_path):

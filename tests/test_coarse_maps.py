@@ -94,16 +94,15 @@ def test_image_of_gates_the_query():
 
 
 def test_each_map_side_passes_the_gate_once(fam2, pipe2, tmp_path, monkeypatch):
-    """A map's construction gates each side once, as rows of its columns;
-    check-qi on a map file and extract_choice on a section map then gate
-    no point, and a distance gates its two points in one call."""
+    """A map's construction gates each side once, as its rows; check-qi on
+    a map file and extract_choice on a section map then gate no point, and
+    a distance gates its two points in one call."""
     calls = []
     real_gate = metric_graph._gate
 
-    def gate(g, rows, points=None):
-        rows = list(rows)
+    def gate(g, rows):
         calls.append(len(rows))
-        return real_gate(g, rows, points)
+        return real_gate(g, rows)
 
     for module in (metric_graph, coarse_maps, tree_ops, choice_pipeline, gamma_spaces, documents):
         if hasattr(module, "_gate"):
@@ -130,6 +129,28 @@ def test_each_map_side_passes_the_gate_once(fam2, pipe2, tmp_path, monkeypatch):
     calls.clear()
     assert extract_choice(section, pipe2[0], 4).verified
     assert calls == []
+
+
+def test_every_producer_stores_the_gates_rows(fam2, tmp_path):
+    """Each producer keeps a side as (rows, least scales): the gate's rows of
+    the domain, and of its images in domain order, with their scales."""
+    g = path_graph(4)
+    third = Fraction(1, 3)
+    built = QuasiMap(g, g, [(Interior(1, 2 * third), Vertex(2)), (Vertex(2), Interior(0, third)),
+                            (Interior(1, third), Vertex(0)), (Vertex(0), Vertex(1)),
+                            (Vertex(1), Interior(2, H)), (Vertex(3), Vertex(3))])
+    (tmp_path / "g.json").write_text(documents.canonical_dumps(documents.graph_doc(g)))
+    parsed = documents.parse_map(documents.map_doc(built, "g.json", "g.json"), str(tmp_path))
+    g0, g1 = build_gamma0(fam2, 3), build_gamma1(fam2, 3)
+    collapse = build_collapse_map(g0, g1)
+    section = section_map(g0, mode="alternating", g1=g1)
+    maps = {"QuasiMap": built, "parse_map": parsed, "build_collapse_map": collapse,
+            "section_map": section, "quasi_inverse": quasi_inverse(section, 2).map,
+            "compose": compose(collapse, section)}
+    for name, m in maps.items():
+        domain = m.domain()
+        assert m._src == _gated(m.source, domain), name
+        assert m._tgt == _gated(m.target, [m.image_of(p) for p in domain]), name
 
 
 def test_assignments_sorted_by_point_key():

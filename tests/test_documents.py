@@ -586,9 +586,9 @@ def mixed_maps(draw):
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(mixed_maps())
 def test_map_columns_match_point_documents(tmp_path_factory, case):
-    """map_doc writes from the columns what a point-by-point writer writes;
-    parse_map reads every pair back, the same by columns and entry by
-    entry; a duplicate domain point keeps its message."""
+    """map_doc writes from the rows what a point-by-point writer writes;
+    parse_map reads every pair back, the same from exact dicts and from
+    other mappings; a duplicate domain point keeps its message."""
     src, tgt, pairs = case
     m = QuasiMap(src, tgt, pairs, asserted_constant=3)
     text = canonical_dumps(map_doc(m, "s.json", "t.json"))

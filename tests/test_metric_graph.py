@@ -274,6 +274,18 @@ def test_the_gate_names_the_edge_before_the_offset():
     assert str(err.value) == "no edge with id 99"
 
 
+def test_the_gate_names_a_non_point_from_its_row():
+    """A non-point is named by its own row, the same by every reader."""
+    g, y = path_graph(3), Vertex(1)
+    for call in (lambda: validate_point(g, (0, 1)),
+                 lambda: QuasiMap(g, g, [(Vertex(0), y), ((0, 1), y)]),
+                 lambda: QuasiMap(g, g, [(Vertex(0), (0, 1))]),
+                 lambda: distance(g, y, (0, 1))):
+        with pytest.raises(InvalidPoint) as err:
+            call()
+        assert str(err.value) == "not a graph point: (0, 1)"
+
+
 def test_the_gate_names_the_first_bad_point():
     """Of two bad points, the first in input order is named, though the
     second sorts first: by a map's construction, distance and is_separated."""
