@@ -27,6 +27,7 @@ from .errors import (
 from .gamma_spaces import (
     GammaZeroGraph,
     _is_gamma1,
+    _layout_of,
     build_gamma1,
     gamma1_edge_id,
     gamma1_vertex_id,
@@ -120,7 +121,7 @@ def extract_choice(m: QuasiMap, g0: GammaZeroGraph, n: int) -> ChoiceCertificate
             f"an accepted constant-{n} certificate rules out"
         )
 
-    row = tree._search(((0, tree._index[root]),))  # uncached; a builder tree's closed form
+    row = tree._metric.search(((0, tree._index[root]),))  # uncached
     reach = 2 * k * tree._scale  # integer rows count in units of 1/L
     frontier = [u for u, d in zip(tree.vertex_ids(), row) if d == reach and u in alive]
     if not frontier:
@@ -196,7 +197,7 @@ def section_map(g0: GammaZeroGraph, mode="first", seed=None, g1=None) -> QuasiMa
         g1 = build_gamma1(g0.family, depth)
     elif not _is_gamma1(g1, g0.family, depth):
         raise GraphMismatch("supplied quotient tree does not match the family")
-    layout = g0.graph._closed_form
+    layout = _layout_of(g0.graph, "gamma0")
     rows = []
     for si, s in enumerate(g0.family.sets):
         below = 0  # the lift one level down; level 0 is the base, no choice there

@@ -58,9 +58,7 @@ def _carrier(g, a, b):
     """Vertices and whole edges, by their positions in the edge columns,
     lying on some geodesic from a to b, and every vertex's integer
     distance to those vertices, by index."""
-    ix = g._index
-    row_a = g._row(a)
-    row_b = g._row(b)
+    ix, row_a, row_b = g._index, g._metric.row(a), g._metric.row(b)
     dab = row_a[ix[b]]
     verts = tuple(w for w in g.vertex_ids() if row_a[ix[w]] + row_b[ix[w]] == dab)
     edges = tuple(
@@ -69,7 +67,7 @@ def _carrier(g, a, b):
         if row_a[ix[u]] + ln + row_b[ix[v]] == dab
         or row_a[ix[v]] + ln + row_b[ix[u]] == dab
     )
-    return verts, edges, g._search([(0, ix[v]) for v in verts])
+    return verts, edges, g._metric.search([(0, ix[v]) for v in verts])
 
 
 def _triple_roles(a, b, c):

@@ -96,9 +96,6 @@ class QuasiMap:
     def _image(self):
         return dict(self.assignments)
 
-    def domain(self):
-        return tuple(p for p, _ in self.assignments)
-
     def image_of(self, p: GraphPoint) -> GraphPoint:
         """The image of p, which passes the source's gate first: ids and
         offsets that only compare equal to a point's are refused."""
@@ -152,10 +149,10 @@ class QiCertificate:
         return not self.violations
 
 
-def _require_int(n):
-    """A constant is an int, not a bool: the kernel's slacks must be exact."""
+def _require_int(n, message="constant must be a positive integer"):
+    """An int, not a bool: the kernel's slacks are exact, and range takes no other."""
     if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("constant must be a positive integer")
+        raise ValueError(message)
 
 
 def _check_sampling(mode, modes, seed, count):
@@ -164,8 +161,10 @@ def _check_sampling(mode, modes, seed, count):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (seed is None or count is None):
         raise ValueError("sampled mode needs a seed and a count")
-    if count is not None and count < 0:
-        raise ValueError("sample count must be >= 0")
+    if count is not None:
+        _require_int(count, "sample count must be an integer")
+        if count < 0:
+            raise ValueError("sample count must be >= 0")
 
 
 def _draws(size, k, mode, seed, count):
@@ -201,7 +200,7 @@ def surjectivity_radius(m: QuasiMap):
         seeds.extend((c, tgt._index[v]) for v, c in entries)
         if edge is not None:
             on_edge.setdefault(edge, []).append(entries[0][1])
-    dist = tgt._search(seeds, k)
+    dist = tgt._metric.search(seeds, k)
     if min(dist, default=0) < 0:
         raise DisconnectedGraph("target must be connected")
     best, point = _farthest(tgt, k, dist, on_edge, tgt.vertex_ids(), range(tgt.n_edges))
@@ -229,12 +228,12 @@ def _breaks(n, s, ds, dt):
 
 def _kernel_side(g, k, pts):
     """One graph's half of the pair kernel, in units of 1/(k*L): each
-    point's column and point i's row, from _point_rows, and on a closed
-    form the steps, the distances from each point to the next, and
-    dist(i, j), points i and j's distance read without a row.  Elsewhere
-    both are None: each step or read would search a row."""
+    point's column and point i's row, from _point_rows, and where the
+    graph's metric reads a pair without a search, the steps, the distances
+    from each point to the next, and dist(i, j), points i and j's distance
+    read without a row.  Elsewhere both are None: each would search a row."""
     cols, row = _point_rows(g, k, pts)
-    dist = (None if g._closed_form is None
+    dist = (None if g._metric.searches
             else lambda i, j: _scaled_distance(g, k, pts[i], pts[j]))
     steps = dist and [dist(i, i + 1) for i in range(len(pts) - 1)]
     return cols, lambda i: row(pts[i]), steps, dist
@@ -366,10 +365,17 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
     All three acceptance conditions are monotone in the constant, so the
     minimum is the max of the per-pair and surjectivity minima: the scan
     raises the constant to each violating pair's minimum and resumes at
-    that pair.  A cap below 1 is a ValueError, raised before any work.
+    that pair.  A cap not an int of at least 1 is a ValueError, at once.
     """
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    return _minimal_constant(m, cap)[0]
+
+
+def _minimal_constant(m, cap=None):
+    """(minimal_qi_constant(m, cap), the surjectivity radius it starts from)."""
+    if cap is not None:
+        _require_int(cap, "cap must be an integer")
+        if cap < 1:
+            raise ValueError(f"cap must be at least 1, got {cap}")
     _require_connected(m)
     _require_vertex_cover(m)
     radius, _ = surjectivity_radius(m)
@@ -384,7 +390,7 @@ def minimal_qi_constant(m: QuasiMap, cap: Optional[int] = None) -> int:
             )
         hit = _first_violation(*sides, best, s, hit[:2])
         if hit is None:
-            return best
+            return best, radius
         _, _, ds, dt = hit
         best = max(best, -(-dt // (ds + s)))
         while best * best * s + best * dt < ds:

@@ -37,6 +37,7 @@ from .gamma_spaces import (
     NamedSet,
     SetFamily,
     _ArmLayout,
+    _layout_of,
     build_gamma0,
     build_gamma1,
 )
@@ -248,8 +249,7 @@ def gamma0_doc(g0: GammaZeroGraph) -> dict:
 
 def gamma1_doc(g1: LabeledMetricGraph) -> dict:
     """The document of a tree build_gamma1 made: it knows its family and depth."""
-    layout = g1._closed_form
-    if layout is None or layout.doubled:
+    if (layout := _layout_of(g1, "gamma1")) is None:
         raise ValueError("only a tree build_gamma1 made knows its family and depth")
     _, family, depth = layout.key
     return {**graph_doc(g1, tree=True), "kind": "gamma1", "depth": depth,

@@ -101,16 +101,17 @@ class _ArmLayout:
       - 1 when a and b are different arms of one set and n == m;
       - n + m when a and b lie in different sets.
     ``build`` fills a graph's edge columns from ``_links``, each link's
-    ends in id order, and attaches the layout: the formula holds only for
-    such graphs, and the integer Dijkstra serves every other graph.  Its
-    ``key`` (kind, family, depth) names the build, so a graph carrying it
-    is known to be that builder's graph without comparing structures.
+    ends in id order, and attaches the layout as the graph's metric (ids
+    are indices, and no read searches): the formula holds only for such
+    graphs.  Its ``key`` (kind, family, depth) names the build, so a graph
+    carrying it is known to be that builder's graph (see _layout_of).
     Counting allocates nothing sized by the depth: a depth is weighed unbuilt.
     """
 
     # the most vertices plus edges a build may make: extraction at
     # constant 16 on {a,b},{c},{d,e,f} needs 347,521 + 2,085,104
     budget = 2_500_000
+    searches = False  # a pair read is the formula, no search
 
     def __init__(self, kind, family, depth):
         if depth < 1:
@@ -210,7 +211,7 @@ class _ArmLayout:
         # |k - depth|, so one slice gives a level's distances along its arm
         self._asc = array("i", range(2 * d + 1))
         self._vee = array("i", (abs(k - d) for k in range(2 * d + 1)))
-        graph._closed_form = self
+        graph._metric = self
         return graph
 
     def distance(self, u, v):
@@ -245,12 +246,12 @@ class _ArmLayout:
             row += own if b == a else sibling if s == home else far
         return row
 
-    def search(self, seeds, k):
-        """LabeledMetricGraph._search without a heap (an index is an id
-        here): per set, each level's least seed cost over its arms, swept up
-        from the base and down from the top, gives every level its best cost
-        from the other levels and, one edge away, its sibling arms; the base
-        is reached through the cheapest cost + k * level of any set."""
+    def search(self, seeds, k=1):
+        """The searched metric's search without a heap: per set, each
+        level's least seed cost over its arms, swept up from the base and
+        down from the top, gives every level its best cost from the other
+        levels and, one edge away, its sibling arms; the base is reached
+        through the cheapest cost + k * level of any set."""
         depth, seeds = self.depth, list(seeds)
         if not seeds:
             return [-1] * self.n_vertices
@@ -287,10 +288,17 @@ class GammaZeroGraph:
     its layout's info(vid) is (element, set index, level), None at the base."""
 
     def __init__(self, graph: LabeledMetricGraph):
-        layout = graph._closed_form
+        if (layout := _layout_of(graph, "gamma0")) is None:
+            raise ValueError("only a graph build_gamma0 made knows its family and depth")
         self.graph = graph
         _, self.family, self.depth = layout.key
         self.vertex_of, self.info = layout.vertex, layout.locate
+
+
+def _layout_of(g: LabeledMetricGraph, kind: str) -> Optional[_ArmLayout]:
+    """g's layout if the builder of kind made it, else None: the one test of a metric's kind."""
+    m = g._metric
+    return m if isinstance(m, _ArmLayout) and m.key[0] == kind else None
 
 
 def build_gamma0(family: SetFamily, depth: int) -> GammaZeroGraph:
@@ -321,8 +329,7 @@ def _is_gamma1(g: LabeledMetricGraph, family: SetFamily, depth: int) -> bool:
     """True iff g has the structure of build_gamma1(family, depth): the
     builder's own tree answers from its key, any other is compared with a
     fresh build (a parsed tree, or that of a family with renamed elements)."""
-    cf = g._closed_form
-    if cf is not None and cf.key == ("gamma1", family, depth):
+    if (layout := _layout_of(g, "gamma1")) and layout.key[1:] == (family, depth):
         return True
     return build_gamma1(family, depth).same_structure(g)
 
@@ -432,7 +439,7 @@ def level_profile(g0: GammaZeroGraph, geo: Geodesic) -> LevelProfile:
     turn at level 0; anything else fails validation.
     """
     check_geodesic(g0.graph, geo)
-    levels = g0.graph._closed_form.levels(geo.vertices)
+    levels = _layout_of(g0.graph, "gamma0").levels(geo.vertices)
     if len(levels) <= 2:
         return LevelProfile.SHORT
     steps = [b - a for a, b in zip(levels, levels[1:])]

@@ -10,10 +10,10 @@ used anywhere.  Edges are stored as integer columns, each checked in one
 pass, points pass one integer gate, and the adjacency is built on first
 use: a graph only built, mapped and dumped never sorts it.
 
-Vertex distances come from one engine: a Dijkstra over integer edge
-weights in units of 1/L, L the lcm of the edge-length denominators, whose
-single-source rows are cached per graph; graphs built with a closed-form
-metric answer from it instead.  Point distances scale the same integers by
+Vertex distances come from each graph's one metric, ``_metric``: rows,
+pair distances and multi-source searches in integer units of 1/L, L the
+lcm of the edge-length denominators, from a builder's closed form or else
+from a Dijkstra that caches its rows.  Point distances scale them by
 a factor that makes the points' offsets whole, found by the gate, _gate,
 in its one loop over the points' rows (kind, id, num, den), made from
 point objects or kept as a map's sides; Fractions appear only where
@@ -146,7 +146,7 @@ class LabeledMetricGraph:
     the ends ``_eu`` and ``_ev``, ``_elen`` the length in units of 1/L
     (L = ``_scale``, the lcm of the length denominators) and ``_elab``;
     ``_epos`` maps an id to its position.  Edge objects are a view, made
-    by ``edges``, ``edge()`` and ``edges_at`` on first request and kept.
+    by ``edges`` and ``edge()`` on first request and kept.
     """
 
     def __init__(self, vertices, edges, basepoint=None):
@@ -199,10 +199,6 @@ class LabeledMetricGraph:
         self._eids, self._eu, self._ev, self._elen, self._elab = ids, us, vs, lens, labs
         self._epos = dict(zip(ids, range(len(ids))))
         self._scale = scale  # the distance engine counts in units of 1/L
-        self._rows = {}
-        # closed-form distances, attached by the builders of graphs whose
-        # metric has one (ids 0..V-1, so vertex ids index its rows)
-        self._closed_form = None
 
     # these two take every id a point or a reader names: an exact int skips
     # the call to _is_id
@@ -241,15 +237,9 @@ class LabeledMetricGraph:
         return {vid: dict(sorted(d.items())) for vid, d in adj.items()}
 
     @cached_property
-    def _iadj(self):
-        """Sorted (neighbor index, shortest edge's integer length) pairs by vertex index."""
-        nbr_min = [{} for _ in self._ids]
-        ix = self._index
-        for u, v, w in zip(self._eu, self._ev, self._elen):
-            i, j = ix[u], ix[v]
-            if w < nbr_min[i].get(j, w + 1):
-                nbr_min[i][j] = nbr_min[j][i] = w
-        return [tuple(sorted(d.items())) for d in nbr_min]
+    def _metric(self):
+        """The searched metric, unless a builder attached its closed form."""
+        return _SearchedMetric(self)
 
     # -- basic accessors -------------------------------------------------
 
@@ -258,17 +248,6 @@ class LabeledMetricGraph:
 
     def edge(self, eid):
         return self.edges[self._at(eid)]
-
-    def edges_at(self, vid):
-        """(neighbor id, Edge) pairs at vid, by (neighbor id, edge id)."""
-        self._vertex_at(vid)
-        edges, pos = self.edges, self._epos
-        return tuple((w, edges[pos[eid]]) for w, eid in self._adj[vid])
-
-    def degree(self, vid):
-        """Number of edge ends at vid (parallel edges each count)."""
-        self._vertex_at(vid)
-        return len(self._adj[vid])
 
     @property
     def n_vertices(self):
@@ -293,15 +272,54 @@ class LabeledMetricGraph:
     def same_structure(self, other):
         return self is other or self.signature() == other.signature()
 
-    # -- vertex distance engine ------------------------------------------
+    def _vdist(self, u, v):
+        """Integer distance (units of 1/L) between vertex ids u and v."""
+        if (d := self._metric.distance(u, v)) < 0:
+            raise DisconnectedGraph(f"no path between vertices {u} and {v}")
+        return d
 
-    def _search(self, seeds, k=1):
+    def vertex_distance(self, u, v):
+        self._vertex_at(u, "unknown vertex id"), self._vertex_at(v, "unknown vertex id")
+        return Fraction(self._vdist(u, v), self._scale)
+
+    def vertex_row(self, src):
+        """Exact distances from src to every vertex, as a dict id -> Fraction
+        (None where unreachable)."""
+        self._vertex_at(src)
+        s, row = self._scale, self._metric.row(src)
+        return {vid: Fraction(d, s) if d >= 0 else None for vid, d in zip(self._ids, row)}
+
+    def is_connected(self):
+        return not self._ids or min(self._metric.row(self._ids[0])) >= 0
+
+
+class _SearchedMetric:
+    """A graph's metric with no closed form, read as gamma_spaces._ArmLayout
+    is (-1 where unreachable): a Dijkstra on an adjacency built at the first
+    search, and the graph's only row cache, ``rows``, by source id."""
+
+    searches = True  # a pair read searches a row
+
+    def __init__(self, g):  # the columns, not g: no reference cycle holds the rows
+        self._index, self._ends = g._index, (g._eu, g._ev, g._elen)
+        self.rows = {}
+
+    @cached_property
+    def adj(self):
+        """Sorted (neighbor index, shortest edge's integer length) pairs by vertex index."""
+        ix = self._index
+        nbr_min = [{} for _ in ix]
+        for u, v, w in zip(*self._ends):
+            i, j = ix[u], ix[v]
+            if w < nbr_min[i].get(j, w + 1):
+                nbr_min[i][j] = nbr_min[j][i] = w
+        return [tuple(sorted(d.items())) for d in nbr_min]
+
+    def search(self, seeds, k=1):
         """Dijkstra from weighted seeds, given as (integer cost, vertex
         index) pairs.  Returns the distance to every vertex by index, in
-        units of 1/(k*L), with -1 where no seed reaches; closed forms first."""
-        if self._closed_form is not None:
-            return self._closed_form.search(seeds, k)
-        adj = self._iadj
+        units of 1/(k*L), with -1 where no seed reaches."""
+        adj = self.adj
         dist = [-1] * len(adj)
         heap = list(seeds)
         heapq.heapify(heap)
@@ -316,42 +334,15 @@ class LabeledMetricGraph:
                     push(heap, (d + w * k, j))
         return dist
 
-    def _row(self, src):
-        """Integer distances (units of 1/L) from vertex src to every vertex,
-        by index.  The closed form answers first; searched rows are cached."""
-        if self._closed_form is not None:
-            return self._closed_form.row(src)
-        row = self._rows.get(src)
+    def row(self, src):
+        """Distances from vertex id src to every vertex, by index, cached."""
+        row = self.rows.get(src)
         if row is None:
-            row = self._rows[src] = self._search(((0, self._index[src]),))
+            row = self.rows[src] = self.search(((0, self._index[src]),))
         return row
 
-    def _vdist(self, u, v):
-        """Integer distance (units of 1/L) between vertex ids u and v."""
-        if self._closed_form is not None:
-            d = self._closed_form.distance(u, v)
-        else:
-            d = self._row(u)[self._index[v]]
-        if d < 0:
-            raise DisconnectedGraph(f"no path between vertices {u} and {v}")
-        return d
-
-    def vertex_distance(self, u, v):
-        self._vertex_at(u, "unknown vertex id"), self._vertex_at(v, "unknown vertex id")
-        return Fraction(self._vdist(u, v), self._scale)
-
-    def vertex_row(self, src):
-        """Exact distances from src to every vertex, as a dict id -> Fraction
-        (None where unreachable)."""
-        self._vertex_at(src)
-        s = self._scale
-        return {
-            vid: Fraction(d, s) if d >= 0 else None
-            for vid, d in zip(self._ids, self._row(src))
-        }
-
-    def is_connected(self):
-        return not self._ids or min(self._row(self._ids[0])) >= 0
+    def distance(self, u, v):
+        return self.row(u)[self._index[v]]
 
 
 # -- points ----------------------------------------------------------------
@@ -469,11 +460,11 @@ def _point_rows(g, k, net):
     def row(x):
         edge, entries = x
         (a, ca), (b, cb) = entries[0], entries[-1]
-        ra = g._row(a)
+        ra = g._metric.row(a)
         # p if (p := ...) < (q := ...) else q: min without a call per entry
         if edge is not None:
             r = [p if (p := d * k + ca) < (q := e * k + cb) else q
-                 for d, e in zip(ra, g._row(b))]
+                 for d, e in zip(ra, g._metric.row(b))]
         elif k != 1 or spans:
             r = [d * k for d in ra]
         else:
@@ -863,16 +854,11 @@ def _avoiding_path(g, center, radius, x, y):
 
 
 def multi_source_vertex_distances(g, seeds):
-    """Exact distance from a set of weighted seed vertices to every vertex.
-
-    seeds: iterable of (vertex id, initial cost).  Returns dict id -> Fraction
-    (None where unreachable).
-    """
+    """Exact distance from weighted seeds, (vertex id, initial cost) pairs,
+    to every vertex: a dict id -> Fraction, None where unreachable."""
     seeds = [(vid, Fraction(c)) for vid, c in seeds]
     ix = [g._vertex_at(vid, "unknown vertex id") for vid, _ in seeds]
     s = lcm(g._scale, *(c.denominator for _, c in seeds))
-    dist = g._search(
-        [(c.numerator * (s // c.denominator), i) for (_, c), i in zip(seeds, ix)],
-        s // g._scale,
-    )
+    dist = g._metric.search([(c.numerator * (s // c.denominator), i)
+                             for (_, c), i in zip(seeds, ix)], s // g._scale)
     return {vid: Fraction(d, s) if d >= 0 else None for vid, d in zip(g._ids, dist)}

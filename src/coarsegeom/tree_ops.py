@@ -12,10 +12,9 @@ from .coarse_maps import (
     QiCertificate,
     QuasiMap,
     _distance_rows,
+    _minimal_constant,
     _require_int,
     compose,
-    minimal_qi_constant,
-    surjectivity_radius,
     verify_quasi_isometry,
 )
 from .errors import EmptyPreimage, GraphMismatch, NotATree
@@ -63,6 +62,7 @@ def _prune_rounds(g: LabeledMetricGraph, k: int):
     and, per round, the sorted ids removed at once (two leaves joined by an
     edge delete each other), stopping early once nothing has valence 1.
     On a tree the survivors span a subtree."""
+    _require_int(k, "round count must be an integer")
     if k < 0:
         raise ValueError("round count must be >= 0")
     ids, ix = g._ids, g._index
@@ -184,13 +184,13 @@ def quasi_inverse(f: QuasiMap, n: int, z: Optional[GraphPoint] = None) -> QuasiI
         images.append(meet(cloud))
     h = QuasiMap._of_rows(tgt, tree, net, _point_rows_of(images))
     bound = 9 * n * n
-    best = minimal_qi_constant(h)
+    best, radius = _minimal_constant(h)
     if best > bound:
         cert = verify_quasi_isometry(h, bound)
     else:
         size = len(h)  # accepted at every constant from best on, all pairs checked
         cert = QiCertificate(bound, "exhaustive", None, None, size * (size - 1) // 2,
-                             surjectivity_radius(h)[0], ())
+                             radius, ())
     return QuasiInverseResult(h, best, bound, cert)
 
 

@@ -49,6 +49,18 @@ def floyd_warshall(g):
     return dist
 
 
+def adjacency(g):
+    """Each vertex's (neighbor id, Edge) pairs, by (neighbor id, edge id),
+    built from g.edges alone."""
+    adj = {v: [] for v in g.vertex_ids()}
+    for e in g.edges:
+        adj[e.u].append((e.v, e))
+        adj[e.v].append((e.u, e))
+    for pairs in adj.values():
+        pairs.sort(key=lambda pair: (pair[0], pair[1].id))
+    return adj
+
+
 def entries(g, pt):
     """(vertex, cost-to-reach-it) entry list for a point."""
     if isinstance(pt, Vertex):
@@ -112,12 +124,13 @@ def enumerate_geodesics_dfs(g, p, q, fw=None):
         if abs(p.offset - q.offset) * g.edge(p.edge).length == total:
             out.append(((), ()))
     ends = dict(entries(g, q))
+    adj = adjacency(g)
     stack = [(a, ca, (a,), ()) for a, ca in entries(g, p)]
     while stack:
         cur, cost, vseq, eseq = stack.pop()
         if cur in ends and cost + ends[cur] == total:
             out.append((vseq, eseq))
-        for nbr, e in g.edges_at(cur):
+        for nbr, e in adj[cur]:
             rem = point_distance(g, fw, Vertex(nbr), q)
             if cost + e.length + rem == total:
                 stack.append((nbr, cost + e.length, vseq + (nbr,), eseq + (e.id,)))
@@ -304,6 +317,7 @@ def surviving_vertex_partition(g, center, radius):
     radius = Fraction(radius)
     alive = {v for v in g.vertex_ids() if point_distance(g, fw, Vertex(v), center) > radius}
     cut = center.edge if isinstance(center, Interior) else None
+    adj = adjacency(g)
     seen = set()
     parts = []
     for start in sorted(alive):
@@ -316,7 +330,7 @@ def surviving_vertex_partition(g, center, radius):
             if cur in comp:
                 continue
             comp.add(cur)
-            for nbr, e in g.edges_at(cur):
+            for nbr, e in adj[cur]:
                 if nbr in alive and nbr not in comp and e.id != cut:
                     stack.append(nbr)
         seen |= comp

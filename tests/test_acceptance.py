@@ -201,7 +201,7 @@ def test_06_collapse_sandwich(fam2):
         g0 = build_gamma0(fam2, 3)
         g1 = build_gamma1(fam2, 3)
         f = build_collapse_map(g0, g1)
-        dom = f.domain()
+        dom = [p for p, _ in f.assignments]
         assert set(dom) == set(half_net(g0.graph))
         for p, q in itertools.combinations(dom, 2):
             d0 = distance(g0.graph, p, q)
@@ -254,7 +254,7 @@ def test_08_quasi_inverse():
 
                 # fold-order independence, rechecked from the preimage clouds
                 z = Vertex(min(tree.vertex_ids()))
-                images = [(y, f.image_of(y)) for y in f.domain()]
+                images = list(f.assignments)
                 probe = rng.sample(res.map.assignments, 5)
                 for x, hx in probe:
                     cloud = [y for y, fy in images

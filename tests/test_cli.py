@@ -41,6 +41,7 @@ from coarsegeom.documents import (
     delta_report_doc,
     family_doc,
     gamma0_doc,
+    gamma1_doc,
     graph_doc,
     map_doc,
     point_doc,
@@ -191,15 +192,17 @@ def _json_paths(doc, at=()):
 
 
 @st.composite
-def fuzzed_map_docs(draw, base):
+def fuzzed_docs(draw, base):
     """base with one to three mutations: a scalar replaced by a fuzz leaf, a
-    key or an item deleted, or an assignment entry duplicated."""
+    key or an item deleted, or an item of a list duplicated (a map's
+    entry, a graph's vertex or edge, a family's set or element)."""
     doc = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("leaf", "leaf", "leaf", "delete", "duplicate")))
-        assign = doc.get("assign")
-        if op == "duplicate" and isinstance(assign, list) and assign:
-            assign.append(copy.deepcopy(draw(st.sampled_from(assign))))
+        lists = [value for _, value in _json_paths(doc) if isinstance(value, list) and value]
+        if op == "duplicate" and lists:
+            items = draw(st.sampled_from(lists))
+            items.append(copy.deepcopy(draw(st.sampled_from(items))))
             continue
         paths = [path for path, value in _json_paths(doc)
                  if op == "delete" or not isinstance(value, (dict, list))]
@@ -216,31 +219,84 @@ def fuzzed_map_docs(draw, base):
     return doc
 
 
+def _assert_runs_cleanly(argv):
+    """main(argv) exits 0-3: a document on stdout when it certifies or
+    rejects, else nothing on stdout and one error line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code < 2:
+        assert isinstance(json.loads(out.getvalue()), dict), argv
+    else:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
 P5 = path_graph(5)
 P5_MAP = map_doc(QuasiMap(P5, P5, [(p, p) for p in half_net(P5)]), "p5.json", "p5.json", n=1)
 
 
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
-@given(fuzzed_map_docs(P5_MAP))
+@given(fuzzed_docs(P5_MAP))
 def test_fuzzed_map_documents_never_crash(tmp_path_factory, doc):
     """Every map command on a mutated identity map of a 5-vertex path
-    exits 0-3: a document on stdout when it certifies or rejects, else
-    nothing on stdout and one error line on stderr."""
+    exits cleanly."""
     where = tmp_path_factory.getbasetemp() / "fuzz"
     where.mkdir(exist_ok=True)
     (where / "p5.json").write_text(canonical_dumps(graph_doc(P5, tree=True)))
     mp = where / "map.json"
     mp.write_text(json.dumps(doc))
     for command in FUZZ_COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([*command, "--map", str(mp)])
-        assert code in (0, 1, 2, 3), (command, doc, err.getvalue())
-        if code < 2:
-            assert isinstance(json.loads(out.getvalue()), dict)
-        else:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        _assert_runs_cleanly([*command, "--map", str(mp)])
+
+
+FUZZ_FAMILY = SetFamily.of_lists([["a", "b"], ["c"]])
+# each document kind's file name, its valid document and the commands that
+# read it, each other input named by its kind and valid, or a section spec
+FUZZ_DOCS = {
+    "graph": ("g.json", graph_doc(P5, tree=True), (
+        ("delta", "--graph", "{graph}"),
+        ("delta", "--graph", "{graph}", "--mode", "sampled", "--seed", "1", "--count", "20"),
+        ("bottleneck", "--graph", "{graph}", "--delta", "2"),
+        ("prune", "--graph", "{graph}", "--rounds", "1"),
+        ("median", "--tree", "{graph}", "--z", '{{"vertex":0}}', "--a", '{{"vertex":1}}',
+         "--b", '{{"edge":3,"offset":"1/2"}}'))),
+    "gamma0": ("g0.json", gamma0_doc(build_gamma0(FUZZ_FAMILY, 3)), (
+        ("separation", "--gamma0", "{gamma0}", "--seed", "1", "--count", "5"),
+        ("profile", "--gamma0", "{gamma0}", "--x", '{{"vertex":1}}', "--y", '{{"vertex":5}}'),
+        ("witness", "--gamma0", "{gamma0}", "--x", '{{"vertex":0}}', "--y", '{{"vertex":0}}',
+         "--bound", "1/2"),
+        ("collapse", "--gamma0", "{gamma0}", "--gamma1", "{gamma1}"))),
+    "gamma1": ("g1.json", gamma1_doc(build_gamma1(FUZZ_FAMILY, 3)), (
+        ("collapse", "--gamma0", "{gamma0}", "--gamma1", "{gamma1}"),)),
+    "family": ("f.json", family_doc(FUZZ_FAMILY), (
+        ("gamma0", "--family", "{family}", "--depth", "2"),
+        ("gamma1", "--family", "{family}", "--depth", "2"),
+        ("extract-choice", "--family", "{family}", "--depth", "944", "--constant", "4",
+         "--section", "{section}"),
+        ("verify-transversal", "--family", "{family}", "--elements", "{section}"))),
+}
+
+
+@pytest.mark.parametrize("kind", FUZZ_DOCS)
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_documents_never_crash(tmp_path_factory, kind, data):
+    """Every command that reads a graph, gamma0, gamma1 or family document
+    exits cleanly on a mutated one, its other inputs valid, including the
+    parse of a graph into its metric."""
+    where = tmp_path_factory.getbasetemp() / f"fuzz-{kind}"
+    where.mkdir(exist_ok=True)
+    paths = {"section": where / "s.json"}
+    paths["section"].write_text('{"mode": "first", "elements": ["a", "c"]}')
+    for key, (name, doc, _) in FUZZ_DOCS.items():
+        paths[key] = where / name
+        paths[key].write_text(canonical_dumps(doc))
+    name, base, commands = FUZZ_DOCS[kind]
+    (where / name).write_text(json.dumps(data.draw(fuzzed_docs(base))))
+    for command in commands:
+        _assert_runs_cleanly([arg.format(**paths) for arg in command])
 
 
 def test_check_qi_exhaustive_guard(capsys, tmp_path):

@@ -128,8 +128,9 @@ def test_delta_searches_once_per_carrier():
     """Exhaustive delta runs one search per vertex row and one per
     carrier, V + C(V, 2), however many triples share a carrier."""
     g = random_graph(3, 10, extra=8, rational=True)
-    search, calls = g._search, []
-    g._search = lambda *args: calls.append(args) or search(*args)
+    metric = g._metric
+    search, calls = metric.search, []
+    metric.search = lambda *args: calls.append(args) or search(*args)
     slim_triangle_delta(g)
     assert len(calls) == 10 + 45
 

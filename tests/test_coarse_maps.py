@@ -28,10 +28,13 @@ from coarsegeom import (
     extract_choice,
     half_net,
     minimal_qi_constant,
+    prune_k,
     quasi_inverse,
     round_trip_max,
     scale_metric,
     section_map,
+    slim_triangle_delta,
+    verify_bottleneck,
     verify_quasi_isometry,
 )
 from coarsegeom.coarse_maps import (
@@ -148,7 +151,7 @@ def test_every_producer_stores_the_gates_rows(fam2, tmp_path):
             "section_map": section, "quasi_inverse": quasi_inverse(section, 2).map,
             "compose": compose(collapse, section)}
     for name, m in maps.items():
-        domain = m.domain()
+        domain = [p for p, _ in m.assignments]
         assert m._src == _gated(m.source, domain), name
         assert m._tgt == _gated(m.target, [m.image_of(p) for p in domain]), name
 
@@ -380,7 +383,8 @@ def assert_qi_matches_oracle(m, n, seed, brute):
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(rational_maps(), st.integers(1, 3), st.integers(0, 2**16))
 def test_pair_kernel_matches_oracles(m, n, seed):
-    for g, pts in ((m.source, m.domain()), (m.target, [q for _, q in m.assignments])):
+    for g, pts in ((m.source, [p for p, _ in m.assignments]),
+                   (m.target, [q for _, q in m.assignments])):
         fw = oracles.floyd_warshall(g)
         for p in pts:
             for q in pts:
@@ -586,6 +590,25 @@ def test_constants_must_be_integers(n, pipe2):
             call()
 
 
+@pytest.mark.parametrize("x", [2.5, 2.0, Fraction(2), True, "2"])
+def test_counts_rounds_and_caps_must_be_integers(x):
+    """A sample count, a round count and a cap are ints, as a constant is:
+    each other value fails with the library's ValueError, not with a
+    TypeError from range or a trace that echoes it."""
+    g = path_graph(5)
+    m = identity_map(g)
+    calls = (
+        (lambda: verify_quasi_isometry(m, 1, mode="sampled", seed=1, count=x), "sample count"),
+        (lambda: slim_triangle_delta(g, "sampled", 1, x), "sample count"),
+        (lambda: verify_bottleneck(g, 2, mode="sampled", seed=1, count=x), "sample count"),
+        (lambda: prune_k(g, x), "round count"),
+        (lambda: minimal_qi_constant(m, cap=x), "cap"),
+    )
+    for call, what in calls:
+        with pytest.raises(ValueError, match=f"^{what} must be an integer$"):
+            call()
+
+
 def test_early_rejection_searches_one_row():
     """On a constructor graph a rejection at pair (0, 7) reads, and caches,
     the one row a dense scan reads."""
@@ -604,7 +627,7 @@ def test_early_rejection_searches_one_row():
     assert (i, j) == (0, 7)
     assert (v.x, v.y) == (Vertex(i), Vertex(j))
     assert cert.pairs_checked == checked
-    assert len(g._rows) == 1
+    assert len(g._metric.rows) == 1
 
 
 def test_rejected_certificate_counts_pairs_to_witness():
@@ -723,7 +746,7 @@ def test_round_trip_and_compose_match_oracle(fg):
     f, g = fg
     fs, ft = oracles.floyd_warshall(f.source), oracles.floyd_warshall(f.target)
     there_and_back = [
-        (y, g.image_of(oracles.nearest_point(f.target, ft, fy, g.domain())))
+        (y, g.image_of(oracles.nearest_point(f.target, ft, fy, [p for p, _ in g.assignments])))
         for y, fy in f.assignments
     ]
     assert compose(g, f).assignments == tuple(there_and_back)

@@ -478,10 +478,10 @@ def test_gamma_documents_are_held_to_the_budget(fam2, kind, monkeypatch):
     as malformed, unbuilt."""
     if kind == "gamma0":
         g0 = build_gamma0(fam2, 3)
-        doc, parse, layout = gamma0_doc(g0), parse_gamma0, g0.graph._closed_form
+        doc, parse, layout = gamma0_doc(g0), parse_gamma0, g0.graph._metric
     else:
         g1 = build_gamma1(fam2, 3)
-        doc, parse, layout = gamma1_doc(g1), parse_gamma1, g1._closed_form
+        doc, parse, layout = gamma1_doc(g1), parse_gamma1, g1._metric
     parse(doc)
     monkeypatch.setattr(type(layout), "budget", layout.n_vertices + layout.n_edges - 1)
     with pytest.raises(SchemaError, match="past the budget"):

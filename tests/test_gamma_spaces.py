@@ -17,6 +17,7 @@ from coarsegeom import (
     Edge,
     EmptyMemberSet,
     FamilyMismatch,
+    GammaZeroGraph,
     Interior,
     InvalidPoint,
     LabeledMetricGraph,
@@ -44,6 +45,8 @@ from coarsegeom import (
     scale_metric,
     section_map,
 )
+from conftest import random_graph
+from coarsegeom.metric_graph import _SearchedMetric
 from coarsegeom.documents import (
     gamma0_doc,
     gamma1_doc,
@@ -166,13 +169,13 @@ def test_closed_form_matches_bfs(lists):
     fam = SetFamily.of_lists(lists)
     for depth in range(1, 7):
         for g in (build_gamma0(fam, depth).graph, build_gamma1(fam, depth)):
-            assert g._closed_form is not None
+            assert isinstance(g._metric, gamma_spaces._ArmLayout)
             fw = oracles.floyd_warshall(g)
             ids = g.vertex_ids()
             for u in ids:
                 assert g.vertex_row(u) == fw[u], (lists, depth, u)
                 for v in ids:
-                    assert g._closed_form.distance(u, v) == fw[u][v]
+                    assert g._metric.distance(u, v) == fw[u][v]
                     assert g.vertex_distance(u, v) == fw[u][v]
 
 
@@ -181,53 +184,88 @@ SEARCH_FAMILIES = ([["a"], ["b"]], [["a", "b"]], [["a", "b"], ["c"]],
 
 
 @functools.lru_cache(maxsize=None)
-def _builder_and_copy(lists, depth, kind):
-    fam = SetFamily.of_lists(lists)
-    g = build_gamma0(fam, depth).graph if kind == "gamma0" else build_gamma1(fam, depth)
-    return g, LabeledMetricGraph(list(g.vertex_labels.items()), g.edges, basepoint=0)
+def _graphs_and_fw(kind, key, size):
+    """(graphs, their Floyd–Warshall distances): the builder graph of kind
+    and of the family key at depth size with its parse_graph copy, or the
+    seeded rational graph key on size vertices, with a quarter of its
+    edges dropped when key is odd, so that some vertices do not reach."""
+    if kind == "rational":
+        g = random_graph(key, size, extra=size // 2, rational=True)
+        g = LabeledMetricGraph(g.vertex_ids(), [e for e in g.edges if key % 2 == 0 or e.id % 4])
+        graphs = (g,)
+    else:
+        fam = SetFamily.of_lists(key)
+        g = build_gamma0(fam, size).graph if kind == "gamma0" else build_gamma1(fam, size)
+        graphs = g, parse_graph(graph_doc(g))
+    return graphs, oracles.floyd_warshall(g)
 
 
 @st.composite
-def builder_searches(draw):
-    """A builder graph, its constructor copy, an edge factor k and 0-6
-    seeds: (cost up to 3k, vertex), the base and repeated vertices often."""
-    lists = draw(st.sampled_from(SEARCH_FAMILIES))
-    g, copy = _builder_and_copy(tuple(map(tuple, lists)), draw(st.integers(1, 13)),
-                                draw(st.sampled_from(("gamma0", "gamma1"))))
+def metric_reads(draw):
+    """A builder graph, its parse_graph copy or a seeded rational graph,
+    with its Floyd–Warshall distances, a vertex id, an edge factor k and
+    0-6 seeds: (cost up to 3kL, vertex index), repeated vertices often."""
+    kind = draw(st.sampled_from(("gamma0", "gamma1", "rational")))
+    if kind == "rational":
+        key, size = draw(st.integers(0, 30)), draw(st.integers(1, 12))
+    else:
+        key = tuple(map(tuple, draw(st.sampled_from(SEARCH_FAMILIES))))
+        size = draw(st.integers(1, 9))
+    graphs, fw = _graphs_and_fw(kind, key, size)
+    g = draw(st.sampled_from(graphs))
+    builder = kind != "rational" and g is graphs[0]
     k = draw(st.integers(1, 4))
     vertex = st.one_of(st.just(0), st.integers(0, g.n_vertices - 1))
-    seeds = draw(st.lists(st.tuples(st.integers(0, 3 * k), vertex), max_size=5))
+    seeds = draw(st.lists(st.tuples(st.integers(0, 3 * k * g._scale), vertex), max_size=5))
     if seeds and draw(st.booleans()):
-        seeds.append((draw(st.integers(0, 3 * k)), draw(st.sampled_from(seeds))[1]))
-    return g, copy, k, seeds
+        seeds.append((draw(st.integers(0, 3 * k * g._scale)), draw(st.sampled_from(seeds))[1]))
+    return g, builder, fw, draw(vertex), k, seeds
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(builder_searches())
+@given(metric_reads())
 def test_closed_form_search_matches_dijkstra(case):
-    """A builder graph answers a multi-source search in closed form, with
-    no adjacency built, exactly as the heap search does on its copy; with
-    no seeds every entry is -1, and every multi-source distance None."""
-    g, copy, k, seeds = case
-    assert copy._closed_form is None
-    got = g._search(seeds, k)
-    assert got == copy._search(seeds, k)
-    assert "_iadj" not in vars(g)
-    assert g._search([], k) == [-1] * g.n_vertices
+    """Both metric kinds, the closed form of a builder graph and the
+    searched metric of its parse_graph copy or of a rational graph,
+    answer row, distance and search as Floyd–Warshall does, in integer
+    units of 1/L (1/(k*L) for a search), -1 where a vertex is unreachable;
+    with no seeds every entry is -1, and every multi-source distance None."""
+    g, builder, fw, u, k, seeds = case
+    metric, ids, scale = g._metric, g.vertex_ids(), g._scale
+    assert type(metric) is (gamma_spaces._ArmLayout if builder else _SearchedMetric)
+
+    def units(d, factor=1):
+        return -1 if d is None else d * scale * factor
+
+    assert list(metric.row(u)) == [units(fw[u][v]) for v in ids]
+    assert [metric.distance(u, v) for v in ids] == [units(fw[u][v]) for v in ids]
+    want = [min((c + units(fw[ids[i]][v], k) for c, i in seeds if fw[ids[i]][v] is not None),
+                default=-1) for v in ids]
+    assert metric.search(seeds, k) == want
+    if k == 1:
+        assert metric.search(seeds) == want
+    assert metric.search([], k) == [-1] * g.n_vertices
     assert set(multi_source_vertex_distances(g, []).values()) == {None}
 
 
 def test_closed_form_only_on_builder_graphs(fam2):
+    """Only a builder graph, or one parsed from its gamma document, has a
+    layout as its metric, and only of its own kind; every other graph
+    searches."""
     g0 = build_gamma0(fam2, 3)
     g1 = build_gamma1(fam2, 3)
-    assert parse_gamma0(gamma0_doc(g0)).graph._closed_form is not None
-    assert parse_gamma1(gamma1_doc(g1))[0]._closed_form is not None
+    layout_of = gamma_spaces._layout_of
+    assert layout_of(parse_gamma0(gamma0_doc(g0)).graph, "gamma0") is not None
+    assert layout_of(parse_gamma1(gamma1_doc(g1))[0], "gamma1") is not None
+    assert layout_of(g0.graph, "gamma1") is None and layout_of(g1, "gamma0") is None
     for g in (g0.graph, g1):
-        assert parse_graph(graph_doc(g))._closed_form is None
-        assert scale_metric(g, 1)._closed_form is None
-        assert prune_k(g, 1)[0]._closed_form is None
+        for other in (parse_graph(graph_doc(g)), scale_metric(g, 1), prune_k(g, 1)[0]):
+            assert layout_of(other, "gamma0") is layout_of(other, "gamma1") is None
+            assert isinstance(other._metric, _SearchedMetric)
     with pytest.raises(InvalidPoint, match="no vertex with id 10"):
         g0.graph.vertex_row(g0.graph.n_vertices)
+    with pytest.raises(ValueError, match="only a graph build_gamma0 made"):
+        GammaZeroGraph(parse_graph(graph_doc(g0.graph)))
 
 
 def test_builder_graphs_are_not_rebuilt(fam2, monkeypatch):
@@ -338,7 +376,7 @@ def test_gamma0_edge_id_is_the_least_scanned_id(lists):
     family = SetFamily.of_lists(lists)
     for depth in (1, 2, 5):
         for g in (build_gamma0(family, depth).graph, build_gamma1(family, depth)):
-            layout = g._closed_form
+            layout = g._metric
             least = {}
             for e in g.edges:
                 least.setdefault((e.u, e.v), e.id)
@@ -364,7 +402,7 @@ def test_layout_counts_and_numbers_the_builds(lists):
     family = SetFamily.of_lists(lists)
     for depth in (1, 2, 7):
         for g in (build_gamma0(family, depth).graph, build_gamma1(family, depth)):
-            layout = g._closed_form
+            layout = g._metric
             assert (layout.n_vertices, layout.n_edges) == (g.n_vertices, g.n_edges)
             assert layout.locate(0) is None
             for vid in range(1, g.n_vertices):
@@ -453,7 +491,7 @@ def test_build_collapse_and_dump_build_no_adjacency(fam2):
     documents.canonical_dumps(gamma1_doc(g1))
     documents.canonical_dumps(documents.map_doc(m, "gamma0.json", "gamma1.json"))
     for g in (g0.graph, g1):
-        assert "_adj" not in vars(g) and "_iadj" not in vars(g)
+        assert "_adj" not in vars(g) and not hasattr(g._metric, "adj")
 
 
 FAMILIES = ([["a"], ["b"]], [["a", "b"], ["c"]], [["a", "b"], ["c"], ["d", "e", "f"]])
@@ -479,11 +517,9 @@ def test_builder_columns_match_the_constructor(lists, depth):
             edges = [(i, u, v, 1) for i, (u, v) in enumerate(layout._links())]
         ref = LabeledMetricGraph(vertices, edges, basepoint=0)
         assert g.signature() == ref.signature()
-        assert g._iadj == ref._iadj
         assert half_net(g) == half_net(ref)
         assert [g.edge(i) for i in range(g.n_edges)] == [ref.edge(i) for i in range(ref.n_edges)]
-        assert [g.edges_at(v) for v in g.vertex_ids()] == [
-            ref.edges_at(v) for v in ref.vertex_ids()]
+        assert g._adj == ref._adj
 
 
 @pytest.mark.parametrize("depth", [3, 30])
@@ -509,5 +545,5 @@ def test_builder_and_parsed_graphs_share_adjacency(fam2):
     for g in (build_gamma0(fam2, 5).graph, build_gamma1(fam2, 5)):
         parsed = parse_graph(graph_doc(g))
         assert parsed.same_structure(g)
-        assert [parsed.edges_at(v) for v in g.vertex_ids()] == [
-            g.edges_at(v) for v in g.vertex_ids()]
+        assert parsed._adj == g._adj
+        assert parsed._metric.adj == _SearchedMetric(g).adj

@@ -138,19 +138,20 @@ def test_rejects_unknown_basepoint():
 def test_parallel_edges_are_distinct():
     g = LabeledMetricGraph([0, 1], [(0, 0, 1, 1), (1, 0, 1, 1)])
     assert g.n_edges == 2
-    assert g.degree(0) == 2
+    assert list(g._adj[0]) == [(1, 0), (1, 1)]
     assert g.edge(0) != g.edge(1)
 
 
 def test_adjacency_order_ignores_edge_order():
-    # geodesic enumeration walks edges_at by (neighbor id, edge id)
+    # geodesic enumeration walks _adj by (neighbor id, edge id)
     g = random_graph(7, 12, extra=10, rational=True)
     flipped = LabeledMetricGraph(g.vertex_ids(), [
         (e.id, e.v, e.u, e.length) for e in reversed(g.edges)])
+    adj = oracles.adjacency(g)
     for v in g.vertex_ids():
-        pairs = [(nb, e.id) for nb, e in flipped.edges_at(v)]
-        assert pairs == sorted(pairs) == [(nb, e.id) for nb, e in g.edges_at(v)]
-        assert flipped.degree(v) == g.degree(v) == len(pairs)
+        pairs = list(flipped._adj[v])
+        assert pairs == sorted(pairs) == list(g._adj[v])
+        assert pairs == [(nb, e.id) for nb, e in adj[v]]
 
 
 def test_signature_detects_label_changes():
@@ -561,9 +562,7 @@ NOT_IDS = {
     "edge": (lambda g: g.edge(True), InvalidPoint, "no edge with id True"),
     "vertex_row": (lambda g: g.vertex_row(99), InvalidPoint, "no vertex with id 99"),
     "vertex_row of True": (lambda g: g.vertex_row(True), InvalidPoint, "no vertex with id True"),
-    "degree": (lambda g: g.degree(99), InvalidPoint, "no vertex with id 99"),
-    "degree of 1.0": (lambda g: g.degree(1.0), InvalidPoint, "no vertex with id 1.0"),
-    "edges_at": (lambda g: g.edges_at(99), InvalidPoint, "no vertex with id 99"),
+    "vertex_row of 1.0": (lambda g: g.vertex_row(1.0), InvalidPoint, "no vertex with id 1.0"),
     "geodesic middle vertex": (lambda g: check_geodesic(g, _path_geodesic((0, 1.0, 2), (0, 1))),
                                NotAGeodesic, "hop 0 does not follow edge 0"),
     "geodesic first vertex": (lambda g: check_geodesic(g, _path_geodesic((False, 1, 2), (0, 1))),
@@ -840,9 +839,9 @@ def test_point_rows_match_oracle(case):
             row(0)
     else:
         row(0)
-    assert g._rows
-    for src, cached in g._rows.items():
-        assert cached == g._search(((0, g._index[src]),))
+    assert g._metric.rows
+    for src, cached in g._metric.rows.items():
+        assert cached == g._metric.search(((0, g._index[src]),))
 
 
 def test_is_separated_checks_its_inputs():
@@ -952,8 +951,9 @@ def test_surviving_path_matches_point_oracle(query):
         return
     assert all(oracles.point_distance(g, fw, Vertex(v), w) > r for v in path)
     cut = w.edge if isinstance(w, Interior) else None
+    adj = oracles.adjacency(g)
     for a, b in zip(path, path[1:]):
-        assert any(nbr == b and e.id != cut for nbr, e in g.edges_at(a)), (a, b)
+        assert any(nbr == b and e.id != cut for nbr, e in adj[a]), (a, b)
 
 
 def test_isolated_mid_edge_fragment():

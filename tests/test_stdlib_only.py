@@ -101,9 +101,9 @@ def test_private_helpers_are_used():
 
 def test_exported_functions_have_a_system_caller():
     """Each public module-level function of the package, exported or not,
-    is read by another function of the package, by a demo or by the
-    benchmark; the names that the benchmark's tracer wraps, listed as
-    strings, count as read."""
+    and each public method or property of its classes, is read by another
+    function of the package, by a demo or by the benchmark; the names that
+    the benchmark's tracer wraps, listed as strings, count as read."""
     root = SRC.parent.parent
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
@@ -120,12 +120,17 @@ def test_exported_functions_have_a_system_caller():
                 names.discard(top.name)  # a recursive call is not a caller
                 if path.parent == SRC and not top.name.startswith("_"):
                     functions[top.name] = f"{path.name}:{top.lineno}"
+            if isinstance(top, ast.ClassDef) and path.parent == SRC:
+                functions.update((f"{top.name}.{item.name}", f"{path.name}:{item.lineno}")
+                                 for item in top.body if isinstance(item, ast.FunctionDef)
+                                 and not item.name.startswith("_"))
             used |= names
     tracer = ast.parse((root / "bench" / "tracer.py").read_text(encoding="utf-8"))
     used |= {part for node in ast.walk(tracer)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              for part in node.value.split(".")}
-    uncalled = [f"{where}: {name}" for name, where in functions.items() if name not in used]
+    uncalled = [f"{where}: {name}" for name, where in functions.items()
+                if name.rpartition(".")[2] not in used]
     assert functions
     assert not uncalled, uncalled
 
@@ -177,3 +182,34 @@ def test_one_heap_search():
             if "heapq" in names:
                 importers.append(path.name)
     assert importers == ["metric_graph.py"], importers
+
+
+def test_one_metric_per_graph():
+    """Every distance read goes through a graph's _metric: the old
+    closed-form slot, row cache, search adjacency and graph-side search
+    are named nowhere in the package, and only gamma_spaces._layout_of
+    tests a metric's class, so no reader branches on which metric a
+    graph has."""
+    gone = {"_closed_form", "_rows", "_iadj", "_search", "_row"}
+    kinds = {"_ArmLayout", "_SearchedMetric"}
+    found, testers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and getattr(c.func, "id", None) == "isinstance"
+                    and kinds & {n.id for n in ast.walk(c.args[1]) if isinstance(n, ast.Name)}
+                    for c in ast.walk(fn)):
+                testers.append(f"{path.stem}.{fn.name}")
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    else None)
+            if name in gone:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+        if "_closed_form" in text:  # not even in a docstring
+            found.append(f"{path.name}: _closed_form")
+    assert not found, found
+    assert testers == ["gamma_spaces._layout_of"], testers

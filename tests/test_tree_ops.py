@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import path_graph, random_graph, random_tree
-from coarsegeom import tree_ops
+from coarsegeom import coarse_maps, tree_ops
 from coarsegeom.metric_graph import _gated
 from coarsegeom import (
     EmptyPreimage,
@@ -79,8 +79,9 @@ def test_prune_removed_were_leaves():
     out, tr = prune_k(g, 4)
     cur = g
     for stage in tr.stages:
+        adj = oracles.adjacency(cur)
         for v in stage:
-            assert cur.degree(v) == 1
+            assert len(adj[v]) == 1
         cur, _ = prune_k(cur, 1)
     assert oracles.label_shape(cur) == oracles.label_shape(out)
 
@@ -301,6 +302,25 @@ def test_quasi_inverse_walks_one_geodesic_per_net_point(fam2, monkeypatch):
     res = quasi_inverse(s, 2)
     assert len(res.map) == 42
     assert len(walks) <= 42
+
+
+def test_quasi_inverse_reads_the_radius_once(fam2, monkeypatch):
+    """An accepted inverse's certificate carries the surjectivity radius
+    that its minimal constant started from: one computation, not two."""
+    calls = []
+    real = coarse_maps.surjectivity_radius
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (coarse_maps, tree_ops):
+        if hasattr(module, "surjectivity_radius"):
+            monkeypatch.setattr(module, "surjectivity_radius", counted)
+    res = quasi_inverse(section_map(build_gamma0(fam2, 3), mode="seeded", seed=7), 2)
+    assert res.certificate.accepted
+    assert [m is res.map for m in calls] == [True]
+    assert res.certificate.surjectivity_radius == real(res.map)[0]
 
 
 def test_collapse_and_section_invert_each_other(fam3):
