@@ -161,6 +161,8 @@ def _check_sampling(mode, modes, seed, count):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (seed is None or count is None):
         raise ValueError("sampled mode needs a seed and a count")
+    if seed is not None:
+        _require_int(seed, "seed must be an integer")
     if count is not None:
         _require_int(count, "sample count must be an integer")
         if count < 0:
@@ -228,13 +230,12 @@ def _breaks(n, s, ds, dt):
 
 def _kernel_side(g, k, pts):
     """One graph's half of the pair kernel, in units of 1/(k*L): each
-    point's column and point i's row, from _point_rows, and where the
-    graph's metric reads a pair without a search, the steps, the distances
-    from each point to the next, and dist(i, j), points i and j's distance
-    read without a row.  Elsewhere both are None: each would search a row."""
+    point's column and point i's row, from _point_rows, and the metric's
+    pairs: dist(i, j), points i and j's distance read without a row, and
+    the steps, the distances from each point to the next.  Where a read
+    would search a row both are None."""
     cols, row = _point_rows(g, k, pts)
-    dist = (None if g._metric.searches
-            else lambda i, j: _scaled_distance(g, k, pts[i], pts[j]))
+    dist = g._metric.pairs(k, pts)
     steps = dist and [dist(i, i + 1) for i in range(len(pts) - 1)]
     return cols, lambda i: row(pts[i]), steps, dist
 

@@ -100,6 +100,7 @@ class _ArmLayout:
       - |n - m| when a and b lie in one set and n != m;
       - 1 when a and b are different arms of one set and n == m;
       - n + m when a and b lie in different sets.
+    ``pairs`` reads points with the same formula from their ends.
     ``build`` fills a graph's edge columns from ``_links``, each link's
     ends in id order, and attaches the layout as the graph's metric (ids
     are indices, and no read searches): the formula holds only for such
@@ -111,7 +112,6 @@ class _ArmLayout:
     # the most vertices plus edges a build may make: extraction at
     # constant 16 on {a,b},{c},{d,e,f} needs 347,521 + 2,085,104
     budget = 2_500_000
-    searches = False  # a pair read is the formula, no search
 
     def __init__(self, kind, family, depth):
         if depth < 1:
@@ -225,6 +225,39 @@ class _ArmLayout:
         if self.arm_sets[a] != self.arm_sets[b]:
             return n + m + 2
         return abs(n - m) or 1
+
+    def pairs(self, k, pts):
+        """dist(i, j), the distance between points i and j of pts, points
+        from metric_graph._scaled_rows, in units of 1/k: each point's ends
+        are located once as (vertex id, set index, level, cost), levels
+        in those units and the base in set -1 at level 0.  On vertices
+        alone dist is the formula of distance; else the least over both
+        points' ends of cost, distance and cost, or the run inside one
+        edge for two points on it."""
+        depth, sets = self.depth, self.arm_sets
+        ends = [[(v, sets[(v - 1) // depth], ((v - 1) % depth + 1) * k, c) if v
+                 else (0, -1, 0, c) for v, c in entries] for _, entries in pts]
+        if all(edge is None for edge, _ in pts):
+            at = [e[0][:3] for e in ends]
+
+            def dist(i, j):
+                a, s, n = at[i]
+                b, t, m = at[j]
+                return 0 if a == b else n + m if s != t else abs(n - m) or k
+            return dist
+        edges = [edge for edge, _ in pts]
+
+        def dist(i, j):
+            best = -1
+            for a, s, n, ca in ends[i]:
+                for b, t, m, cb in ends[j]:
+                    d = ca + cb + (0 if a == b else n + m if s != t else abs(n - m) or k)
+                    if d < best or best < 0:
+                        best = d
+            if (e := edges[i]) is not None and e == edges[j]:
+                best = min(best, abs(ends[i][0][3] - ends[j][0][3]))
+            return best
+        return dist
 
     def row(self, src):
         """Distances from src to every vertex, indexed by vertex id; a

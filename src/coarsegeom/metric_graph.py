@@ -13,7 +13,9 @@ use: a graph only built, mapped and dumped never sorts it.
 Vertex distances come from each graph's one metric, ``_metric``: rows,
 pair distances and multi-source searches in integer units of 1/L, L the
 lcm of the edge-length denominators, from a builder's closed form or else
-from a Dijkstra that caches its rows.  Point distances scale them by
+from a Dijkstra that caches its rows; a closed form also reads pairs of
+scaled points (``pairs``), where the Dijkstra reads none, and any one
+pair is read by _scaled_distance.  Point distances scale them by
 a factor that makes the points' offsets whole, found by the gate, _gate,
 in its one loop over the points' rows (kind, id, num, den), made from
 point objects or kept as a map's sides; Fractions appear only where
@@ -298,8 +300,6 @@ class _SearchedMetric:
     is (-1 where unreachable): a Dijkstra on an adjacency built at the first
     search, and the graph's only row cache, ``rows``, by source id."""
 
-    searches = True  # a pair read searches a row
-
     def __init__(self, g):  # the columns, not g: no reference cycle holds the rows
         self._index, self._ends = g._index, (g._eu, g._ev, g._elen)
         self.rows = {}
@@ -343,6 +343,10 @@ class _SearchedMetric:
 
     def distance(self, u, v):
         return self.row(u)[self._index[v]]
+
+    def pairs(self, k, pts):
+        """None: with no closed form each pair read would search a row."""
+        return None
 
 
 # -- points ----------------------------------------------------------------

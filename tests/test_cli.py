@@ -219,12 +219,19 @@ def fuzzed_docs(draw, base):
     return doc
 
 
+# the most seconds one fuzzed run may take: every input here is small
+FUZZ_RUN_SECONDS = 10
+
+
 def _assert_runs_cleanly(argv):
-    """main(argv) exits 0-3: a document on stdout when it certifies or
-    rejects, else nothing on stdout and one error line on stderr."""
+    """main(argv) exits 0-3 within FUZZ_RUN_SECONDS: a document on stdout
+    when it certifies or rejects, else nothing on stdout and one error
+    line on stderr."""
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
+    assert time.perf_counter() - start < FUZZ_RUN_SECONDS, argv
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     if code < 2:
         assert isinstance(json.loads(out.getvalue()), dict), argv
@@ -251,11 +258,45 @@ def test_fuzzed_map_documents_never_crash(tmp_path_factory, doc):
         _assert_runs_cleanly([*command, "--map", str(mp)])
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(fuzzed_docs({"root": {"edge": 3, "offset": "1/2"}}))
+def test_fuzzed_roots_never_crash(tmp_path_factory, doc):
+    """quasi-inverse exits cleanly on a mutated root point, the identity
+    map of a 5-vertex path valid."""
+    where = tmp_path_factory.getbasetemp() / "fuzz-root"
+    where.mkdir(exist_ok=True)
+    (where / "p5.json").write_text(canonical_dumps(graph_doc(P5, tree=True)))
+    mp = where / "map.json"
+    mp.write_text(canonical_dumps(P5_MAP))
+    _assert_runs_cleanly(["quasi-inverse", "--map", str(mp), "--constant", "2",
+                          "--root", json.dumps(doc.get("root", {}))])
+
+
 FUZZ_FAMILY = SetFamily.of_lists([["a", "b"], ["c"]])
+
+
+def _checks(key):
+    """check-qi with no --mode, exhaustive and sampled on the map file of key."""
+    return tuple(("check-qi", "--map", f"{{{key}}}", "--constant", n, *mode) for n, mode in (
+        ("1", ()), ("2", ("--mode", "exhaustive")),
+        ("1", ("--mode", "sampled", "--seed", "1", "--count", "20"))))
+
+
+# valid map documents over the fuzzed graph files: the identity map of a
+# 5-vertex path from or to the graph document, and the collapse map of the
+# fuzz family at depth 3 from its gamma0 to its gamma1 document
+FUZZ_MAPS = {
+    "frommap": ("fm.json", {**P5_MAP, "source": "g.json"}),
+    "tomap": ("tm.json", {**P5_MAP, "target": "g.json"}),
+    "collapse": ("c.json", map_doc(build_collapse_map(build_gamma0(FUZZ_FAMILY, 3),
+                                                      build_gamma1(FUZZ_FAMILY, 3)),
+                                   "g0.json", "g1.json")),
+}
 # each document kind's file name, its valid document and the commands that
 # read it, each other input named by its kind and valid, or a section spec
 FUZZ_DOCS = {
     "graph": ("g.json", graph_doc(P5, tree=True), (
+        *_checks("frommap"), *_checks("tomap"),
         ("delta", "--graph", "{graph}"),
         ("delta", "--graph", "{graph}", "--mode", "sampled", "--seed", "1", "--count", "20"),
         ("bottleneck", "--graph", "{graph}", "--delta", "2"),
@@ -267,9 +308,11 @@ FUZZ_DOCS = {
         ("profile", "--gamma0", "{gamma0}", "--x", '{{"vertex":1}}', "--y", '{{"vertex":5}}'),
         ("witness", "--gamma0", "{gamma0}", "--x", '{{"vertex":0}}', "--y", '{{"vertex":0}}',
          "--bound", "1/2"),
-        ("collapse", "--gamma0", "{gamma0}", "--gamma1", "{gamma1}"))),
+        ("collapse", "--gamma0", "{gamma0}", "--gamma1", "{gamma1}"),
+        *_checks("collapse"))),
     "gamma1": ("g1.json", gamma1_doc(build_gamma1(FUZZ_FAMILY, 3)), (
-        ("collapse", "--gamma0", "{gamma0}", "--gamma1", "{gamma1}"),)),
+        ("collapse", "--gamma0", "{gamma0}", "--gamma1", "{gamma1}"),
+        *_checks("collapse"))),
     "family": ("f.json", family_doc(FUZZ_FAMILY), (
         ("gamma0", "--family", "{family}", "--depth", "2"),
         ("gamma1", "--family", "{family}", "--depth", "2"),
@@ -285,12 +328,14 @@ FUZZ_DOCS = {
 def test_fuzzed_documents_never_crash(tmp_path_factory, kind, data):
     """Every command that reads a graph, gamma0, gamma1 or family document
     exits cleanly on a mutated one, its other inputs valid, including the
-    parse of a graph into its metric."""
+    parse of a graph into its metric and check-qi on a valid map whose
+    source or target is the mutated graph."""
     where = tmp_path_factory.getbasetemp() / f"fuzz-{kind}"
     where.mkdir(exist_ok=True)
     paths = {"section": where / "s.json"}
     paths["section"].write_text('{"mode": "first", "elements": ["a", "c"]}')
-    for key, (name, doc, _) in FUZZ_DOCS.items():
+    (where / "p5.json").write_text(canonical_dumps(graph_doc(P5, tree=True)))
+    for key, (name, doc, *_) in (*FUZZ_DOCS.items(), *FUZZ_MAPS.items()):
         paths[key] = where / name
         paths[key].write_text(canonical_dumps(doc))
     name, base, commands = FUZZ_DOCS[kind]

@@ -380,8 +380,24 @@ def assert_qi_matches_oracle(m, n, seed, brute):
         assert r > best - 1 or bad is not None
 
 
+def collapse_3(move=False):
+    """The collapse map of {a, b}, {c} at depth 3, a builder map whose
+    domain holds every edge midpoint; with move, its last midpoint, on the
+    arm of {c}, is sent up the top edge of the arm of {a, b}, so a
+    violation comes late."""
+    fam = SetFamily.of_lists([["a", "b"], ["c"]])
+    m = build_collapse_map(build_gamma0(fam, 3), build_gamma1(fam, 3))
+    pairs = list(m.assignments)
+    if move:
+        pairs[-1] = pairs[-1][0], Interior(gamma1_edge_id(3, 0, 3), Fraction(1, 4))
+    return QuasiMap(m.source, m.target, pairs)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(rational_maps(), st.integers(1, 3), st.integers(0, 2**16))
+@example(collapse_3(), 1, 0)
+@example(collapse_3(), 2, 0)
+@example(collapse_3(move=True), 2, 7)
 def test_pair_kernel_matches_oracles(m, n, seed):
     for g, pts in ((m.source, [p for p, _ in m.assignments]),
                    (m.target, [q for _, q in m.assignments])):
@@ -607,6 +623,24 @@ def test_counts_rounds_and_caps_must_be_integers(x):
     for call, what in calls:
         with pytest.raises(ValueError, match=f"^{what} must be an integer$"):
             call()
+
+
+@pytest.mark.parametrize("seed", [[1], 1.5, 2.0, "x", True, Fraction(1)])
+def test_seeds_must_be_integers(seed):
+    """A given seed is an int, as a count is: any other value fails with
+    the library's ValueError, not with a TypeError from random.Random or a
+    certificate that echoes it, in sampled and exhaustive mode alike."""
+    g = path_graph(5)
+    m = identity_map(g)
+    calls = (
+        lambda mode: verify_quasi_isometry(m, 1, mode=mode, seed=seed, count=3),
+        lambda mode: slim_triangle_delta(g, mode, seed, 3),
+        lambda mode: verify_bottleneck(g, 2, mode=mode, seed=seed, count=3),
+    )
+    for call in calls:
+        for mode in ("sampled", "exhaustive"):
+            with pytest.raises(ValueError, match="^seed must be an integer$"):
+                call(mode)
 
 
 def test_early_rejection_searches_one_row():

@@ -46,7 +46,7 @@ from coarsegeom import (
     section_map,
 )
 from conftest import random_graph
-from coarsegeom.metric_graph import _SearchedMetric
+from coarsegeom.metric_graph import _SearchedMetric, _scaled, _scaled_distance
 from coarsegeom.documents import (
     gamma0_doc,
     gamma1_doc,
@@ -200,11 +200,40 @@ def _graphs_and_fw(kind, key, size):
     return graphs, oracles.floyd_warshall(g)
 
 
+def pair_points(g, vertex_only, edges=()):
+    """Every vertex of g, base and sibling arms and other sets among them,
+    then unless vertex_only the midpoint of every third edge and, on each
+    of edges, the points a quarter from either end: two points on one edge."""
+    pts = [Vertex(v) for v in g.vertex_ids()]
+    if not vertex_only:
+        pts += [Interior(e, H) for e in g._eids[::3]]
+        pts += [Interior(e, t) for e in edges for t in (Fraction(1, 4), Fraction(3, 4))]
+    return pts
+
+
+def assert_pairs_match(g, fw, k, pts):
+    """g's metric reads the pairs of pts, scaled at k or the least multiple
+    of it that makes them whole, as _scaled_distance and Floyd–Warshall do;
+    a searched metric reads none."""
+    m, scaled = _scaled(g, pts, k)
+    dist = g._metric.pairs(m, scaled)
+    if type(g._metric) is _SearchedMetric:
+        assert dist is None
+        return
+    unit = m * g._scale
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            want = oracles.point_distance(g, fw, p, q) * unit
+            assert dist(i, j) == _scaled_distance(g, m, scaled[i], scaled[j]) == want, (p, q)
+
+
 @st.composite
 def metric_reads(draw):
     """A builder graph, its parse_graph copy or a seeded rational graph,
-    with its Floyd–Warshall distances, a vertex id, an edge factor k and
-    0-6 seeds: (cost up to 3kL, vertex index), repeated vertices often."""
+    with its Floyd–Warshall distances, a vertex id, an edge factor k,
+    0-6 seeds: (cost up to 3kL, vertex index), repeated vertices often,
+    and up to eight points, vertices alone or with interior points at a
+    half or a quarter of an edge, two of them on one edge often."""
     kind = draw(st.sampled_from(("gamma0", "gamma1", "rational")))
     if kind == "rational":
         key, size = draw(st.integers(0, 30)), draw(st.integers(1, 12))
@@ -219,7 +248,14 @@ def metric_reads(draw):
     seeds = draw(st.lists(st.tuples(st.integers(0, 3 * k * g._scale), vertex), max_size=5))
     if seeds and draw(st.booleans()):
         seeds.append((draw(st.integers(0, 3 * k * g._scale)), draw(st.sampled_from(seeds))[1]))
-    return g, builder, fw, draw(vertex), k, seeds
+    point = st.builds(Vertex, st.sampled_from(g.vertex_ids()))
+    if g.n_edges and draw(st.booleans()):
+        offsets = st.sampled_from((H, Fraction(1, 4), Fraction(3, 4)))
+        point |= st.builds(Interior, st.sampled_from(g._eids), offsets)
+    pts = draw(st.lists(point, max_size=8))
+    if pts and isinstance(pts[-1], Interior) and draw(st.booleans()):
+        pts.append(Interior(pts[-1].edge, 1 - pts[-1].offset))
+    return g, builder, fw, draw(vertex), k, seeds, pts
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -229,8 +265,10 @@ def test_closed_form_search_matches_dijkstra(case):
     searched metric of its parse_graph copy or of a rational graph,
     answer row, distance and search as Floyd–Warshall does, in integer
     units of 1/L (1/(k*L) for a search), -1 where a vertex is unreachable;
-    with no seeds every entry is -1, and every multi-source distance None."""
-    g, builder, fw, u, k, seeds = case
+    with no seeds every entry is -1, and every multi-source distance None.
+    The closed form reads point pairs as _scaled_distance does, and the
+    searched metric reads none."""
+    g, builder, fw, u, k, seeds, pts = case
     metric, ids, scale = g._metric, g.vertex_ids(), g._scale
     assert type(metric) is (gamma_spaces._ArmLayout if builder else _SearchedMetric)
 
@@ -246,6 +284,24 @@ def test_closed_form_search_matches_dijkstra(case):
         assert metric.search(seeds) == want
     assert metric.search([], k) == [-1] * g.n_vertices
     assert set(multi_source_vertex_distances(g, []).values()) == {None}
+    assert_pairs_match(g, fw, k, pts)
+
+
+@pytest.mark.parametrize("lists", SEARCH_FAMILIES)
+def test_closed_form_pairs_match_dijkstra(lists):
+    """At depths 1-4 and k 1, 2 and 4, the pairs of every vertex, and of
+    every vertex with midpoints and quarter points, two on one edge, read
+    on Γ0 and Γ1 as _scaled_distance and Floyd–Warshall do; their
+    parse_graph copies read none."""
+    key = tuple(map(tuple, lists))
+    for kind in ("gamma0", "gamma1"):
+        for depth in range(1, 5):
+            (g, copy), fw = _graphs_and_fw(kind, key, depth)
+            for k in (1, 2, 4):
+                for vertex_only in (True, False):
+                    pts = pair_points(g, vertex_only, (g._eids[0], g._eids[-1]))
+                    assert_pairs_match(g, fw, k, pts)
+                    assert_pairs_match(copy, fw, k, pts)
 
 
 def test_closed_form_only_on_builder_graphs(fam2):

@@ -213,3 +213,22 @@ def test_one_metric_per_graph():
             found.append(f"{path.name}: _closed_form")
     assert not found, found
     assert testers == ["gamma_spaces._layout_of"], testers
+
+
+def test_kernel_reads_pairs_from_the_metric():
+    """The pair kernel has one reader: coarse_maps._kernel_side asks the
+    graph's metric for its pairs and never names _scaled_distance, and no
+    metric carries a ``searches`` flag, defined or read, for a reader to
+    branch on."""
+    flags, kernel = [], None
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if "searches" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                flags.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name == "_kernel_side":
+                kernel = {getattr(n, "attr", None) or getattr(n, "id", None)
+                          for n in ast.walk(node)}
+    assert not flags, flags
+    assert kernel is not None and "pairs" in kernel, "no _kernel_side reads pairs"
+    assert "_scaled_distance" not in kernel
