@@ -229,30 +229,24 @@ class _ArmLayout:
     def pairs(self, k, pts):
         """dist(i, j), the distance between points i and j of pts, points
         from metric_graph._scaled_rows, in units of 1/k: each point's ends
-        are located once as (vertex id, set index, level, cost), levels
-        in those units and the base in set -1 at level 0.  On vertices
-        alone dist is the formula of distance; else the least over both
-        points' ends of cost, distance and cost, or the run inside one
-        edge for two points on it."""
-        depth, sets = self.depth, self.arm_sets
-        ends = [[(v, sets[(v - 1) // depth], ((v - 1) % depth + 1) * k, c) if v
-                 else (0, -1, 0, c) for v, c in entries] for _, entries in pts]
-        if all(edge is None for edge, _ in pts):
-            at = [e[0][:3] for e in ends]
+        are located once as (vertex id, set index, level, cost), levels in
+        those units and the base in set -1 at level 0, and dist is the
+        least over both points' ends of cost, the formula of distance and
+        cost, or the run inside one edge for two points on it."""
+        far = (2 * self.depth + 3) * k  # past every distance
 
-            def dist(i, j):
-                a, s, n = at[i]
-                b, t, m = at[j]
-                return 0 if a == b else n + m if s != t else abs(n - m) or k
-            return dist
+        def end(v, c):
+            _, s, n = self.locate(v) or (None, -1, 0)
+            return v, s, n * k, c
+        ends = [[end(v, c) for v, c in entries] for _, entries in pts]
         edges = [edge for edge, _ in pts]
 
         def dist(i, j):
-            best = -1
+            best = far
             for a, s, n, ca in ends[i]:
                 for b, t, m, cb in ends[j]:
                     d = ca + cb + (0 if a == b else n + m if s != t else abs(n - m) or k)
-                    if d < best or best < 0:
+                    if d < best:
                         best = d
             if (e := edges[i]) is not None and e == edges[j]:
                 best = min(best, abs(ends[i][0][3] - ends[j][0][3]))

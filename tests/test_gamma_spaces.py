@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -258,8 +258,26 @@ def metric_reads(draw):
     return g, builder, fw, draw(vertex), k, seeds, pts
 
 
+def pair_sweep(test):
+    """test with an example per Γ0 and Γ1 of every search family at depths
+    1-4, and per its parse_graph copy, at k 1, 2 and 4: every vertex alone,
+    and with midpoints and quarter points, two of them on one edge."""
+    for lists in SEARCH_FAMILIES:
+        for kind in ("gamma0", "gamma1"):
+            for depth in range(1, 5):
+                graphs, fw = _graphs_and_fw(kind, tuple(map(tuple, lists)), depth)
+                g = graphs[0]
+                for vertex_only in (True, False):
+                    pts = pair_points(g, vertex_only, (g._eids[0], g._eids[-1]))
+                    for h in graphs:
+                        for k in (1, 2, 4):
+                            test = example((h, h is g, fw, 0, k, [], pts))(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(metric_reads())
+@pair_sweep
 def test_closed_form_search_matches_dijkstra(case):
     """Both metric kinds, the closed form of a builder graph and the
     searched metric of its parse_graph copy or of a rational graph,
@@ -267,7 +285,8 @@ def test_closed_form_search_matches_dijkstra(case):
     units of 1/L (1/(k*L) for a search), -1 where a vertex is unreachable;
     with no seeds every entry is -1, and every multi-source distance None.
     The closed form reads point pairs as _scaled_distance does, and the
-    searched metric reads none."""
+    searched metric reads none; pair_sweep's examples read every vertex
+    pair of small builder graphs, alone and among interior points."""
     g, builder, fw, u, k, seeds, pts = case
     metric, ids, scale = g._metric, g.vertex_ids(), g._scale
     assert type(metric) is (gamma_spaces._ArmLayout if builder else _SearchedMetric)
@@ -285,23 +304,6 @@ def test_closed_form_search_matches_dijkstra(case):
     assert metric.search([], k) == [-1] * g.n_vertices
     assert set(multi_source_vertex_distances(g, []).values()) == {None}
     assert_pairs_match(g, fw, k, pts)
-
-
-@pytest.mark.parametrize("lists", SEARCH_FAMILIES)
-def test_closed_form_pairs_match_dijkstra(lists):
-    """At depths 1-4 and k 1, 2 and 4, the pairs of every vertex, and of
-    every vertex with midpoints and quarter points, two on one edge, read
-    on Γ0 and Γ1 as _scaled_distance and Floyd–Warshall do; their
-    parse_graph copies read none."""
-    key = tuple(map(tuple, lists))
-    for kind in ("gamma0", "gamma1"):
-        for depth in range(1, 5):
-            (g, copy), fw = _graphs_and_fw(kind, key, depth)
-            for k in (1, 2, 4):
-                for vertex_only in (True, False):
-                    pts = pair_points(g, vertex_only, (g._eids[0], g._eids[-1]))
-                    assert_pairs_match(g, fw, k, pts)
-                    assert_pairs_match(copy, fw, k, pts)
 
 
 def test_closed_form_only_on_builder_graphs(fam2):
